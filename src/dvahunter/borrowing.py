@@ -12,7 +12,6 @@ import logging
 import string
 from dataclasses import dataclass
 from enum import Enum
-from typing import Optional
 
 from .core import (
     Evidence,
@@ -50,7 +49,6 @@ class BorrowingCandidate:
     ingress_ip: str
     response: HttpResponseSummary
     verdict: Verdict
-    tls: Optional[BorrowingTls] = None
 
 
 def random_baseline_host(seed: int, provider: str) -> Fqdn:

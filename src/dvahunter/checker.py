@@ -54,10 +54,6 @@ class IngressNodeSet:
     representatives: list[str] = field(default_factory=list)  # one alive IP per city
     liveness_is_weak: bool = False  # no provider-identifying header known
 
-    @property
-    def alive(self) -> list[tuple[str, Optional[str]]]:
-        return [(ip, city) for ip, city, state in self.nodes if state is Liveness.ALIVE]
-
 
 def crawl_records(
     targets: list[Fqdn],

@@ -55,30 +55,31 @@ class VerdictKind(Enum):
     INCONCLUSIVE = "inconclusive"
 
 
-@dataclass(frozen=True, order=True)
+@dataclass(frozen=True, order=True, slots=True)
 class Fqdn:
     """A normalized, lowercase fully qualified domain name.
 
     ``sld`` is the registrable domain computed against the bundled
     public-suffix snapshot at parse time (None when the name itself is a
-    public suffix).
+    public suffix). ``name`` is the dotted text, joined once at
+    construction; equality, ordering and hashing use ``labels`` only.
     """
 
     labels: tuple[str, ...]
     sld: Optional[str] = field(compare=False, default=None)
+    name: str = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "name", ".".join(self.labels))
 
     def __str__(self) -> str:
-        return ".".join(self.labels)
+        return self.name
 
     def __repr__(self) -> str:
-        return f"Fqdn({str(self)!r})"
-
-    @property
-    def name(self) -> str:
-        return str(self)
+        return f"Fqdn({self.name!r})"
 
     def endswith(self, suffix: str) -> bool:
-        return str(self).endswith(suffix)
+        return self.name.endswith(suffix)
 
 
 def parse_fqdn(text: str, psl: Optional[PublicSuffixList] = None) -> Fqdn:
@@ -107,7 +108,7 @@ def parse_fqdn(text: str, psl: Optional[PublicSuffixList] = None) -> Fqdn:
     return Fqdn(labels=labels, sld=sld)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class DnsObservation:
     """Resolved record set for one FQDN.
 

@@ -3,6 +3,10 @@ Subdomain enumeration: expands target SLDs through a prefix dictionary,
 confirms candidates by DNS, and filters wildcard zones by comparing each
 answer against the wildcard signature instead of mere existence, so
 explicitly defined hosts under a wildcard survive.
+
+Dictionary labels are syntax-checked once, when the dictionary is loaded;
+each candidate is then built from those labels and the already parsed SLD,
+so only the total name length is left to check per candidate.
 """
 
 from __future__ import annotations
@@ -14,7 +18,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Optional
 
-from .core import DnsObservation, DomainSyntaxError, Fqdn, Rcode, derive_rng, parse_fqdn
+from .core import MAX_NAME_LENGTH, DnsObservation, Fqdn, Rcode, derive_rng, parse_fqdn
 from .transport import RRType
 
 logger = logging.getLogger(__name__)
@@ -30,9 +34,17 @@ class WildcardInconclusive(Exception):
 @dataclass(frozen=True)
 class PrefixDictionary:
     """Ordered, deduplicated, lowercase label prefixes. A prefix may span
-    several labels (e.g. "dev.api")."""
+    several labels (e.g. "dev.api"). ``labels`` holds each prefix split
+    into its labels, in the same order."""
 
     prefixes: tuple[str, ...]
+    labels: tuple[tuple[str, ...], ...] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        labels = tuple(tuple(prefix.split(".")) for prefix in self.prefixes)
+        for label in dict.fromkeys(label for split in labels for label in split):
+            parse_fqdn(f"{label}.example.com")  # syntax check, raises DomainSyntaxError
+        object.__setattr__(self, "labels", labels)
 
     @classmethod
     def from_lines(cls, lines: list[str]) -> "PrefixDictionary":
@@ -42,8 +54,6 @@ class PrefixDictionary:
             line = raw.split("#", 1)[0].strip().lower()
             if not line:
                 continue
-            for label in line.split("."):
-                parse_fqdn(f"{label}.example.com")  # syntax check, raises DomainSyntaxError
             if line not in seen:
                 seen.add(line)
                 ordered.append(line)
@@ -131,12 +141,15 @@ def enumerate_subdomains(
         result.wildcard_inconclusive = True
         logger.warning("wildcard check inconclusive for %s; enumeration proceeds without exclusion", sld)
 
+    # dictionary labels and the SLD are both validated already: only the
+    # total length can still make a candidate illegal
+    room = MAX_NAME_LENGTH - len(sld.name) - 1
     candidates = []
-    for prefix in dictionary.prefixes:
-        try:
-            candidates.append(parse_fqdn(f"{prefix}.{sld}"))
-        except DomainSyntaxError:
+    for prefix, labels in zip(dictionary.prefixes, dictionary.labels):
+        if len(prefix) > room:
             result.unconfirmed.append(f"{prefix}.{sld}")
+        else:
+            candidates.append(Fqdn(labels + sld.labels))
 
     def probe(name: Fqdn) -> tuple[Fqdn, DnsObservation]:
         return name, transport.resolve(name, RRType.ALL)

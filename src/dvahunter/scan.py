@@ -99,10 +99,6 @@ def _load_geo(path: Optional[Path]) -> Callable[[str], Optional[str]]:
     return lambda ip: table.get(ip)
 
 
-def _verdict_json(verdict: Verdict) -> dict[str, Any]:
-    return verdict.to_json()
-
-
 def prepare(config: ScanConfig) -> ScanContext:
     if config.mode not in MODES:
         raise ConfigError(f"unknown mode {config.mode!r}; expected one of {', '.join(MODES)}")
@@ -312,7 +308,7 @@ def _phase_fronting(ctx: ScanContext) -> None:
         verdict = results[profile.name]
         if verdict is None:
             continue
-        _provider_section(ctx, profile.name)["fronting"] = _verdict_json(verdict)
+        _provider_section(ctx, profile.name)["fronting"] = verdict.to_json()
         direct[profile.name] = verdict
 
     # providers with no hosted surface of their own inherit through the
@@ -342,7 +338,7 @@ def _phase_fronting(ctx: ScanContext) -> None:
             verdict = Verdict.inconclusive(
                 (Evidence("fronting-via-edge", "shared-infrastructure verdicts undetermined"),)
             )
-        section["fronting"] = _verdict_json(verdict)
+        section["fronting"] = verdict.to_json()
         section.setdefault("notes", []).append(
             "fronting verdict derived via infrastructure-sharing edges: " + ", ".join(notes)
         )
@@ -410,7 +406,7 @@ def _phase_borrowing(ctx: ScanContext) -> None:
         name = profile.name
         verdict, baseline, hits, note = results[name]
         section = _provider_section(ctx, name)
-        section["borrowing"] = _verdict_json(verdict)
+        section["borrowing"] = verdict.to_json()
         if note:
             section.setdefault("notes", []).append(note)
         if baseline is not None:
@@ -436,7 +432,7 @@ def _phase_exposure(ctx: ScanContext) -> None:
         if len(obs.a_records) != 1 or obs.cname_chain:
             continue
         verdict = takeover_mod.check_origin_exposure(obs.fqdn, obs, ctx.transport)
-        ctx.report.domains[name]["exposure"] = _verdict_json(verdict)
+        ctx.report.domains[name]["exposure"] = verdict.to_json()
 
 
 # -- takeover ------------------------------------------------------------------
@@ -508,7 +504,7 @@ def _phase_takeover(ctx: ScanContext) -> None:
             terminal = ctx.transport.resolve(record.observation.cname_chain[-1], RRType.A)
             try:
                 verdict = takeover_mod.check_origin_exposure(finding.fqdn, terminal, ctx.transport)
-                entry["exposure"] = _verdict_json(verdict)
+                entry["exposure"] = verdict.to_json()
             except takeover_mod.ExposurePrecondition as err:
                 entry["exposure_check"] = f"skipped: {err}"
 
@@ -517,36 +513,24 @@ def _phase_takeover(ctx: ScanContext) -> None:
         section = _provider_section(ctx, name)
         if name in vulnerable_via:
             domains = sorted(set(vulnerable_via[name]))
-            section["takeover"] = _verdict_json(
-                Verdict.vulnerable(
-                    (Evidence("takeover", f"validated takeover path(s) for: {', '.join(domains)}"),)
-                )
+            verdict = Verdict.vulnerable(
+                (Evidence("takeover", f"validated takeover path(s) for: {', '.join(domains)}"),)
             )
-            continue
-        if profile.discontinued_fp is None:
-            section["takeover"] = _verdict_json(
-                Verdict.inconclusive(
-                    (Evidence("takeover", "no service-discontinued fingerprint for this provider"),)
-                )
+        elif profile.discontinued_fp is None:
+            verdict = Verdict.inconclusive(
+                (Evidence("takeover", "no service-discontinued fingerprint for this provider"),)
             )
-            continue
-        total = scanned.get(name, 0)
-        if total == 0:
-            section["takeover"] = _verdict_json(
-                Verdict.inconclusive((Evidence("takeover", "no hosted domains observed"),))
-            )
-        elif inconclusive_records.get(name, 0) == total:
-            section["takeover"] = _verdict_json(
-                Verdict.inconclusive(
-                    (Evidence("takeover", "every hosted record left the dangling check undecided"),)
-                )
+        elif scanned.get(name, 0) == 0:
+            verdict = Verdict.inconclusive((Evidence("takeover", "no hosted domains observed"),))
+        elif inconclusive_records.get(name, 0) == scanned[name]:
+            verdict = Verdict.inconclusive(
+                (Evidence("takeover", "every hosted record left the dangling check undecided"),)
             )
         else:
-            section["takeover"] = _verdict_json(
-                Verdict.not_vulnerable(
-                    (Evidence("takeover", "no dangling domain with a feasible takeover path"),)
-                )
+            verdict = Verdict.not_vulnerable(
+                (Evidence("takeover", "no dangling domain with a feasible takeover path"),)
             )
+        section["takeover"] = verdict.to_json()
 
 
 def run_scan_with_context(config: ScanConfig) -> ScanContext:

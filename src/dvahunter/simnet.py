@@ -221,6 +221,8 @@ class SimulatedInternet:
         self._fetch_counts: dict[tuple[str, str, str], int] = {}
         self._write_lock = threading.Lock()
         self._dangling_targets = self._index_dangling_targets()
+        # "*.x" zone keys by base name "x"; only the scenario defines wildcards
+        self._wildcard_bases = frozenset(name[2:] for name in scenario.zones if name.startswith("*."))
 
     # -- DNS ----------------------------------------------------------------
 
@@ -240,12 +242,16 @@ class SimulatedInternet:
         record = self.scenario.zones.get(name)
         if record is not None:
             return record
-        labels = name.split(".")
-        for depth in range(1, len(labels)):
-            wildcard = "*." + ".".join(labels[depth:])
-            record = self.scenario.zones.get(wildcard)
-            if record is not None:
-                return record
+        if self._wildcard_bases:
+            # closest enclosing wildcard first: strip one label at a time
+            dot = name.find(".")
+            while dot != -1:
+                base = name[dot + 1:]
+                if base in self._wildcard_bases:
+                    record = self.scenario.zones.get("*." + base)
+                    if record is not None:
+                        return record
+                dot = name.find(".", dot + 1)
         dangling = self._dangling_targets.get(name)
         if dangling is not None:
             return self._dangling_behavior(*dangling)
@@ -275,7 +281,7 @@ class SimulatedInternet:
 
     def serve_dns(self, name: Union[Fqdn, str]) -> DnsObservation:
         fqdn = name if isinstance(name, Fqdn) else parse_fqdn(str(name))
-        text = str(fqdn)
+        text = fqdn.name
         record = self._lookup(text)
         if record is None:
             return DnsObservation(fqdn=fqdn, rcode=Rcode.NXDOMAIN)

@@ -9,8 +9,9 @@ LiveTransport speaks real DNS (UDP/53 with TCP fallback, stdlib sockets)
 and HTTP/1.1 over TCP/TLS; certificate validation is off by default
 because borrowing detection must accept shared and default certificates.
 
-Both backends funnel through a sliding-window rate limiter. The mock
-backend never sleeps (determinism) but still counts against the window.
+The live backend paces every send through a sliding-window rate
+limiter. The mock backend has no limiter: it never sleeps (determinism),
+and its stats count every query and probe.
 """
 
 from __future__ import annotations
@@ -91,12 +92,10 @@ class RateLimiter:
         qps_limit: float,
         now: Callable[[], float] = time.monotonic,
         sleep: Callable[[float], None] = time.sleep,
-        enforce: bool = True,
     ):
         self.qps_limit = qps_limit
         self._now = now
         self._sleep = sleep
-        self._enforce = enforce
         self._window: deque[float] = deque()
         self._lock = threading.Lock()
 
@@ -106,16 +105,11 @@ class RateLimiter:
                 now = self._now()
                 while self._window and now - self._window[0] >= 1.0:
                     self._window.popleft()
-                if not self._enforce or len(self._window) < self.qps_limit:
+                if len(self._window) < self.qps_limit:
                     self._window.append(now)
                     return
                 wait = 1.0 - (now - self._window[0])
                 self._sleep(max(wait, 0.0))
-
-    def sent_in_window(self) -> int:
-        with self._lock:
-            now = self._now()
-            return sum(1 for t in self._window if now - t < 1.0)
 
 
 @dataclass
@@ -147,8 +141,6 @@ class MockTransport:
         self.simnet = simnet
         self.config = config or TransportConfig(backend=Backend.MOCK)
         self.clock = clock or VirtualClock()
-        # accounting only: the mock never sleeps, so replay stays deterministic
-        self.limiter = RateLimiter(self.config.qps_limit, now=self.clock.now, sleep=lambda _s: None, enforce=False)
         self.stats = TransportStats()
         self.record = record
         self.probe_log: list[ProbeLogEntry] = []
@@ -159,7 +151,6 @@ class MockTransport:
         return self.clock.now()
 
     def resolve(self, name: Fqdn, rrtype: RRType = RRType.ALL) -> DnsObservation:
-        self.limiter.acquire()
         with self._lock:
             self.stats.dns_queries += 1
             if self.record:
@@ -182,7 +173,6 @@ class MockTransport:
     def probe(self, probe: HttpProbe) -> HttpResponseSummary:
         if probe.scheme is Scheme.HTTPS and probe.sni is None:
             raise ValueError("https probe requires an SNI")
-        self.limiter.acquire()
         with self._lock:
             self.stats.http_probes += 1
         response = self.simnet.serve_http(probe)
@@ -250,11 +240,17 @@ def parse_dns_response(data: bytes) -> tuple[int, list[tuple[str, int, str]]]:
     for _ in range(qd):
         _, pos = _read_name(data, pos)
         pos += 4
+        if pos > len(data):
+            raise ValueError("truncated question")
     answers = []
     for _ in range(an):
         owner, pos = _read_name(data, pos)
+        if pos + 10 > len(data):
+            raise ValueError("truncated answer record")
         rtype, _rclass, _ttl, rdlength = struct.unpack(">HHIH", data[pos:pos + 10])
         pos += 10
+        if pos + rdlength > len(data):
+            raise ValueError("truncated rdata")
         rdata = data[pos:pos + rdlength]
         if rtype == 1 and rdlength == 4:
             text = ".".join(str(b) for b in rdata)
@@ -340,6 +336,10 @@ class LiveTransport:
                 continue
             timed_out = False
             wire_rcode, answers = reply
+            if wire_rcode == 3 and not answers and not saw_records and rcode is Rcode.NXDOMAIN:
+                # RFC 8020: nothing exists at or below the name, so the
+                # remaining record types would get the same answer
+                return DnsObservation(fqdn=name, rcode=Rcode.NXDOMAIN)
             if wire_rcode == 2 and not answers:
                 rcode = Rcode.SERVFAIL
                 continue
@@ -406,6 +406,8 @@ class LiveTransport:
             )
             sock.sendall(request.encode("ascii"))
             status, headers, body = _read_http_response(sock, self.config.timeout)
+            # a status outside 100-599 raises ValueError, like a non-numeric one
+            return HttpResponseSummary.from_body(status, body, headers, tls_cert_name=cert_name)
         except socket.timeout:
             return HttpResponseSummary.failed(TransportFailure.TIMEOUT)
         except (OSError, ValueError):
@@ -415,7 +417,6 @@ class LiveTransport:
                 sock.close()
             except OSError:
                 pass
-        return HttpResponseSummary.from_body(status, body, headers, tls_cert_name=cert_name)
 
 
 def _peer_cert_name(sock: ssl.SSLSocket) -> Optional[str]:

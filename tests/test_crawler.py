@@ -1,7 +1,8 @@
 import pytest
 
-from dvahunter.core import DnsObservation, DomainSyntaxError, Rcode, parse_fqdn
+from dvahunter.core import DnsObservation, DomainSyntaxError, Fqdn, Rcode, parse_fqdn
 from dvahunter.crawler import (
+    WILDCARD_PROBES,
     PrefixDictionary,
     WildcardInconclusive,
     detect_wildcard,
@@ -136,3 +137,70 @@ class TestEnumerate:
         serial = enumerate_subdomains(parse_fqdn("wild.com"), d, wildcard_zone, workers=1)
         threaded = enumerate_subdomains(parse_fqdn("wild.com"), d, wildcard_zone, workers=8)
         assert [str(f) for f in serial.confirmed] == [str(f) for f in threaded.confirmed]
+
+
+class RecordingTransport:
+    """Answers NXDOMAIN for everything and keeps the names it was asked."""
+
+    def __init__(self):
+        self.asked = []
+
+    def resolve(self, name, rrtype=RRType.ALL):
+        self.asked.append(name)
+        return DnsObservation(fqdn=name, rcode=Rcode.NXDOMAIN)
+
+
+class TestCandidateFastPath:
+    """Candidates are built from validated labels, not re-parsed; they must
+    still be the names parse_fqdn would have produced."""
+
+    @pytest.fixture(scope="class")
+    def bundled(self):
+        from tests.conftest import DATA
+        return PrefixDictionary.load(DATA["prefixes.txt"])
+
+    @pytest.mark.parametrize("sld", ["example.com", "shop.co.uk", "a-b.example.org", "x.io"])
+    def test_candidates_equal_parsed_names(self, bundled, sld, psl):
+        transport = RecordingTransport()
+        result = enumerate_subdomains(parse_fqdn(sld, psl), bundled, transport)
+        candidates = transport.asked[WILDCARD_PROBES:]  # after the random wildcard probes
+        assert len(candidates) == len(bundled)
+        for prefix, candidate in zip(bundled.prefixes, candidates):
+            parsed = parse_fqdn(f"{prefix}.{sld}")
+            assert candidate.labels == parsed.labels
+            assert str(candidate) == str(parsed)
+            assert candidate == parsed and hash(candidate) == hash(parsed)
+        assert result.unconfirmed == [str(c) for c in candidates]
+
+    def test_overlong_candidates_go_to_unconfirmed(self):
+        labels = ["a" * 63, "b" * 63, "c" * 63]
+        sld = parse_fqdn(".".join(labels) + ".com")  # 196 characters
+        room = 253 - len(str(sld)) - 1
+        d = PrefixDictionary.from_lines(["www", "x" * room, "y" * (room + 1), "dev.api" + "z" * (room - 6)])
+        transport = RecordingTransport()
+        result = enumerate_subdomains(sld, d, transport)
+        overlong = [f"{'y' * (room + 1)}.{sld}", f"dev.api{'z' * (room - 6)}.{sld}"]
+        asked = [str(name) for name in transport.asked[WILDCARD_PROBES:]]
+        assert asked == [f"www.{sld}", f"{'x' * room}.{sld}"]
+        assert all(len(name) <= 253 for name in asked)
+        for name in overlong:
+            assert name in result.unconfirmed
+            with pytest.raises(DomainSyntaxError):
+                parse_fqdn(name)
+        assert sorted(result.unconfirmed) == sorted(overlong + asked)
+
+
+class TestFqdnCachedText:
+    def test_equality_and_ordering_ignore_cached_text(self):
+        a = Fqdn(("www", "example", "com"))
+        b = Fqdn(("www", "example", "com"), sld="example.com")
+        object.__setattr__(b, "name", "something-else")
+        assert a == b and hash(a) == hash(b)
+        assert not a < b and not b < a
+        assert sorted([Fqdn(("b", "com")), Fqdn(("a", "com"))]) == [Fqdn(("a", "com")), Fqdn(("b", "com"))]
+
+    def test_text_joined_at_construction(self):
+        f = Fqdn(("api", "example", "com"))
+        assert f.name == str(f) == "api.example.com"
+        assert f.endswith(".example.com")
+        assert repr(f) == "Fqdn('api.example.com')"

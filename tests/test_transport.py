@@ -1,10 +1,15 @@
+import socket
+
 import pytest
 
-from dvahunter.core import HttpProbe, Rcode, Scheme, parse_fqdn
+from dvahunter import transport as transport_mod
+from dvahunter.core import HttpProbe, Rcode, Scheme, TransportFailure, parse_fqdn
 from dvahunter.simnet import Origin, Scenario, SimulatedInternet, ZoneRecord
 from dvahunter.transport import (
+    LiveTransport,
     RateLimiter,
     RRType,
+    TransportConfig,
     VirtualClock,
     build_dns_query,
     parse_dns_response,
@@ -105,14 +110,6 @@ class TestRateLimiter:
             assert len(in_window) <= 5
         assert clock.now() >= (23 - 5) / 5  # had to wait for capacity
 
-    def test_accounting_mode_never_blocks(self):
-        clock = VirtualClock()
-        limiter = RateLimiter(2, now=clock.now, sleep=clock.sleep, enforce=False)
-        for _ in range(10):
-            limiter.acquire()
-        assert clock.now() == 0.0
-        assert limiter.sent_in_window() == 10
-
 
 class TestDnsWire:
     def test_query_roundtrip_shape(self):
@@ -143,3 +140,86 @@ class TestDnsWire:
         looping = b"\xc0\x0c" + b"\x00\x01\x00\x01\x00\x00\x00\x3c\x00\x04" + bytes([1, 2, 3, 4])
         with pytest.raises(ValueError):
             parse_dns_response(header + looping)
+
+    @pytest.mark.parametrize(
+        "packet",
+        [
+            # an=1, but the answer stops three bytes into its fixed header
+            b"\x00\x01\x81\x80\x00\x00\x00\x01\x00\x00\x00\x00" + b"\x00" + b"\x00\x01\x00",
+            # an A record announcing 4 bytes of rdata that carries only 2
+            b"\x00\x01\x81\x80\x00\x00\x00\x01\x00\x00\x00\x00"
+            + b"\x00" + b"\x00\x01\x00\x01\x00\x00\x00\x3c\x00\x04" + bytes([10, 0]),
+            # qd=1, but the question stops two bytes into its type and class
+            b"\x00\x01\x81\x80\x00\x01\x00\x00\x00\x00\x00\x00" + b"\x03www\x00\x00\x01",
+        ],
+        ids=["answer-header", "rdata", "question"],
+    )
+    def test_truncated_packet_rejected(self, packet):
+        with pytest.raises(ValueError):
+            parse_dns_response(packet)
+
+
+def live_transport() -> LiveTransport:
+    return LiveTransport(TransportConfig(resolver="192.0.2.53", qps_limit=1e9))
+
+
+class TestLiveQueries:
+    """LiveTransport.resolve with the wire exchange stubbed out."""
+
+    @pytest.fixture()
+    def sent(self, monkeypatch):
+        sent: list[tuple[str, str]] = []
+
+        def fake_query(self, name, rrtype):
+            sent.append((name, rrtype))
+            if name.startswith("missing."):
+                return 3, []
+            if rrtype == "ns":
+                return 0, []
+            return 0, [(name, 1, "192.0.2.10")]
+
+        monkeypatch.setattr(LiveTransport, "_query", fake_query)
+        return sent
+
+    def test_nxdomain_stops_after_first_query(self, sent):
+        obs = live_transport().resolve(parse_fqdn("missing.example.com"), RRType.ALL)
+        assert obs.rcode is Rcode.NXDOMAIN
+        assert sent == [("missing.example.com", "a")]
+
+    def test_existing_name_gets_all_three_queries(self, sent):
+        obs = live_transport().resolve(parse_fqdn("www.example.com"), RRType.ALL)
+        assert obs.rcode is Rcode.NOERROR
+        assert obs.a_records == ("192.0.2.10",)
+        assert [kind for _, kind in sent] == ["a", "cname", "ns"]
+
+    def test_nxdomain_with_cname_answer_keeps_querying(self, monkeypatch):
+        # a dangling CNAME: the resolver reports NXDOMAIN for the chain's
+        # end, but the queried name itself exists
+        sent = []
+
+        def fake_query(self, name, rrtype):
+            sent.append(rrtype)
+            return 3, [(name, 5, "gone.cdn.example.net")]
+
+        monkeypatch.setattr(LiveTransport, "_query", fake_query)
+        obs = live_transport().resolve(parse_fqdn("old.example.com"), RRType.ALL)
+        assert obs.rcode is Rcode.NOERROR
+        assert [str(c) for c in obs.cname_chain] == ["gone.cdn.example.net"]
+        assert sent == ["a", "cname", "ns"]
+
+
+class TestLiveProbe:
+    def test_out_of_range_status_is_connect_refused(self, monkeypatch):
+        class FakeSocket:
+            def sendall(self, data):
+                pass
+
+            def close(self):
+                pass
+
+        monkeypatch.setattr(socket, "create_connection", lambda *a, **kw: FakeSocket())
+        monkeypatch.setattr(transport_mod, "_read_http_response", lambda sock, timeout: (999, [], b"x"))
+        response = live_transport().probe(
+            HttpProbe(target_ip="192.0.2.10", scheme=Scheme.HTTP, host_header=parse_fqdn("www.example.com"))
+        )
+        assert response.failure is TransportFailure.CONNECT_REFUSED
