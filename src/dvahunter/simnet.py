@@ -221,8 +221,8 @@ class SimulatedInternet:
         self._fetch_counts: dict[tuple[str, str, str], int] = {}
         self._write_lock = threading.Lock()
         self._dangling_targets = self._index_dangling_targets()
-        # "*.x" zone keys by base name "x"; only the scenario defines wildcards
-        self._wildcard_bases = frozenset(name[2:] for name in scenario.zones if name.startswith("*."))
+        # only the scenario's zones hold wildcards, and none are added later
+        self._has_wildcards = any(name.startswith("*.") for name in scenario.zones)
 
     # -- DNS ----------------------------------------------------------------
 
@@ -242,16 +242,13 @@ class SimulatedInternet:
         record = self.scenario.zones.get(name)
         if record is not None:
             return record
-        if self._wildcard_bases:
-            # closest enclosing wildcard first: strip one label at a time
-            dot = name.find(".")
-            while dot != -1:
-                base = name[dot + 1:]
-                if base in self._wildcard_bases:
-                    record = self.scenario.zones.get("*." + base)
-                    if record is not None:
-                        return record
-                dot = name.find(".", dot + 1)
+        if self._has_wildcards:
+            labels = name.split(".")
+            for depth in range(1, len(labels)):
+                wildcard = "*." + ".".join(labels[depth:])
+                record = self.scenario.zones.get(wildcard)
+                if record is not None:
+                    return record
         dangling = self._dangling_targets.get(name)
         if dangling is not None:
             return self._dangling_behavior(*dangling)

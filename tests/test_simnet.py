@@ -73,6 +73,16 @@ class TestServeDns:
         assert net.serve_dns("www.wild.com").a_records == ("5.6.7.8",)
         assert net.serve_dns("a.b.wild.com").a_records == ("1.2.3.4",)
 
+    def test_closest_enclosing_wildcard_wins(self, db):
+        zones = {
+            "*.wild.com": ZoneRecord(a=("1.2.3.4",)),
+            "*.b.wild.com": ZoneRecord(a=("9.9.9.9",)),
+        }
+        net = SimulatedInternet(Scenario(providers=[], zones=zones), db)
+        assert net.serve_dns("a.b.wild.com").a_records == ("9.9.9.9",)
+        assert net.serve_dns("b.wild.com").a_records == ("1.2.3.4",)
+        assert net.serve_dns("x.tame.com").rcode is Rcode.NXDOMAIN
+
 
 class TestServeHttp:
     def test_unknown_host_gets_nonhosted_fingerprint(self, world, net):
