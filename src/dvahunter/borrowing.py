@@ -12,8 +12,10 @@ import logging
 import string
 from dataclasses import dataclass
 from enum import Enum
+from typing import Mapping, Optional
 
 from .core import (
+    DnsObservation,
     Evidence,
     Fqdn,
     HttpProbe,
@@ -23,7 +25,7 @@ from .core import (
     derive_rng,
     parse_fqdn,
 )
-from .providers import ProviderProfile, match_fingerprint
+from .providers import ProviderDb, ProviderProfile, identify_cdn, match_fingerprint
 
 logger = logging.getLogger(__name__)
 
@@ -81,23 +83,25 @@ def find_borrowing(
     profile: ProviderProfile,
     ingress_ip: str,
     transport,
-    db=None,
+    db: Optional[ProviderDb] = None,
+    observations: Optional[Mapping[str, DnsObservation]] = None,
 ) -> list[BorrowingCandidate]:
     """Probe each non-hosted domain as the Host header at one
     representative ingress. A concrete response that does not match the
     non-hosted fingerprint means the edge serves the domain: borrowing.
 
-    With a provider DB supplied, the non-hosted precondition is enforced:
-    a candidate whose CNAME chain attributes to the probed provider is a
-    caller bug, not a borrowing case."""
+    With a provider DB supplied, the non-hosted precondition is enforced
+    on the caller's ``observations`` (the crawl's, keyed by name text; no
+    name is resolved here): a candidate whose CNAME chain attributes to
+    the probed provider is a caller bug, not a borrowing case."""
     fp = profile.nonhosted_fp
     if fp is None:
         raise ValueError(f"{profile.name}: baseline-first ordering violated (no fingerprint)")
     if db is not None:
-        from .providers import identify_cdn
-        from .transport import RRType
+        if observations is None:
+            raise ValueError("the non-hosted guard needs the caller's observations")
         for domain in domains:
-            match = identify_cdn(transport.resolve(domain, RRType.ALL), db)
+            match = identify_cdn(observations[domain.name], db)
             if match is not None and match.provider == profile.name:
                 raise ValueError(f"{domain} is hosted by {profile.name}; not a borrowing candidate")
     out = []

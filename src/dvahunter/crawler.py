@@ -7,6 +7,9 @@ explicitly defined hosts under a wildcard survive.
 Dictionary labels are syntax-checked once, when the dictionary is loaded;
 each candidate is then built from those labels and the already parsed SLD,
 so only the total name length is left to check per candidate.
+
+The observation that confirmed a name is handed on with the result, so
+the record crawl does not resolve the name a second time.
 """
 
 from __future__ import annotations
@@ -86,7 +89,12 @@ class WildcardSignature:
 
 @dataclass
 class EnumerationResult:
+    """``observations`` holds the answer that confirmed each name in
+    ``confirmed``, keyed by the name's text; callers reuse it instead of
+    resolving the name again."""
+
     confirmed: list[Fqdn] = field(default_factory=list)
+    observations: dict[str, DnsObservation] = field(default_factory=dict)
     unconfirmed: list[str] = field(default_factory=list)
     wildcard: Optional[WildcardSignature] = None
     wildcard_inconclusive: bool = False
@@ -132,8 +140,9 @@ def enumerate_subdomains(
 ) -> EnumerationResult:
     """Join every prefix with the SLD, keep the candidates whose DNS
     answer carries records, and drop the ones indistinguishable from the
-    wildcard signature. Output is sorted and deduplicated; per-candidate
-    timeouts land in ``unconfirmed``."""
+    wildcard signature. Output is sorted and deduplicated, and carries the
+    observation of every confirmed name; per-candidate timeouts land in
+    ``unconfirmed``."""
     result = EnumerationResult()
     try:
         result.wildcard = detect_wildcard(sld, transport, seed=seed)
@@ -160,7 +169,7 @@ def enumerate_subdomains(
     else:
         observations = [probe(name) for name in candidates]
 
-    confirmed: set[Fqdn] = set()
+    confirmed: dict[str, tuple[Fqdn, DnsObservation]] = {}
     for name, obs in observations:
         if obs.rcode is not Rcode.NOERROR or not obs.has_records:
             result.unconfirmed.append(str(name))
@@ -168,6 +177,9 @@ def enumerate_subdomains(
         if result.wildcard is not None and WildcardSignature.of(obs) == result.wildcard:
             result.excluded_by_wildcard.append(str(name))
             continue
-        confirmed.add(name)
-    result.confirmed = sorted(confirmed, key=str)
+        confirmed[name.name] = (name, obs)
+    for text in sorted(confirmed):
+        name, obs = confirmed[text]
+        result.confirmed.append(name)
+        result.observations[text] = obs
     return result

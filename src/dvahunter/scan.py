@@ -181,6 +181,8 @@ def _load_targets(ctx: ScanContext) -> tuple[list[Fqdn], list[Fqdn]]:
 
 
 def _phase_enumerate(ctx: ScanContext) -> list[Fqdn]:
+    """The sorted scan targets. The observations that confirmed enumerated
+    names go to ``ctx.observations``, so the crawl need not repeat them."""
     slds, direct = _load_targets(ctx)
     confirmed: dict[str, Fqdn] = {str(f): f for f in direct}
     for sld in sorted(slds, key=str):
@@ -189,6 +191,7 @@ def _phase_enumerate(ctx: ScanContext) -> list[Fqdn]:
         )
         for fqdn in result.confirmed:
             confirmed.setdefault(str(fqdn), fqdn)
+        ctx.observations.update(result.observations)
         if result.wildcard is not None:
             ctx.report.meta.setdefault("wildcard_slds", []).append(str(sld))
         if result.wildcard_inconclusive:
@@ -197,9 +200,13 @@ def _phase_enumerate(ctx: ScanContext) -> list[Fqdn]:
 
 
 def _phase_crawl(ctx: ScanContext, targets: list[Fqdn]) -> None:
-    observations = crawl_records(targets, ctx.transport, shards=ctx.config.shards)
+    """Crawl only the targets no earlier phase resolved (the direct FQDN
+    targets); the rest keep enumeration's observations."""
+    missing = [name for name in targets if name.name not in ctx.observations]
+    crawled = crawl_records(missing, ctx.transport, shards=ctx.config.shards)
+    ctx.observations.update(zip([name.name for name in missing], crawled))
+    observations = [ctx.observations[name.name] for name in targets]
     for obs in observations:
-        ctx.observations[str(obs.fqdn)] = obs
         ctx.report.domains[str(obs.fqdn)] = {"rcode": obs.rcode.value}
     ctx.hosted = discover_hosted(observations, ctx.db, ctx.transport)
     hosted_names = set()
@@ -376,7 +383,9 @@ def _borrowing_for_provider(ctx: ScanContext, profile):
     except borrowing_mod.BaselineMismatch as err:
         verdict = Verdict.inconclusive((Evidence("baseline-mismatch", str(err)),))
         return verdict, None, [], f"BASELINE MISMATCH, provider excluded: {err}"
-    candidates = borrowing_mod.find_borrowing(ctx.nonhosted, profile, rep, ctx.transport, db=ctx.db)
+    candidates = borrowing_mod.find_borrowing(
+        ctx.nonhosted, profile, rep, ctx.transport, db=ctx.db, observations=ctx.observations
+    )
     hits = []
     kinds = []
     for candidate in candidates:

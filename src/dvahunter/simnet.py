@@ -217,6 +217,15 @@ class SimulatedInternet:
                     raise ScenarioError(f"ingress IP {ip} assigned twice")
                 self._ip_owner[ip] = prov
         self._registrations: dict[str, dict[str, HostEntry]] = {p.name: {} for p in scenario.providers}
+        # provider -> host -> entry; with a duplicated host the first entry wins
+        self._host_index: dict[str, dict[str, HostEntry]] = {}
+        for prov in scenario.providers:
+            index = self._host_index[prov.name] = {}
+            for entry in prov.host_table:
+                index.setdefault(entry.host, entry)
+        # a fingerprint answer depends only on these four inputs and is frozen;
+        # threads racing on one key store equal answers, so no lock is needed
+        self._fp_responses: dict[tuple[Fingerprint, str, str, Optional[str]], HttpResponseSummary] = {}
         self._zone_overrides: dict[str, ZoneRecord] = {}
         self._fetch_counts: dict[tuple[str, str, str], int] = {}
         self._write_lock = threading.Lock()
@@ -327,10 +336,7 @@ class SimulatedInternet:
         entry = self._registrations[prov.name].get(host)
         if entry is not None:
             return entry
-        for item in prov.host_table:
-            if item.host == host:
-                return item
-        return None
+        return self._host_index[prov.name].get(host)
 
     def _select_cert(self, prov: ScenarioProvider, sni: str) -> Optional[str]:
         entry = self._active_entry(prov, sni)
@@ -354,14 +360,21 @@ class SimulatedInternet:
     def _fp_response(
         self, fp: Fingerprint, prov: ScenarioProvider, ip: str, cert: Optional[str]
     ) -> HttpResponseSummary:
+        key = (fp, prov.name, ip, cert)
+        response = self._fp_responses.get(key)
+        if response is not None:
+            return response
         if fp.no_response:
-            return HttpResponseSummary.failed(TransportFailure.TIMEOUT)
-        phrase = fp.body_contains or b""
-        body = b"<html><body>" + phrase + b"</body></html>"
-        extra = (fp.header,) if fp.header is not None else ()
-        return HttpResponseSummary.from_body(
-            fp.status or 503, body, self._headers(prov, ip, extra), tls_cert_name=cert
-        )
+            response = HttpResponseSummary.failed(TransportFailure.TIMEOUT)
+        else:
+            phrase = fp.body_contains or b""
+            body = b"<html><body>" + phrase + b"</body></html>"
+            extra = (fp.header,) if fp.header is not None else ()
+            response = HttpResponseSummary.from_body(
+                fp.status or 503, body, self._headers(prov, ip, extra), tls_cert_name=cert
+            )
+        self._fp_responses[key] = response
+        return response
 
     def _origin_body(self, origin: Origin, ip: str, host: str, path: str) -> Optional[bytes]:
         if origin.per_host is not None:

@@ -281,23 +281,41 @@ class LiveTransport:
     # -- DNS ---------------------------------------------------------------
 
     def _exchange(self, query: bytes) -> Optional[bytes]:
+        """Send one query and return the resolver's reply, or None when
+        every try timed out. A datagram counts as the reply only when it
+        comes from the resolver's address and echoes the query's id
+        (RFC 5452); any other datagram is dropped and reading goes
+        on within the same timeout. The TCP fallback must echo the id too."""
         resolver = (self.config.resolver, 53)
+        qid = query[:2]
         for _ in range(self.config.retries + 1):
             self.limiter.acquire()
             try:
                 with socket.socket(socket.AF_INET, socket.SOCK_DGRAM) as sock:
-                    sock.settimeout(self.config.timeout)
                     sock.sendto(query, resolver)
-                    data, _ = sock.recvfrom(4096)
+                    data = self._await_reply(sock, resolver, qid)
                 if len(data) >= 4 and data[2] & 0x02:  # TC bit: retry over TCP
                     with socket.create_connection(resolver, timeout=self.config.timeout) as tcp:
                         tcp.sendall(struct.pack(">H", len(query)) + query)
                         size = struct.unpack(">H", self._recv_exact(tcp, 2))[0]
                         data = self._recv_exact(tcp, size)
+                    if data[:2] != qid:
+                        continue
                 return data
             except (socket.timeout, OSError):
                 continue
         return None
+
+    def _await_reply(self, sock: socket.socket, resolver: tuple[str, int], qid: bytes) -> bytes:
+        deadline = time.monotonic() + self.config.timeout
+        while True:
+            remaining = deadline - time.monotonic()
+            if remaining <= 0:
+                raise socket.timeout("no matching reply")
+            sock.settimeout(remaining)
+            data, source = sock.recvfrom(4096)
+            if source[:2] == resolver and data[:2] == qid:
+                return data
 
     @staticmethod
     def _recv_exact(sock: socket.socket, count: int) -> bytes:
@@ -456,8 +474,11 @@ def _scan_der_for_name(der: bytes) -> Optional[str]:
 
 
 def _read_http_response(sock: socket.socket, timeout: float) -> tuple[int, list[tuple[str, str]], bytes]:
+    """Read one response. The body ends where its framing says (RFC 9112
+    §6.3): chunked coding wins, then Content-Length; without either the
+    body runs until the peer closes or the timeout expires."""
     sock.settimeout(timeout)
-    raw = b""
+    raw = bytearray()
     while b"\r\n\r\n" not in raw:
         chunk = sock.recv(4096)
         if not chunk:
@@ -465,7 +486,7 @@ def _read_http_response(sock: socket.socket, timeout: float) -> tuple[int, list[
         raw += chunk
         if len(raw) > 1 << 20:
             break
-    head, _, rest = raw.partition(b"\r\n\r\n")
+    head, _, rest = bytes(raw).partition(b"\r\n\r\n")
     lines = head.split(b"\r\n")
     if not lines or not lines[0].startswith(b"HTTP/"):
         raise ValueError("not an HTTP response")
@@ -474,9 +495,11 @@ def _read_http_response(sock: socket.socket, timeout: float) -> tuple[int, list[
     for line in lines[1:]:
         name, _, value = line.partition(b":")
         headers.append((name.decode("latin-1").strip(), value.decode("latin-1").strip()))
-    body = rest
     chunked = any(k.lower() == "transfer-encoding" and "chunked" in v.lower() for k, v in headers)
-    while len(body) < 1 << 22:
+    length = None if chunked else _content_length(headers)
+    limit = 1 << 22 if length is None else length
+    body = bytearray(rest)
+    while len(body) < limit:
         try:
             chunk = sock.recv(8192)
         except socket.timeout:
@@ -485,8 +508,20 @@ def _read_http_response(sock: socket.socket, timeout: float) -> tuple[int, list[
             break
         body += chunk
     if chunked:
-        body = _dechunk(body)
-    return status, headers, body
+        return status, headers, _dechunk(bytes(body))
+    return status, headers, bytes(body[:length])
+
+
+def _content_length(headers: list[tuple[str, str]]) -> Optional[int]:
+    """The declared body length, or None when there is none. Conflicting
+    or non-numeric values make the framing invalid: ValueError."""
+    values = {part.strip() for k, v in headers if k.lower() == "content-length" for part in v.split(",")}
+    if not values:
+        return None
+    value = values.pop()
+    if values or not (value.isascii() and value.isdigit()):
+        raise ValueError("invalid Content-Length")
+    return int(value)
 
 
 def _dechunk(body: bytes) -> bytes:

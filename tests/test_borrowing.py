@@ -103,13 +103,31 @@ class TestFindBorrowing:
         assert all(c.verdict.kind is VerdictKind.NOT_VULNERABLE for c in results)
 
     def test_injected_hosted_candidate_rejected(self, db, world, transport):
+        def observed(name):
+            return {name: transport.resolve(parse_fqdn(name))}
+
         with pytest.raises(ValueError):
             find_borrowing([parse_fqdn("www.fastly-site-a.com")],
-                           db.by_name["Fastly"], rep(world, "Fastly"), transport, db=db)
+                           db.by_name["Fastly"], rep(world, "Fastly"), transport, db=db,
+                           observations=observed("www.fastly-site-a.com"))
         # hosted by ANOTHER provider is merely unusual, not a violation here
         results = find_borrowing([parse_fqdn("www.bunny-site-a.com")],
-                                 db.by_name["Fastly"], rep(world, "Fastly"), transport, db=db)
+                                 db.by_name["Fastly"], rep(world, "Fastly"), transport, db=db,
+                                 observations=observed("www.bunny-site-a.com"))
         assert len(results) == 1
+
+    def test_guard_reads_observations_without_resolving(self, db, world, transport):
+        name = "www.fastly-site-a.com"
+        observations = {name: transport.resolve(parse_fqdn(name))}
+        before = transport.stats.dns_queries
+        with pytest.raises(ValueError):
+            find_borrowing([parse_fqdn(name)], db.by_name["Fastly"], rep(world, "Fastly"),
+                           transport, db=db, observations=observations)
+        assert transport.stats.dns_queries == before
+        # the guard has no resolving fallback
+        with pytest.raises(ValueError):
+            find_borrowing([parse_fqdn(name)], db.by_name["Fastly"], rep(world, "Fastly"),
+                           transport, db=db)
 
     def test_candidates_are_nonhosted_by_construction(self, db, world, transport):
         # precondition enforcement check: a hosted domain injected into the

@@ -171,6 +171,58 @@ class TestServeHttp:
         assert first.body_hash != second.body_hash
 
 
+def two_origin_world(host_table):
+    """One Fastly edge with no DNS proof checks, two origins with distinct
+    bodies, and an attacker origin."""
+    return Scenario(
+        providers=[ScenarioProvider(
+            name="Fastly", ingress_ips=(("198.18.0.1", "x"),),
+            verification_mode=VerificationMode.NONE,
+            host_table=host_table,
+        )],
+        origins={
+            "198.18.0.8": Origin(body=b"<html>first</html>"),
+            "198.18.0.9": Origin(body=b"<html>second</html>"),
+            "198.18.0.66": Origin(body=b"<html>attacker</html>"),
+        },
+        attacker_origin_ip="198.18.0.66",
+    )
+
+
+class TestHostIndex:
+    def test_first_of_duplicated_hosts_is_served(self, db):
+        net = SimulatedInternet(two_origin_world((
+            HostEntry(host="dup.example.com", origin_ip="198.18.0.8"),
+            HostEntry(host="dup.example.com", origin_ip="198.18.0.9"),
+        )), db)
+        response = net.serve_http(probe("198.18.0.1", "dup.example.com", scheme=Scheme.HTTP))
+        assert response.body_excerpt == b"<html>first</html>"
+
+    def test_registration_overrides_host_table(self, db):
+        net = SimulatedInternet(two_origin_world((
+            HostEntry(host="site.example.com", origin_ip="198.18.0.8"),
+        )), db)
+        before = net.serve_http(probe("198.18.0.1", "site.example.com", scheme=Scheme.HTTP))
+        net.attacker_register("Fastly", "site.example.com", "acct-1")
+        after = net.serve_http(probe("198.18.0.1", "site.example.com", scheme=Scheme.HTTP))
+        assert before.body_excerpt == b"<html>first</html>"
+        assert after.body_excerpt == b"<html>attacker</html>"
+
+    def test_fingerprint_answer_keeps_per_ip_server_header(self, db):
+        assert db.by_name["Fastly"].nonhosted_fp is not None
+        scenario = Scenario(providers=[ScenarioProvider(
+            name="Fastly", ingress_ips=(("198.18.0.1", "x"), ("198.18.0.2", "x")),
+            server_header="edge-7", degraded_ips=frozenset({"198.18.0.2"}),
+        )])
+        net = SimulatedInternet(scenario, db)
+        for _ in range(2):  # the second round is answered from the memo
+            good = net.serve_http(probe("198.18.0.1", "nosuch.example.org", scheme=Scheme.HTTP))
+            bad = net.serve_http(probe("198.18.0.2", "nosuch.example.org", scheme=Scheme.HTTP))
+            assert good.status == bad.status == 500
+            assert good.header("Server") == "edge-7"
+            assert bad.header("Server") is None
+
+
 class TestPolicyInvariants:
     def test_reject_on_mismatch_never_serves_foreign_body(self, world, net):
         # sweep every secure provider's hosts: sni != host never yields

@@ -223,3 +223,160 @@ class TestLiveProbe:
             HttpProbe(target_ip="192.0.2.10", scheme=Scheme.HTTP, host_header=parse_fqdn("www.example.com"))
         )
         assert response.failure is TransportFailure.CONNECT_REFUSED
+
+
+def a_reply(qid: int, ip: str, flags: bytes = b"\x81\x80") -> bytes:
+    """A resolver reply for www.example.com with one A record."""
+    header = qid.to_bytes(2, "big") + flags + b"\x00\x01\x00\x01\x00\x00\x00\x00"
+    question = b"\x03www\x07example\x03com\x00" + b"\x00\x01\x00\x01"
+    answer = b"\xc0\x0c" + b"\x00\x01\x00\x01\x00\x00\x00\x3c\x00\x04" + bytes(int(p) for p in ip.split("."))
+    return header + question + answer
+
+
+class FakeUdpSocket:
+    """Stands in for socket.socket: hands out queued (data, source)
+    datagrams, then times out."""
+
+    def __init__(self, datagrams):
+        self.datagrams = list(datagrams)
+        self.sent = []
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def settimeout(self, timeout):
+        pass
+
+    def sendto(self, data, address):
+        self.sent.append((data, address))
+
+    def recvfrom(self, size):
+        if not self.datagrams:
+            raise socket.timeout("timed out")
+        return self.datagrams.pop(0)
+
+
+class FakeTcpSocket:
+    """Stands in for socket.create_connection: serves one byte string."""
+
+    def __init__(self, data: bytes):
+        self.data = data
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def sendall(self, data):
+        pass
+
+    def recv(self, size):
+        chunk, self.data = self.data[:size], self.data[size:]
+        return chunk
+
+
+class TestLiveExchange:
+    """LiveTransport._exchange with the sockets faked."""
+
+    RESOLVER = ("192.0.2.53", 53)
+
+    def test_udp_reply_must_match_qid_and_source(self, monkeypatch):
+        # the first query of a transport carries qid 1
+        fake = FakeUdpSocket([
+            (a_reply(0x0BAD, "203.0.113.1"), self.RESOLVER),  # wrong qid
+            (a_reply(1, "203.0.113.2"), ("198.51.100.7", 53)),  # wrong source
+            (a_reply(1, "192.0.2.10"), self.RESOLVER),
+        ])
+        monkeypatch.setattr(socket, "socket", lambda *a, **kw: fake)
+        transport = live_transport()
+        reply = transport._query("www.example.com", "a")
+        assert reply == (0, [("www.example.com", 1, "192.0.2.10")])
+        assert len(fake.sent) == 1  # one send; the stray datagrams were skipped
+
+    def test_only_stray_datagrams_time_out(self, monkeypatch):
+        fakes = []
+
+        def make(*a, **kw):
+            fakes.append(FakeUdpSocket([(a_reply(0x0BAD, "203.0.113.1"), self.RESOLVER)]))
+            return fakes[-1]
+
+        monkeypatch.setattr(socket, "socket", make)
+        transport = LiveTransport(TransportConfig(resolver="192.0.2.53", qps_limit=1e9, retries=1))
+        assert transport._query("www.example.com", "a") is None
+        assert len(fakes) == 2  # the query was retried, and each try ran out
+
+    def test_tcp_fallback_reply_must_match_qid(self, monkeypatch):
+        truncated = a_reply(1, "192.0.2.10", flags=b"\x83\x80")  # TC bit set
+        monkeypatch.setattr(socket, "socket", lambda *a, **kw: FakeUdpSocket([(truncated, self.RESOLVER)]))
+        wrong = a_reply(0x0BAD, "203.0.113.1")
+        monkeypatch.setattr(
+            socket, "create_connection", lambda *a, **kw: FakeTcpSocket(len(wrong).to_bytes(2, "big") + wrong)
+        )
+        transport = LiveTransport(TransportConfig(resolver="192.0.2.53", qps_limit=1e9, retries=0))
+        assert transport._query("www.example.com", "a") is None
+
+
+class FakeHttpSocket:
+    """A peer that sends ``data`` and then keeps the connection open: any
+    read past the end raises, the way a timeout would end it."""
+
+    def __init__(self, data: bytes, chunk: int = 7):
+        self.data = data
+        self.chunk = chunk
+
+    def settimeout(self, timeout):
+        pass
+
+    def recv(self, size):
+        if not self.data:
+            raise AssertionError("read past the end of the response")
+        out, self.data = self.data[:min(size, self.chunk)], self.data[min(size, self.chunk):]
+        return out
+
+
+class ClosingHttpSocket(FakeHttpSocket):
+    """A peer that sends ``data`` and then closes the connection."""
+
+    def recv(self, size):
+        return super().recv(size) if self.data else b""
+
+
+class TestReadHttpResponse:
+    def test_stops_at_content_length(self):
+        sock = FakeHttpSocket(b"HTTP/1.1 200 OK\r\nContent-Length: 11\r\nServer: edge\r\n\r\nhello world")
+        status, headers, body = transport_mod._read_http_response(sock, 5.0)
+        assert status == 200
+        assert ("Server", "edge") in headers
+        assert body == b"hello world"
+
+    def test_body_already_read_with_the_head(self):
+        sock = FakeHttpSocket(b"HTTP/1.1 404 Not Found\r\nContent-Length: 2\r\n\r\nno", chunk=4096)
+        assert transport_mod._read_http_response(sock, 5.0) == (404, [("Content-Length", "2")], b"no")
+
+    def test_extra_bytes_past_content_length_are_dropped(self):
+        sock = FakeHttpSocket(b"HTTP/1.1 200 OK\r\nContent-Length: 3\r\n\r\nabcdef", chunk=4096)
+        assert transport_mod._read_http_response(sock, 5.0)[2] == b"abc"
+
+    def test_chunked_wins_over_content_length(self):
+        raw = (b"HTTP/1.1 200 OK\r\nContent-Length: 3\r\nTransfer-Encoding: chunked\r\n\r\n"
+               b"5\r\nhello\r\n0\r\n\r\n")
+        sock = ClosingHttpSocket(raw)
+        assert transport_mod._read_http_response(sock, 5.0)[2] == b"hello"
+
+    def test_without_length_reads_until_close(self):
+        sock = ClosingHttpSocket(b"HTTP/1.0 200 OK\r\n\r\nuntil the end")
+        assert transport_mod._read_http_response(sock, 5.0)[2] == b"until the end"
+
+    @pytest.mark.parametrize("value", ["abc", "-1", "3, 4", ""])
+    def test_invalid_content_length_rejected(self, value):
+        sock = ClosingHttpSocket(f"HTTP/1.1 200 OK\r\nContent-Length: {value}\r\n\r\nabc".encode())
+        with pytest.raises(ValueError):
+            transport_mod._read_http_response(sock, 5.0)
+
+    def test_repeated_equal_content_length_accepted(self):
+        sock = FakeHttpSocket(b"HTTP/1.1 200 OK\r\nContent-Length: 3, 3\r\n\r\nabc")
+        assert transport_mod._read_http_response(sock, 5.0)[2] == b"abc"
