@@ -93,7 +93,9 @@ def find_borrowing(
     With a provider DB supplied, the non-hosted precondition is enforced
     on the caller's ``observations`` (the crawl's, keyed by name text; no
     name is resolved here): a candidate whose CNAME chain attributes to
-    the probed provider is a caller bug, not a borrowing case."""
+    the probed provider is a caller bug, not a borrowing case. The scan
+    cannot trigger it: its crawl admits only names that attribute to no
+    provider."""
     fp = profile.nonhosted_fp
     if fp is None:
         raise ValueError(f"{profile.name}: baseline-first ordering violated (no fingerprint)")

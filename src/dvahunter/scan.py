@@ -139,7 +139,10 @@ def prepare(config: ScanConfig) -> ScanContext:
         resolver=config.resolver,
         verify_tls=config.verify_tls,
     )
-    transport = make_transport(transport_config, simnet=simnet, record=config.record_probes)
+    try:
+        transport = make_transport(transport_config, simnet=simnet, record=config.record_probes)
+    except ValueError as err:
+        raise ConfigError(str(err))
 
     report = ScanReport()
     report.meta = {

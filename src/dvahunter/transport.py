@@ -269,6 +269,12 @@ class LiveTransport:
     def __init__(self, config: TransportConfig):
         if config.resolver is None:
             raise ValueError("live backend needs --resolver")
+        # replies are matched on their source address, so a resolver given
+        # by name is turned into the address it will answer from, once
+        try:
+            self._resolver = (socket.gethostbyname(config.resolver), 53)
+        except OSError:
+            raise ValueError(f"cannot resolve --resolver {config.resolver!r}") from None
         self.config = config
         self.limiter = RateLimiter(config.qps_limit)
         self.stats = TransportStats()
@@ -286,7 +292,7 @@ class LiveTransport:
         comes from the resolver's address and echoes the query's id
         (RFC 5452); any other datagram is dropped and reading goes
         on within the same timeout. The TCP fallback must echo the id too."""
-        resolver = (self.config.resolver, 53)
+        resolver = self._resolver
         qid = query[:2]
         for _ in range(self.config.retries + 1):
             self.limiter.acquire()
@@ -476,7 +482,8 @@ def _scan_der_for_name(der: bytes) -> Optional[str]:
 def _read_http_response(sock: socket.socket, timeout: float) -> tuple[int, list[tuple[str, str]], bytes]:
     """Read one response. The body ends where its framing says (RFC 9112
     §6.3): chunked coding wins, then Content-Length; without either the
-    body runs until the peer closes or the timeout expires."""
+    body runs until the peer closes or the timeout expires. Whatever the
+    peer declares, at most 4 MiB of body is read."""
     sock.settimeout(timeout)
     raw = bytearray()
     while b"\r\n\r\n" not in raw:
@@ -497,7 +504,7 @@ def _read_http_response(sock: socket.socket, timeout: float) -> tuple[int, list[
         headers.append((name.decode("latin-1").strip(), value.decode("latin-1").strip()))
     chunked = any(k.lower() == "transfer-encoding" and "chunked" in v.lower() for k, v in headers)
     length = None if chunked else _content_length(headers)
-    limit = 1 << 22 if length is None else length
+    limit = 1 << 22 if length is None else min(length, 1 << 22)
     body = bytearray(rest)
     while len(body) < limit:
         try:
@@ -509,7 +516,7 @@ def _read_http_response(sock: socket.socket, timeout: float) -> tuple[int, list[
         body += chunk
     if chunked:
         return status, headers, _dechunk(bytes(body))
-    return status, headers, bytes(body[:length])
+    return status, headers, bytes(body[:limit])
 
 
 def _content_length(headers: list[tuple[str, str]]) -> Optional[int]:

@@ -106,28 +106,22 @@ class TestFindBorrowing:
         def observed(name):
             return {name: transport.resolve(parse_fqdn(name))}
 
+        hosted = observed("www.fastly-site-a.com")
+        before = transport.stats.dns_queries
         with pytest.raises(ValueError):
             find_borrowing([parse_fqdn("www.fastly-site-a.com")],
                            db.by_name["Fastly"], rep(world, "Fastly"), transport, db=db,
-                           observations=observed("www.fastly-site-a.com"))
+                           observations=hosted)
+        assert transport.stats.dns_queries == before  # the guard reads, never resolves
+        # ... and has no resolving fallback
+        with pytest.raises(ValueError):
+            find_borrowing([parse_fqdn("www.fastly-site-a.com")],
+                           db.by_name["Fastly"], rep(world, "Fastly"), transport, db=db)
         # hosted by ANOTHER provider is merely unusual, not a violation here
         results = find_borrowing([parse_fqdn("www.bunny-site-a.com")],
                                  db.by_name["Fastly"], rep(world, "Fastly"), transport, db=db,
                                  observations=observed("www.bunny-site-a.com"))
         assert len(results) == 1
-
-    def test_guard_reads_observations_without_resolving(self, db, world, transport):
-        name = "www.fastly-site-a.com"
-        observations = {name: transport.resolve(parse_fqdn(name))}
-        before = transport.stats.dns_queries
-        with pytest.raises(ValueError):
-            find_borrowing([parse_fqdn(name)], db.by_name["Fastly"], rep(world, "Fastly"),
-                           transport, db=db, observations=observations)
-        assert transport.stats.dns_queries == before
-        # the guard has no resolving fallback
-        with pytest.raises(ValueError):
-            find_borrowing([parse_fqdn(name)], db.by_name["Fastly"], rep(world, "Fastly"),
-                           transport, db=db)
 
     def test_candidates_are_nonhosted_by_construction(self, db, world, transport):
         # precondition enforcement check: a hosted domain injected into the

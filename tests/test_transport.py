@@ -1,11 +1,14 @@
 import socket
+from dataclasses import replace
 
 import pytest
 
 from dvahunter import transport as transport_mod
 from dvahunter.core import HttpProbe, Rcode, Scheme, TransportFailure, parse_fqdn
+from dvahunter.scan import ConfigError, run_scan
 from dvahunter.simnet import Origin, Scenario, SimulatedInternet, ZoneRecord
 from dvahunter.transport import (
+    Backend,
     LiveTransport,
     RateLimiter,
     RRType,
@@ -14,6 +17,7 @@ from dvahunter.transport import (
     build_dns_query,
     parse_dns_response,
 )
+from tests.conftest import DATA, scan_config
 
 
 @pytest.fixture()
@@ -320,6 +324,27 @@ class TestLiveExchange:
         assert transport._query("www.example.com", "a") is None
 
 
+    def test_resolver_given_by_name_is_matched_by_address(self, monkeypatch):
+        monkeypatch.setattr(socket, "gethostbyname", {"dns.example": "192.0.2.53"}.__getitem__)
+        fake = FakeUdpSocket([(a_reply(1, "192.0.2.10"), self.RESOLVER)])
+        monkeypatch.setattr(socket, "socket", lambda *a, **kw: fake)
+        transport = LiveTransport(TransportConfig(resolver="dns.example", qps_limit=1e9, retries=0))
+        assert transport._query("www.example.com", "a") == (0, [("www.example.com", 1, "192.0.2.10")])
+        assert fake.sent[0][1] == self.RESOLVER
+
+    def test_unresolvable_resolver_rejected(self, monkeypatch):
+        def fail(name):
+            raise socket.gaierror("no such name")
+
+        monkeypatch.setattr(socket, "gethostbyname", fail)
+        with pytest.raises(ValueError):
+            LiveTransport(TransportConfig(resolver="dns.invalid"))
+        config = replace(scan_config(DATA["reference_world_targets.txt"], None),
+                         backend=Backend.LIVE, resolver="dns.invalid")
+        with pytest.raises(ConfigError, match="cannot resolve"):
+            run_scan(config)
+
+
 class FakeHttpSocket:
     """A peer that sends ``data`` and then keeps the connection open: any
     read past the end raises, the way a timeout would end it."""
@@ -376,6 +401,24 @@ class TestReadHttpResponse:
         sock = ClosingHttpSocket(f"HTTP/1.1 200 OK\r\nContent-Length: {value}\r\n\r\nabc".encode())
         with pytest.raises(ValueError):
             transport_mod._read_http_response(sock, 5.0)
+
+    def test_declared_length_is_capped(self):
+        # a peer that declares a huge body and keeps sending; it gives up
+        # well past the cap, so a reader without one fails instead of
+        # growing without bound
+        class FloodingSocket(FakeHttpSocket):
+            body_sent = 0
+
+            def recv(self, size):
+                if self.data:
+                    return super().recv(size)
+                if self.body_sent > 2 << 22:
+                    raise AssertionError("read far past the cap")
+                self.body_sent += size
+                return b"x" * size
+
+        sock = FloodingSocket(b"HTTP/1.1 200 OK\r\nContent-Length: 99999999999\r\n\r\n")
+        assert len(transport_mod._read_http_response(sock, 5.0)[2]) == 1 << 22
 
     def test_repeated_equal_content_length_accepted(self):
         sock = FakeHttpSocket(b"HTTP/1.1 200 OK\r\nContent-Length: 3, 3\r\n\r\nabc")
