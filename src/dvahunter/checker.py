@@ -8,7 +8,6 @@ representatives.
 from __future__ import annotations
 
 import logging
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Callable, Optional
@@ -32,10 +31,6 @@ class Liveness(Enum):
     DEGRADED = "degraded"
 
 
-class EmptyAfterFiltering(Exception):
-    """No ingress node survived the liveness filter."""
-
-
 @dataclass(frozen=True)
 class HostedDomainRecord:
     fqdn: Fqdn
@@ -55,30 +50,9 @@ class IngressNodeSet:
     liveness_is_weak: bool = False  # no provider-identifying header known
 
 
-def crawl_records(
-    targets: list[Fqdn],
-    transport,
-    shards: int = 1,
-) -> list[DnsObservation]:
-    """One observation per target, input order preserved. Targets are
-    split into ``shards`` contiguous index ranges processed concurrently,
-    so shard count cannot change the output."""
-    if shards < 1:
-        raise ValueError("shards must be >= 1")
-
-    def crawl_range(chunk: list[Fqdn]) -> list[DnsObservation]:
-        return [transport.resolve(name, RRType.ALL) for name in chunk]
-
-    if shards == 1 or len(targets) <= 1:
-        return crawl_range(targets)
-    size = (len(targets) + shards - 1) // shards
-    chunks = [targets[i: i + size] for i in range(0, len(targets), size)]
-    with ThreadPoolExecutor(max_workers=len(chunks)) as pool:
-        parts = list(pool.map(crawl_range, chunks))
-    out: list[DnsObservation] = []
-    for part in parts:
-        out.extend(part)
-    return out
+def crawl_records(targets: list[Fqdn], transport) -> list[DnsObservation]:
+    """One ``RRType.ALL`` observation per target, in input order."""
+    return [transport.resolve(name, RRType.ALL) for name in targets]
 
 
 def discover_hosted(
@@ -157,12 +131,12 @@ def collect_ingress(
     transport,
     db: ProviderDb,
     seed: int = 0,
-    on_empty: str = "raise",
 ) -> dict[str, IngressNodeSet]:
     """Union the A records of each provider's hosted domains, filter by a
     liveness probe (which must carry the provider-identifying header when
     the DB knows one), group by city, and pick one seeded-random
-    representative per city."""
+    representative per city. A provider with no live, placeable node
+    keeps its probed nodes and gets no representatives."""
     by_provider: dict[str, dict[str, Fqdn]] = {}
     for record in hosted:
         if record.recheck is Recheck.REFUTED_BY_FINGERPRINT:
@@ -195,8 +169,6 @@ def collect_ingress(
             if state is Liveness.ALIVE and city is not None:
                 alive_by_city.setdefault(city, []).append(ip)
         if not alive_by_city:
-            if on_empty == "raise":
-                raise EmptyAfterFiltering(f"{provider}: no live ingress nodes")
             logger.warning("%s: no live ingress nodes; provider left without representatives", provider)
             out[provider] = nodes
             continue

@@ -2,8 +2,7 @@
 Shared domain types for the scanner: domain names, DNS observations,
 HTTP probes and response summaries, and the verdict vocabulary.
 
-Everything here is immutable after construction and safe to share
-between worker threads.
+Everything here is immutable after construction.
 """
 
 from __future__ import annotations
@@ -303,7 +302,8 @@ def derive_rng(seed: int, *scope: object) -> random.Random:
     """Independent RNG for one (seed, scope...) slot.
 
     Scoped derivation keeps every random choice reproducible regardless of
-    worker scheduling: two runs with the same seed make identical picks.
+    which other choices were made first: two runs with the same seed make
+    identical picks.
     """
     material = "|".join([str(seed)] + [str(part) for part in scope])
     digest = hashlib.sha1(material.encode("utf-8")).digest()

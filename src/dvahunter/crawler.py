@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import logging
 import string
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Optional
@@ -106,18 +105,14 @@ def _random_label(rng) -> str:
     return "".join(rng.choice(alphabet) for _ in range(RANDOM_PREFIX_LENGTH))
 
 
-def detect_wildcard(
-    sld: Fqdn,
-    transport,
-    seed: int = 0,
-    probes: int = WILDCARD_PROBES,
-) -> Optional[WildcardSignature]:
-    """Probe random prefixes under the SLD. All resolving with one common
-    answer means wildcard (returns the signature); none resolving means no
-    wildcard (returns None); disagreement raises WildcardInconclusive."""
+def detect_wildcard(sld: Fqdn, transport, seed: int = 0) -> Optional[WildcardSignature]:
+    """Probe WILDCARD_PROBES random prefixes under the SLD. All resolving
+    with one common answer means wildcard (returns the signature); none
+    resolving means no wildcard (returns None); disagreement raises
+    WildcardInconclusive."""
     rng = derive_rng(seed, "wildcard", str(sld))
     signatures = []
-    for _ in range(probes):
+    for _ in range(WILDCARD_PROBES):
         name = parse_fqdn(f"{_random_label(rng)}.{sld}")
         obs = transport.resolve(name, RRType.ALL)
         if obs.rcode is Rcode.NOERROR and obs.has_records:
@@ -136,13 +131,12 @@ def enumerate_subdomains(
     dictionary: PrefixDictionary,
     transport,
     seed: int = 0,
-    workers: int = 1,
 ) -> EnumerationResult:
-    """Join every prefix with the SLD, keep the candidates whose DNS
-    answer carries records, and drop the ones indistinguishable from the
-    wildcard signature. Output is sorted and deduplicated, and carries the
-    observation of every confirmed name; per-candidate timeouts land in
-    ``unconfirmed``."""
+    """Join every prefix with the SLD, resolve each candidate once, in
+    dictionary order, keep the ones whose DNS answer carries records, and
+    drop the ones indistinguishable from the wildcard signature. Output is
+    sorted and deduplicated, and carries the observation of every
+    confirmed name; per-candidate timeouts land in ``unconfirmed``."""
     result = EnumerationResult()
     try:
         result.wildcard = detect_wildcard(sld, transport, seed=seed)
@@ -153,24 +147,13 @@ def enumerate_subdomains(
     # dictionary labels and the SLD are both validated already: only the
     # total length can still make a candidate illegal
     room = MAX_NAME_LENGTH - len(sld.name) - 1
-    candidates = []
+    confirmed: dict[str, tuple[Fqdn, DnsObservation]] = {}
     for prefix, labels in zip(dictionary.prefixes, dictionary.labels):
         if len(prefix) > room:
             result.unconfirmed.append(f"{prefix}.{sld}")
-        else:
-            candidates.append(Fqdn(labels + sld.labels))
-
-    def probe(name: Fqdn) -> tuple[Fqdn, DnsObservation]:
-        return name, transport.resolve(name, RRType.ALL)
-
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            observations = list(pool.map(probe, candidates))
-    else:
-        observations = [probe(name) for name in candidates]
-
-    confirmed: dict[str, tuple[Fqdn, DnsObservation]] = {}
-    for name, obs in observations:
+            continue
+        name = Fqdn(labels + sld.labels)
+        obs = transport.resolve(name, RRType.ALL)
         if obs.rcode is not Rcode.NOERROR or not obs.has_records:
             result.unconfirmed.append(str(name))
             continue

@@ -121,12 +121,12 @@ def harvest_urls(
     domain: Fqdn,
     ingress_ip: str,
     transport,
-    max_urls: int = MAX_URLS_PER_DOMAIN,
     seed: int = 0,
 ) -> list[HarvestedUrl]:
     """Fetch "/" through the CDN, collect same-domain static asset
     references, fetch each twice, and keep the ones whose bodies hashed
-    identically. Seeded-random truncation caps the result at max_urls."""
+    identically. Seeded-random truncation caps the result at
+    MAX_URLS_PER_DOMAIN."""
     root = transport.probe(
         HttpProbe(target_ip=ingress_ip, scheme=Scheme.HTTPS, host_header=domain, sni=domain, path="/")
     )
@@ -155,9 +155,9 @@ def harvest_urls(
         if not first.ok or first.body_hash != second.body_hash:
             continue
         stable.append(HarvestedUrl(domain=domain, path=path, kind=kind, stability_hash=first.body_hash))
-    if len(stable) > max_urls:
+    if len(stable) > MAX_URLS_PER_DOMAIN:
         rng = derive_rng(seed, "harvest", str(domain))
-        stable = sorted(rng.sample(stable, max_urls), key=lambda u: u.path)
+        stable = sorted(rng.sample(stable, MAX_URLS_PER_DOMAIN), key=lambda u: u.path)
     return stable
 
 
@@ -166,11 +166,10 @@ def generate_tuples(
     urls_by_domain: dict[Fqdn, list[HarvestedUrl]],
     ingress_ip: str,
     seed: int = 0,
-    max_tuples: int = MAX_TUPLES_PER_PROVIDER,
 ) -> list[FrontingTuple]:
     """Pair distinct hosted domains of one provider into up to
-    ``max_tuples`` (front, target, url) tuples, seeded-random. Targets
-    need at least one harvested URL; fronts do not."""
+    MAX_TUPLES_PER_PROVIDER (front, target, url) tuples, seeded-random.
+    Targets need at least one harvested URL; fronts do not."""
     domains = sorted(urls_by_domain, key=str)
     if len(domains) < 2:
         raise InsufficientDomains(f"{provider}: {len(domains)} usable domain(s)")
@@ -185,7 +184,7 @@ def generate_tuples(
     rng = derive_rng(seed, "tuples", provider)
     rng.shuffle(pairs)
     out = []
-    for fd, td in pairs[:max_tuples]:
+    for fd, td in pairs[:MAX_TUPLES_PER_PROVIDER]:
         ut = rng.choice(urls_by_domain[td])
         out.append(FrontingTuple(fd=fd, td=td, ut=ut, ingress_ip=ingress_ip))
     return out

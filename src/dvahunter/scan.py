@@ -60,8 +60,6 @@ class ScanConfig:
     seed: int = 0
     geoip: Optional[Path] = None
     out: Optional[Path] = None
-    shards: int = 1
-    workers: int = 1
     verify_tls: bool = False
     record_probes: bool = False
 
@@ -189,9 +187,7 @@ def _phase_enumerate(ctx: ScanContext) -> list[Fqdn]:
     slds, direct = _load_targets(ctx)
     confirmed: dict[str, Fqdn] = {str(f): f for f in direct}
     for sld in sorted(slds, key=str):
-        result = enumerate_subdomains(
-            sld, ctx.dictionary, ctx.transport, seed=ctx.config.seed, workers=ctx.config.workers
-        )
+        result = enumerate_subdomains(sld, ctx.dictionary, ctx.transport, seed=ctx.config.seed)
         for fqdn in result.confirmed:
             confirmed.setdefault(str(fqdn), fqdn)
         ctx.observations.update(result.observations)
@@ -206,7 +202,7 @@ def _phase_crawl(ctx: ScanContext, targets: list[Fqdn]) -> None:
     """Crawl only the targets no earlier phase resolved (the direct FQDN
     targets); the rest keep enumeration's observations."""
     missing = [name for name in targets if name.name not in ctx.observations]
-    crawled = crawl_records(missing, ctx.transport, shards=ctx.config.shards)
+    crawled = crawl_records(missing, ctx.transport)
     ctx.observations.update(zip([name.name for name in missing], crawled))
     observations = [ctx.observations[name.name] for name in targets]
     for obs in observations:
@@ -232,9 +228,7 @@ def _phase_crawl(ctx: ScanContext, targets: list[Fqdn]) -> None:
 
 
 def _phase_ingress(ctx: ScanContext) -> None:
-    ctx.ingress = collect_ingress(
-        ctx.hosted, ctx.geo, ctx.transport, ctx.db, seed=ctx.config.seed, on_empty="skip"
-    )
+    ctx.ingress = collect_ingress(ctx.hosted, ctx.geo, ctx.transport, ctx.db, seed=ctx.config.seed)
     for provider, nodes in sorted(ctx.ingress.items()):
         ctx.report.providers.setdefault(provider, {})["ingress"] = {
             "nodes": [[ip, city, state.value] for ip, city, state in nodes.nodes],
@@ -256,20 +250,6 @@ def _representative(ctx: ScanContext, provider: str, purpose: str) -> Optional[s
 
 
 # -- fronting ----------------------------------------------------------------
-
-
-def _map_providers(ctx: ScanContext, worker: Callable) -> dict[str, Any]:
-    """Apply a per-provider worker, concurrently when workers > 1. Results
-    come back keyed by name so report assembly stays ordered regardless of
-    scheduling."""
-    profiles = list(ctx.db.providers)
-    if ctx.config.workers > 1:
-        from concurrent.futures import ThreadPoolExecutor
-        with ThreadPoolExecutor(max_workers=ctx.config.workers) as pool:
-            results = list(pool.map(lambda p: worker(ctx, p), profiles))
-    else:
-        results = [worker(ctx, p) for p in profiles]
-    return {profile.name: result for profile, result in zip(profiles, results)}
 
 
 def _fronting_direct(ctx: ScanContext, profile) -> Optional[Verdict]:
@@ -312,10 +292,9 @@ def _fronting_direct(ctx: ScanContext, profile) -> Optional[Verdict]:
 
 
 def _phase_fronting(ctx: ScanContext) -> None:
-    results = _map_providers(ctx, _fronting_direct)
     direct: dict[str, Verdict] = {}
     for profile in ctx.db.providers:
-        verdict = results[profile.name]
+        verdict = _fronting_direct(ctx, profile)
         if verdict is None:
             continue
         _provider_section(ctx, profile.name)["fronting"] = verdict.to_json()
@@ -367,8 +346,7 @@ def _phase_fronting(ctx: ScanContext) -> None:
 
 
 def _borrowing_for_provider(ctx: ScanContext, profile):
-    """(verdict, baseline | None, hits, loud_note | None); candidates for one
-    provider run sequentially, providers may run in parallel."""
+    """(verdict, baseline | None, hits, loud_note | None)."""
     name = profile.name
     if profile.nonhosted_fp is None:
         verdict = Verdict.inconclusive(
@@ -386,9 +364,7 @@ def _borrowing_for_provider(ctx: ScanContext, profile):
     except borrowing_mod.BaselineMismatch as err:
         verdict = Verdict.inconclusive((Evidence("baseline-mismatch", str(err)),))
         return verdict, None, [], f"BASELINE MISMATCH, provider excluded: {err}"
-    candidates = borrowing_mod.find_borrowing(
-        ctx.nonhosted, profile, rep, ctx.transport, db=ctx.db, observations=ctx.observations
-    )
+    candidates = borrowing_mod.find_borrowing(ctx.nonhosted, profile, rep, ctx.transport)
     hits = []
     kinds = []
     for candidate in candidates:
@@ -413,10 +389,9 @@ def _borrowing_for_provider(ctx: ScanContext, profile):
 
 
 def _phase_borrowing(ctx: ScanContext) -> None:
-    results = _map_providers(ctx, _borrowing_for_provider)
     for profile in ctx.db.providers:
         name = profile.name
-        verdict, baseline, hits, note = results[name]
+        verdict, baseline, hits, note = _borrowing_for_provider(ctx, profile)
         section = _provider_section(ctx, name)
         section["borrowing"] = verdict.to_json()
         if note:
@@ -466,14 +441,9 @@ def _phase_takeover(ctx: ScanContext) -> None:
         except (LookupError, takeover_mod.DanglingProbeFailure) as err:
             return err
 
-    # detection probes are independent; path validation below stays
-    # sequential because mock registrations mutate the world
-    if ctx.config.workers > 1:
-        from concurrent.futures import ThreadPoolExecutor
-        with ThreadPoolExecutor(max_workers=ctx.config.workers) as pool:
-            detections = list(pool.map(detect, records))
-    else:
-        detections = [detect(record) for record in records]
+    # every record is checked before the first path validation: mock
+    # registrations mutate the world, and detection must see it unchanged
+    detections = [detect(record) for record in records]
 
     for record, outcome in zip(records, detections):
         scanned[record.provider] = scanned.get(record.provider, 0) + 1

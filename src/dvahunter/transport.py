@@ -17,6 +17,7 @@ and its stats count every query and probe.
 from __future__ import annotations
 
 import logging
+import re
 import socket
 import ssl
 import struct
@@ -41,6 +42,7 @@ from .core import (
 logger = logging.getLogger(__name__)
 
 MAX_CNAME_CHAIN = 16
+CHUNK_SIZE = re.compile(rb"[0-9A-Fa-f]+")
 
 
 class Backend(Enum):
@@ -497,7 +499,10 @@ def _read_http_response(sock: socket.socket, timeout: float) -> tuple[int, list[
     lines = head.split(b"\r\n")
     if not lines or not lines[0].startswith(b"HTTP/"):
         raise ValueError("not an HTTP response")
-    status = int(lines[0].split()[1])
+    parts = lines[0].split()
+    if len(parts) < 2 or not parts[1].isdigit():
+        raise ValueError("status line without a status code")
+    status = int(parts[1])
     headers: list[tuple[str, str]] = []
     for line in lines[1:]:
         name, _, value = line.partition(b":")
@@ -532,21 +537,24 @@ def _content_length(headers: list[tuple[str, str]]) -> Optional[int]:
 
 
 def _dechunk(body: bytes) -> bytes:
-    out = b""
+    """Join the chunks of a chunked body; a truncated body keeps what
+    arrived. A chunk size that is not 1*HEXDIG (RFC 9112 §7.1) raises
+    ValueError: ``int(..., 16)`` alone would accept a sign and step back."""
+    out = bytearray()
     pos = 0
     while pos < len(body):
         line_end = body.find(b"\r\n", pos)
         if line_end == -1:
             break
-        try:
-            size = int(body[pos:line_end].split(b";")[0], 16)
-        except ValueError:
-            break
+        size_text = body[pos:line_end].split(b";")[0].rstrip(b" \t")
+        if not CHUNK_SIZE.fullmatch(size_text):
+            raise ValueError("invalid chunk size")
+        size = int(size_text, 16)
         if size == 0:
             break
         out += body[line_end + 2: line_end + 2 + size]
         pos = line_end + 2 + size + 2
-    return out
+    return bytes(out)
 
 
 def make_transport(config: TransportConfig, simnet=None, record: bool = False):

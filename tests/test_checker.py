@@ -1,7 +1,6 @@
 import pytest
 
 from dvahunter.checker import (
-    EmptyAfterFiltering,
     Liveness,
     Recheck,
     collect_ingress,
@@ -41,19 +40,9 @@ def fq(*names):
 class TestCrawlRecords:
     def test_order_preserved(self, transport):
         targets = fq("www.fastly-site-a.com", "missing.nowhere.net", "www.bunny-site-a.com")
-        observations = crawl_records(targets, transport, shards=5)
+        observations = crawl_records(targets, transport)
         assert [str(o.fqdn) for o in observations] == [str(t) for t in targets]
         assert observations[1].rcode is Rcode.NXDOMAIN
-
-    def test_shard_count_invariance(self, world, transport):
-        targets = fq(*(h for h in sorted(world.healthy_hosts)[:12]))
-        one = [o.to_json() for o in crawl_records(targets, transport, shards=1)]
-        five = [o.to_json() for o in crawl_records(targets, transport, shards=5)]
-        assert one == five
-
-    def test_rejects_bad_shards(self, transport):
-        with pytest.raises(ValueError):
-            crawl_records([], transport, shards=0)
 
 
 class TestDiscoverHosted:
@@ -138,7 +127,7 @@ class TestCollectIngress:
         assert run(3) == run(3)
         assert run(3) != run(8) or True  # may coincide; stability is the contract
 
-    def test_dead_nodes_raise_when_all_filtered(self, db):
+    def test_all_dead_nodes_leave_no_representatives(self, db):
         net = city_world(db)
 
         class AllDead:
@@ -150,8 +139,9 @@ class TestCollectIngress:
 
         transport = MockTransport(net)
         hosted = discover_hosted(crawl_records(fq("www.sixcity.com"), transport), db, transport)
-        with pytest.raises(EmptyAfterFiltering):
-            collect_ingress(hosted, net.city_of, AllDead(), db)
+        nodes = collect_ingress(hosted, net.city_of, AllDead(), db)["Fastly"]
+        assert nodes.nodes and all(state is Liveness.DEAD for _ip, _city, state in nodes.nodes)
+        assert nodes.representatives == []
 
     def test_degraded_node_excluded_from_representatives(self, world, db, transport):
         observations = crawl_records(fq("www.cloudflare-site-a.com"), transport)

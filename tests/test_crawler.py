@@ -132,12 +132,6 @@ class TestEnumerate:
         assert [str(f) for f in first.confirmed] == [str(f) for f in second.confirmed]
         assert first.confirmed == sorted(first.confirmed, key=str)
 
-    def test_worker_pool_matches_serial(self, wildcard_zone, db):
-        d = PrefixDictionary.from_lines([f"host{i}" for i in range(30)] + ["www", "mail"])
-        serial = enumerate_subdomains(parse_fqdn("wild.com"), d, wildcard_zone, workers=1)
-        threaded = enumerate_subdomains(parse_fqdn("wild.com"), d, wildcard_zone, workers=8)
-        assert [str(f) for f in serial.confirmed] == [str(f) for f in threaded.confirmed]
-
 
 class RecordingTransport:
     """Answers NXDOMAIN for everything and keeps the names it was asked."""

@@ -137,12 +137,6 @@ class TestModeIsolation:
             if probe.sni is not None:
                 assert str(probe.sni) == str(probe.host_header), "fronting-style probe in takeover mode"
 
-    def test_worker_count_never_changes_the_report(self, small_paths):
-        scenario, targets = small_paths
-        serial = run_scan(scan_config(targets, scenario, workers=1)).to_json()
-        threaded = run_scan(scan_config(targets, scenario, workers=6)).to_json()
-        assert serial == threaded
-
     def test_empty_targets_empty_report_zero_probes(self, small_paths, tmp_path):
         from dvahunter.scan import run_scan_with_context
         scenario, _ = small_paths

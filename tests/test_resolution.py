@@ -1,13 +1,19 @@
 """
 One resolution per name: over a whole scan, each name gets at most one
 ``RRType.ALL`` lookup. Enumeration's answers feed the record crawl, and
-the crawl's answers feed the borrowing precondition guard. Only the
-deliberate re-resolutions (the terminal chain element and validation
-after an attacker registration) ask again, and those use ``RRType.A``.
+borrowing probes the crawl's non-hosted names without resolving them
+again. Only the deliberate re-resolutions (the terminal chain element and
+validation after an attacker registration) ask again, and those use
+``RRType.A``.
+
+The same scan checks the invariant borrowing relies on instead of a guard
+of its own: every name the crawl hands to borrowing attributes to no
+provider.
 """
 
 from collections import Counter
 
+from dvahunter.providers import identify_cdn
 from dvahunter.scan import run_scan_with_context
 from tests.conftest import DATA, scan_config
 
@@ -21,3 +27,5 @@ def test_reference_scan_resolves_each_name_once():
     assert ctx.nonhosted and ctx.report.domains  # the borrowing and crawl phases had work
     repeated = {name: count for name, count in lookups.items() if count > 1}
     assert repeated == {}
+    hosted = [n.name for n in ctx.nonhosted if identify_cdn(ctx.observations[n.name], ctx.db) is not None]
+    assert hosted == []

@@ -423,3 +423,37 @@ class TestReadHttpResponse:
     def test_repeated_equal_content_length_accepted(self):
         sock = FakeHttpSocket(b"HTTP/1.1 200 OK\r\nContent-Length: 3, 3\r\n\r\nabc")
         assert transport_mod._read_http_response(sock, 5.0)[2] == b"abc"
+
+    @pytest.mark.parametrize("size", [b"-a", b"+5", b"0x5", b"5_0", b""])
+    def test_chunk_size_must_be_hex_digits(self, size):
+        # a negative size used to move the parser backwards, forever
+        raw = b"HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\n\r\n" + size + b"\r\nhello\r\n0\r\n\r\n"
+        with pytest.raises(ValueError):
+            transport_mod._read_http_response(ClosingHttpSocket(raw), 5.0)
+
+    def test_chunk_extension_after_whitespace_accepted(self):
+        raw = b"HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\n\r\n5 ;x=1\r\nhello\r\n0\r\n\r\n"
+        assert transport_mod._read_http_response(ClosingHttpSocket(raw), 5.0)[2] == b"hello"
+
+    @pytest.mark.parametrize("line", [b"HTTP/1.1", b"HTTP/1.1 OK", b"HTTP/1.1 +200 OK"])
+    def test_status_line_without_code_rejected(self, line):
+        with pytest.raises(ValueError):
+            transport_mod._read_http_response(ClosingHttpSocket(line + b"\r\n\r\n"), 5.0)
+
+    @pytest.mark.parametrize("raw", [
+        b"HTTP/1.1\r\n\r\n",
+        b"HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\n\r\n-a\r\n",
+    ], ids=["no-status-code", "negative-chunk-size"])
+    def test_malformed_response_is_connect_refused(self, monkeypatch, raw):
+        class HostileEdge(ClosingHttpSocket):
+            def sendall(self, data):
+                pass
+
+            def close(self):
+                pass
+
+        monkeypatch.setattr(socket, "create_connection", lambda *a, **kw: HostileEdge(raw))
+        response = live_transport().probe(
+            HttpProbe(target_ip="192.0.2.10", scheme=Scheme.HTTP, host_header=parse_fqdn("www.example.com"))
+        )
+        assert response.failure is TransportFailure.CONNECT_REFUSED
