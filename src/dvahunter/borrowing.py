@@ -20,6 +20,7 @@ from .core import (
     HttpResponseSummary,
     Scheme,
     Verdict,
+    VerdictKind,
     derive_rng,
     parse_fqdn,
 )
@@ -42,13 +43,32 @@ class BorrowingTls(Enum):
     INCONCLUSIVE = "inconclusive"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class BorrowingCandidate:
+    """One candidate probed at one provider's ingress: the probe, the
+    answer, the outcome ``kind`` and the fingerprint it was judged by.
+
+    ``verdict`` builds the evidence chain from these on each access, so a
+    scan that reads only ``kind`` never builds it."""
+
     domain: Fqdn
     provider: str
     ingress_ip: str
+    probe: HttpProbe
     response: HttpResponseSummary
-    verdict: Verdict
+    kind: VerdictKind
+    fingerprint_id: str
+
+    @property
+    def verdict(self) -> Verdict:
+        evidence = Evidence(
+            "borrowing-probe",
+            f"host={self.domain} at {self.provider} ingress {self.ingress_ip}",
+            probe=self.probe,
+            response=self.response,
+            fingerprint_id=self.fingerprint_id,
+        )
+        return Verdict(self.kind, (evidence,))
 
 
 def random_baseline_host(seed: int, provider: str) -> Fqdn:
@@ -86,8 +106,11 @@ def find_borrowing(
     A concrete response that does not match the non-hosted fingerprint
     means the edge serves the domain: borrowing.
 
-    The domains must be non-hosted, and are not checked here: the scan's
-    crawl admits only names whose DNS attributes to no provider."""
+    Returns one candidate per domain, in order, each carrying its outcome
+    ``kind``; the evidence behind it is built only when a caller reads
+    ``verdict``. The domains must be non-hosted, and are not checked
+    here: the scan's crawl admits only names whose DNS attributes to no
+    provider."""
     fp = profile.nonhosted_fp
     if fp is None:
         raise ValueError(f"{profile.name}: baseline-first ordering violated (no fingerprint)")
@@ -95,30 +118,15 @@ def find_borrowing(
     for domain in domains:
         probe = HttpProbe(target_ip=ingress_ip, scheme=Scheme.HTTP, host_header=domain)
         response = transport.probe(probe)
-        served_evidence = Evidence(
-            "borrowing-probe",
-            f"host={domain} at {profile.name} ingress {ingress_ip}",
-            probe=probe,
-            response=response,
-            fingerprint_id=fp.id,
-        )
         if response.failure is not None and not fp.no_response:
-            verdict = Verdict.inconclusive((served_evidence,))
+            kind = VerdictKind.INCONCLUSIVE
         elif match_fingerprint(fp, http=response):
-            verdict = Verdict.not_vulnerable((served_evidence,))
+            kind = VerdictKind.NOT_VULNERABLE
         elif response.status is not None:
-            verdict = Verdict.vulnerable((served_evidence,))
+            kind = VerdictKind.VULNERABLE
         else:
-            verdict = Verdict.inconclusive((served_evidence,))
-        out.append(
-            BorrowingCandidate(
-                domain=domain,
-                provider=profile.name,
-                ingress_ip=ingress_ip,
-                response=response,
-                verdict=verdict,
-            )
-        )
+            kind = VerdictKind.INCONCLUSIVE
+        out.append(BorrowingCandidate(domain, profile.name, ingress_ip, probe, response, kind, fp.id))
     return out
 
 

@@ -21,7 +21,7 @@ from pathlib import Path
 
 from .providers import ProviderDbError, load_provider_db
 from .report import IncompatibleRuns, ScanReport, diff_reports
-from .scan import ConfigError, ScanConfig, run_scan
+from .scan import ConfigError, ScanConfig, check_output_path, run_scan
 from .simnet import ScenarioError, load_scenario, validate_scenario
 from .transport import Backend
 
@@ -90,6 +90,8 @@ def _cmd_scan(args: argparse.Namespace) -> int:
         verify_tls=args.verify_tls,
     )
     try:
+        if args.csv:
+            check_output_path("csv", args.csv)
         report = run_scan(config)
     except ConfigError as err:
         print(f"config error: {err}", file=sys.stderr)

@@ -74,21 +74,18 @@ class Fingerprint:
     body_contains: Optional[bytes] = None
     dns_signal: Optional[DnsSignal] = None
     no_response: bool = False
+    # which evidence side a match needs; derived from the fields above
+    needs_http: bool = field(init=False, compare=False, repr=False)
+    needs_dns: bool = field(init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
-        fields = [self.status, self.header, self.body_contains, self.dns_signal]
-        if not self.no_response and all(f is None for f in fields):
+        http_fields = any(f is not None for f in (self.status, self.header, self.body_contains))
+        if not self.no_response and not http_fields and self.dns_signal is None:
             raise SchemaError(f"fingerprint {self.id}: no matchable field")
-        if self.no_response and any(f is not None for f in (self.status, self.header, self.body_contains)):
+        if self.no_response and http_fields:
             raise SchemaError(f"fingerprint {self.id}: no_response excludes other HTTP fields")
-
-    @property
-    def needs_http(self) -> bool:
-        return self.no_response or any(f is not None for f in (self.status, self.header, self.body_contains))
-
-    @property
-    def needs_dns(self) -> bool:
-        return self.dns_signal is not None
+        object.__setattr__(self, "needs_http", self.no_response or http_fields)
+        object.__setattr__(self, "needs_dns", self.dns_signal is not None)
 
     def to_json(self) -> dict[str, Any]:
         out: dict[str, Any] = {}
@@ -158,6 +155,7 @@ class ProviderDb:
         self.providers: tuple[ProviderProfile, ...] = tuple(sorted(providers, key=lambda p: p.name))
         self.by_name: dict[str, ProviderProfile] = {}
         self.suffix_index: dict[str, str] = {}
+        self._edges_into: dict[str, list[tuple[ProviderProfile, ShareEdge]]] = {}
         for profile in self.providers:
             if profile.name in self.by_name:
                 raise SchemaError(f"duplicate provider name {profile.name}")
@@ -172,18 +170,16 @@ class ProviderDb:
             for edge in profile.shares_infra_of:
                 if edge.provider not in self.by_name:
                     raise DanglingShareEdgeError(f"{profile.name}: sharing edge to unknown provider {edge.provider}")
+                if edge.provider != profile.name:
+                    self._edges_into.setdefault(edge.provider, []).append((profile, edge))
 
     def __len__(self) -> int:
         return len(self.providers)
 
     def edges_into(self, provider: str) -> list[tuple[ProviderProfile, ShareEdge]]:
-        """All (other provider, edge) pairs whose edge targets ``provider``."""
-        out = []
-        for profile in self.providers:
-            for edge in profile.shares_infra_of:
-                if edge.provider == provider and profile.name != provider:
-                    out.append((profile, edge))
-        return out
+        """All (other provider, edge) pairs whose edge targets ``provider``,
+        in provider-name order."""
+        return list(self._edges_into.get(provider, ()))
 
 
 @dataclass(frozen=True)
@@ -278,20 +274,23 @@ def identify_cdn(obs: DnsObservation, db: ProviderDb) -> Optional[CdnMatch]:
     """Attribute an observation to a provider by its CNAME chain.
 
     The first chain element carrying any assigned suffix wins; among
-    several suffixes matching that element the longest wins, ties broken
-    by provider name. Returns None when no element matches.
+    several suffixes matching that element the longest wins. Returns None
+    when no element matches.
+
+    Every suffix starts with a dot and no two are equal, so the suffixes
+    an element can carry are its tails from each dot on; trying them left
+    to right finds the longest one first.
     """
+    index = db.suffix_index
     for cname in obs.cname_chain:
         name = str(cname)
-        candidates = [
-            (len(suffix), provider, suffix)
-            for suffix, provider in db.suffix_index.items()
-            if name.endswith(suffix)
-        ]
-        if candidates:
-            candidates.sort(key=lambda c: (-c[0], c[1]))
-            _, provider, suffix = candidates[0]
-            return CdnMatch(provider=provider, matched_suffix=suffix, matched_cname=name)
+        dot = name.find(".")
+        while dot != -1:
+            suffix = name[dot:]
+            provider = index.get(suffix)
+            if provider is not None:
+                return CdnMatch(provider=provider, matched_suffix=suffix, matched_cname=name)
+            dot = name.find(".", dot + 1)
     return None
 
 

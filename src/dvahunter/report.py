@@ -10,6 +10,7 @@ from __future__ import annotations
 import csv
 import io
 import json
+import os
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any
@@ -76,7 +77,26 @@ class ScanReport:
         }
 
     def dump(self, path: str | Path) -> None:
-        Path(path).write_text(json.dumps(self.to_json(), indent=2, ensure_ascii=False) + "\n", encoding="utf-8")
+        """Write the report as indented UTF-8 JSON plus a final newline:
+        the bytes of ``json.dumps(self.to_json(), indent=2,
+        ensure_ascii=False) + "\\n"``, streamed so that the whole text is
+        never held in memory.
+
+        The text goes to a temporary file beside ``path`` that replaces
+        ``path`` only once it is complete, so a dump that fails leaves an
+        earlier report at ``path`` as it was and no temporary file behind.
+        """
+        path = Path(path)
+        doc = self.to_json()
+        tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+        try:
+            with tmp.open("w", encoding="utf-8") as fh:
+                json.dump(doc, fh, indent=2, ensure_ascii=False)
+                fh.write("\n")
+            os.replace(tmp, path)
+        except BaseException:
+            tmp.unlink(missing_ok=True)
+            raise
 
     @classmethod
     def from_json(cls, data: dict[str, Any]) -> "ScanReport":

@@ -97,9 +97,22 @@ def _load_geo(path: Optional[Path]) -> Callable[[str], Optional[str]]:
     return lambda ip: table.get(ip)
 
 
+def check_output_path(label: str, path: Path) -> None:
+    """Raise ConfigError unless a file can be written at ``path``: its
+    parent must be an existing directory and ``path`` must not be one.
+    Checked before the scan, so a bad path cannot lose a finished scan."""
+    path = Path(path)
+    if path.is_dir():
+        raise ConfigError(f"{label} is a directory: {path}")
+    if not path.parent.is_dir():
+        raise ConfigError(f"{label} directory not found: {path.parent}")
+
+
 def prepare(config: ScanConfig) -> ScanContext:
     if config.mode not in MODES:
         raise ConfigError(f"unknown mode {config.mode!r}; expected one of {', '.join(MODES)}")
+    if config.out is not None:
+        check_output_path("out", config.out)
     for label, path in (("targets", config.targets), ("providers", config.providers),
                         ("suffixes", config.suffixes), ("dictionary", config.dictionary)):
         if not Path(path).exists():
@@ -368,8 +381,8 @@ def _borrowing_for_provider(ctx: ScanContext, profile):
     hits = []
     kinds = []
     for candidate in candidates:
-        kinds.append(candidate.verdict.kind)
-        if candidate.verdict.kind is not VerdictKind.VULNERABLE:
+        kinds.append(candidate.kind)
+        if candidate.kind is not VerdictKind.VULNERABLE:
             continue
         tls = borrowing_mod.classify_borrowing_tls(candidate, ctx.transport)
         hits.append((candidate, tls))

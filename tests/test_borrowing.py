@@ -8,7 +8,7 @@ from dvahunter.borrowing import (
     probe_baseline,
     random_baseline_host,
 )
-from dvahunter.core import VerdictKind, parse_fqdn
+from dvahunter.core import Evidence, HttpProbe, Scheme, Verdict, VerdictKind, parse_fqdn
 from dvahunter.providers import identify_cdn
 from dvahunter.simnet import SimulatedInternet, scenario_from_json, scenario_to_json
 from dvahunter.transport import MockTransport
@@ -83,6 +83,22 @@ class TestFindBorrowing:
         by_domain = {str(c.domain): c.verdict.kind for c in results}
         assert by_domain["pages.shared-press-kit.org"] is VerdictKind.VULNERABLE
         assert by_domain["static.plain-directsite.net"] is VerdictKind.NOT_VULNERABLE
+
+    def test_verdict_built_on_demand_from_the_probe(self, db, world, transport):
+        profile = db.by_name["Fastly"]
+        ip = rep(world, "Fastly")
+        results = find_borrowing([parse_fqdn(c) for c in CANDIDATES], profile, ip, transport)
+        for candidate in results:
+            probe = HttpProbe(target_ip=ip, scheme=Scheme.HTTP, host_header=candidate.domain)
+            assert candidate.probe == probe
+            assert candidate.response == transport.probe(probe)
+            assert candidate.verdict == Verdict(candidate.kind, (Evidence(
+                "borrowing-probe",
+                f"host={candidate.domain} at Fastly ingress {ip}",
+                probe=probe,
+                response=candidate.response,
+                fingerprint_id=profile.nonhosted_fp.id,
+            ),))
 
     def test_require_dns_proof_provider_all_clean(self, db, world, transport):
         # Baidu requires DNS proof; exhaustively sweep its scenario host

@@ -1,5 +1,6 @@
 import json
 import random
+from dataclasses import FrozenInstanceError, fields, replace
 
 import pytest
 
@@ -14,6 +15,7 @@ from dvahunter.providers import (
     ProviderDb,
     ProviderProfile,
     SchemaError,
+    ShareEdge,
     identify_cdn,
     load_provider_db,
     match_fingerprint,
@@ -94,6 +96,29 @@ class TestLoadValidation:
             Fingerprint(id="empty")
 
 
+class TestEdgesInto:
+    def test_matches_scan_over_every_provider(self, db):
+        self_edge = ProviderProfile(
+            name="Loop", assigned_suffixes=(".loop.net",),
+            shares_infra_of=(ShareEdge("Loop"), ShareEdge("Fastly", note="via loop")),
+        )
+        tdb = ProviderDb(list(db.providers) + [self_edge])
+        for target in [p.name for p in tdb.providers] + ["Unknown"]:
+            expected = [
+                (profile, edge)
+                for profile in tdb.providers
+                for edge in profile.shares_infra_of
+                if edge.provider == target and profile.name != target
+            ]
+            assert tdb.edges_into(target) == expected, target
+        assert tdb.edges_into("Loop") == []
+        assert (self_edge, self_edge.shares_infra_of[1]) in tdb.edges_into("Fastly")
+
+    def test_result_is_a_fresh_list(self, db):
+        db.edges_into("Baidu").clear()
+        assert db.edges_into("Baidu")  # KuaikuaiCloud's edge is still there
+
+
 def toy_db() -> ProviderDb:
     return ProviderDb([
         ProviderProfile(name="Alpha", assigned_suffixes=(".alpha-cdn.net", ".deep.alpha-cdn.net")),
@@ -143,6 +168,43 @@ class TestIdentifyCdn:
             got = identify_cdn(obs(chain=chain), tdb)
             got_tuple = (got.provider, got.matched_suffix, got.matched_cname) if got else None
             assert got_tuple == expected, chain
+
+    def test_label_walk_matches_suffix_scan_on_bundled_db(self, db):
+        # the rule before the label walk: endswith over every suffix, then
+        # longest suffix, then provider name
+        def by_suffix_scan(chain, tdb):
+            for name in chain:
+                hits = [(len(s), p, s) for s, p in tdb.suffix_index.items() if name.endswith(s)]
+                if hits:
+                    _, provider, suffix = min(hits, key=lambda h: (-h[0], h[1]))
+                    return provider, suffix, name
+            return None
+
+        bundled = sorted(db.suffix_index)
+        # nested both ways: ".a.fastly.net" under ".fastly.net", and ".net" over it
+        inner = tuple(".a" + s for s in bundled)
+        outer = tuple(sorted({"." + s.split(".", 2)[2] for s in bundled if s.count(".") > 1} - set(bundled)))
+        tdb = ProviderDb(list(db.providers) + [
+            ProviderProfile(name="Inner", assigned_suffixes=inner),
+            ProviderProfile(name="Outer", assigned_suffixes=outer),
+        ])
+        names = []
+        for suffix in sorted(tdb.suffix_index):
+            bare = suffix[1:]  # the suffix without its leading dot
+            names += [bare, "x" + suffix, "x.y" + suffix, "a" + suffix, "x.a" + suffix, "x" + bare]
+        for name in names:
+            got = identify_cdn(obs(chain=[name]), tdb)
+            got_tuple = (got.provider, got.matched_suffix, got.matched_cname) if got else None
+            assert got_tuple == by_suffix_scan([name], tdb), name
+        rng = random.Random(5)
+        for _ in range(300):
+            chain = rng.sample(names, rng.randint(1, 3))
+            got = identify_cdn(obs(chain=chain), tdb)
+            got_tuple = (got.provider, got.matched_suffix, got.matched_cname) if got else None
+            assert got_tuple == by_suffix_scan(chain, tdb), chain
+        found = identify_cdn(obs(chain=["a.fastly.net"]), tdb)
+        assert (found.provider, found.matched_suffix) == ("Fastly", ".fastly.net")
+        assert identify_cdn(obs(chain=["fastly.net"]), db) is None
 
     def test_result_consistency_property(self, db):
         # matched cname ends with the suffix and no earlier element matches
@@ -206,6 +268,30 @@ class TestMatchFingerprint:
                               http=HttpResponseSummary.from_body(200, b""))
         with pytest.raises(MissingEvidenceError):
             match_fingerprint(fp)
+
+    def test_evidence_flags_fixed_at_construction(self):
+        http = Fingerprint(id="h", status=500)
+        dns = Fingerprint(id="d", dns_signal=DnsSignal(DnsSignalKind.NXDOMAIN))
+        both = Fingerprint(id="b", header=("Server", "x"), dns_signal=DnsSignal(DnsSignalKind.SERVFAIL))
+        silent = Fingerprint(id="s", no_response=True)
+        assert [(f.needs_http, f.needs_dns) for f in (http, dns, both, silent)] == [
+            (True, False), (False, True), (True, True), (True, False),
+        ]
+        stripped = replace(both, header=None)
+        assert (stripped.needs_http, stripped.needs_dns) == (False, True)
+        with pytest.raises(FrozenInstanceError):
+            http.needs_http = False
+
+    def test_evidence_flags_stay_out_of_equality_and_hash(self):
+        # fingerprints are memo keys in the simulated edge
+        derived = {f.name for f in fields(Fingerprint) if not f.compare}
+        assert derived == {"needs_http", "needs_dns"}
+        a = Fingerprint(id="x", status=404, body_contains=b"gone")
+        b = Fingerprint(id="x", status=404, body_contains=b"gone")
+        assert a == b and hash(a) == hash(b)
+        assert hash(a) == hash((a.id, a.status, a.header, a.body_contains, a.dns_signal, a.no_response))
+        assert a != replace(a, status=403)
+        assert "needs_http" not in repr(a)
 
     def test_conjunction_monotone_under_field_addition(self):
         # adding fields can only flip matches to misses, never the reverse

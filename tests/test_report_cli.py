@@ -73,6 +73,37 @@ class TestReportStructure:
         assert any("legacy.fastly-retired.net" in line for line in csv_text.splitlines())
 
 
+def _finalized(**sections) -> ScanReport:
+    return ScanReport(**sections).finalize()
+
+
+class TestDump:
+    def test_bytes_equal_indented_dumps(self, tmp_path):
+        report = _finalized(
+            meta={"generated_at": "2024-01-01T00:00:00+00:00", "note": "größe ✓ 域名", "empty": [], "none": None},
+            providers={"Zeta": {"notes": []}, "Alpha": {"ingress": {}, "borrowing_hits": [{"tls": "http_only"}]}},
+            domains={"b.example": {"rcode": "noerror", "borrowed_at": []}, "a.example": {}},
+        )
+        out = tmp_path / "report.json"
+        report.dump(out)
+        expected = json.dumps(report.to_json(), indent=2, ensure_ascii=False) + "\n"
+        assert out.read_bytes() == expected.encode("utf-8")
+        assert "größe ✓ 域名" in out.read_text(encoding="utf-8")
+        assert [p.name for p in tmp_path.iterdir()] == ["report.json"]
+
+    def test_failed_dump_keeps_earlier_report(self, tmp_path):
+        out = tmp_path / "report.json"
+        _finalized(meta={"run": 1}).dump(out)
+        before = out.read_bytes()
+        # the unserialisable value sits in "domains", after "meta" and
+        # "counters": a dump that wrote to ``out`` directly would have cut it
+        broken = _finalized(meta={"run": 2}, domains={"x.example": {"when": object()}})
+        with pytest.raises(TypeError):
+            broken.dump(out)
+        assert out.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["report.json"]
+
+
 class TestDiff:
     def test_identical_reports_empty_change_set(self, small_paths):
         scenario, targets = small_paths
@@ -176,6 +207,49 @@ class TestCli:
         code = main(["scan", "--targets", str(tmp_path / "missing.txt")])
         assert code == 2
         assert "config error" in capsys.readouterr().err
+
+    def test_out_in_missing_directory_fails_before_any_query(self, small_paths, tmp_path, capsys, monkeypatch):
+        import dvahunter.scan as scan_mod
+
+        started = []
+        real_enumerate = scan_mod._phase_enumerate
+
+        def enumerate_spy(ctx):
+            started.append(ctx)
+            return real_enumerate(ctx)
+
+        monkeypatch.setattr(scan_mod, "_phase_enumerate", enumerate_spy)
+        scenario, targets = small_paths
+        out = tmp_path / "missing" / "report.json"
+        with pytest.raises(scan_mod.ConfigError):
+            scan_mod.run_scan(scan_config(targets, scenario, out=out))
+        code = main(["scan", "--targets", str(targets), "--scenario", str(scenario), "--out", str(out)])
+        assert code == 2
+        assert "config error" in capsys.readouterr().err
+        assert started == []
+
+    def test_out_that_is_a_directory_is_config_error(self, small_paths, tmp_path, capsys):
+        scenario, targets = small_paths
+        code = main(["scan", "--targets", str(targets), "--scenario", str(scenario), "--out", str(tmp_path)])
+        assert code == 2
+        assert "config error" in capsys.readouterr().err
+
+    def test_csv_in_missing_directory_fails_before_the_scan(self, small_paths, tmp_path, capsys, monkeypatch):
+        import dvahunter.cli as cli_mod
+
+        def no_scan(config):
+            raise AssertionError("the scan ran")
+
+        monkeypatch.setattr(cli_mod, "run_scan", no_scan)
+        scenario, targets = small_paths
+        out = tmp_path / "r.json"
+        code = main([
+            "scan", "--targets", str(targets), "--scenario", str(scenario),
+            "--out", str(out), "--csv", str(tmp_path / "missing" / "r.csv"),
+        ])
+        assert code == 2
+        assert "config error" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_scan_mock_without_scenario_is_config_error(self, small_paths, capsys):
         _, targets = small_paths
