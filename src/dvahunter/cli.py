@@ -21,7 +21,7 @@ from pathlib import Path
 
 from .providers import ProviderDbError, load_provider_db
 from .report import IncompatibleRuns, ScanReport, diff_reports
-from .scan import ConfigError, ScanConfig, check_output_path, run_scan
+from .scan import MODES, ConfigError, ScanConfig, check_output_path, run_scan
 from .simnet import ScenarioError, load_scenario, validate_scenario
 from .transport import Backend
 
@@ -42,7 +42,7 @@ def build_parser() -> argparse.ArgumentParser:
     scan.add_argument("--targets", required=True, type=Path, help="file with one SLD or FQDN per line")
     scan.add_argument("--providers", type=Path, default=default_data("providers.json"),
                       help="provider knowledge DB (default: bundled 45-provider file)")
-    scan.add_argument("--mode", choices=["all", "fronting", "borrowing", "takeover", "exposure"], default="all")
+    scan.add_argument("--mode", choices=MODES, default="all")
     scan.add_argument("--backend", choices=["live", "mock"], default="mock")
     scan.add_argument("--scenario", type=Path, help="simulated-internet scenario file (mock backend)")
     scan.add_argument("--resolver", help="recursive resolver IP (live backend)")

@@ -147,7 +147,8 @@ class DnsObservation:
 
 @dataclass(frozen=True)
 class HttpProbe:
-    """One HTTP(S) request with independently controlled SNI and Host."""
+    """One HTTP(S) request with independently controlled SNI and Host.
+    An https probe must carry an SNI and a plain-http one must not."""
 
     target_ip: str
     scheme: Scheme
@@ -158,6 +159,8 @@ class HttpProbe:
     def __post_init__(self) -> None:
         if self.scheme is Scheme.HTTP and self.sni is not None:
             raise ValueError("plain-http probe cannot carry an SNI")
+        if self.scheme is Scheme.HTTPS and self.sni is None:
+            raise ValueError("https probe requires an SNI")
         if not self.path.startswith("/"):
             raise ValueError(f"path must begin with '/': {self.path!r}")
 

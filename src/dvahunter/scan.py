@@ -13,6 +13,8 @@ from __future__ import annotations
 
 import hashlib
 import logging
+import math
+import time
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from pathlib import Path
@@ -35,7 +37,7 @@ from .providers import DnsSignalKind, ProviderDb, identify_cdn, load_provider_db
 from .psl import PublicSuffixList
 from .report import ScanReport
 from .simnet import SimulatedInternet, load_scenario, validate_scenario
-from .transport import Backend, RRType, TransportConfig, make_transport
+from .transport import Backend, LiveTransport, MockTransport, RRType, TransportConfig
 
 logger = logging.getLogger(__name__)
 
@@ -111,6 +113,8 @@ def check_output_path(label: str, path: Path) -> None:
 def prepare(config: ScanConfig) -> ScanContext:
     if config.mode not in MODES:
         raise ConfigError(f"unknown mode {config.mode!r}; expected one of {', '.join(MODES)}")
+    if not (math.isfinite(config.qps) and config.qps > 0):
+        raise ConfigError(f"qps must be a finite positive number, got {config.qps}")
     if config.out is not None:
         check_output_path("out", config.out)
     for label, path in (("targets", config.targets), ("providers", config.providers),
@@ -139,25 +143,23 @@ def prepare(config: ScanConfig) -> ScanContext:
             raise ConfigError("scenario failed validation: " + "; ".join(problems))
         simnet = SimulatedInternet(scenario, db)
         geo = simnet.city_of
+        transport = MockTransport(simnet, record=config.record_probes)
+        started = 0.0  # the mock world has no wall clock, so its reports are reproducible
     else:
         if config.resolver is None:
             raise ConfigError("live backend needs --resolver")
         geo = _load_geo(config.geoip)
-
-    transport_config = TransportConfig(
-        backend=config.backend,
-        qps_limit=config.qps,
-        resolver=config.resolver,
-        verify_tls=config.verify_tls,
-    )
-    try:
-        transport = make_transport(transport_config, simnet=simnet, record=config.record_probes)
-    except ValueError as err:
-        raise ConfigError(str(err))
+        try:
+            transport = LiveTransport(TransportConfig(
+                qps_limit=config.qps, resolver=config.resolver, verify_tls=config.verify_tls,
+            ))
+        except ValueError as err:
+            raise ConfigError(str(err))
+        started = time.time()
 
     report = ScanReport()
     report.meta = {
-        "generated_at": datetime.fromtimestamp(transport.now(), tz=timezone.utc).isoformat(),
+        "generated_at": datetime.fromtimestamp(started, tz=timezone.utc).isoformat(),
         "mode": config.mode,
         "backend": config.backend.value,
         "seed": config.seed,

@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import hashlib
 import json
-import threading
 from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
@@ -196,16 +195,13 @@ def verification_record_name(domain: str) -> str:
     return f"cdnverify.{domain}"
 
 
-def token_target(prov_name: str, label: str) -> str:
-    return f"token-{label}.dv.{_slug(prov_name)}.example"
-
-
 _GENERIC_404 = b"<html><body>no such site here</body></html>"
 
 
 class SimulatedInternet:
     """One session over a scenario: answers DNS and HTTP, accepts attacker
-    registrations, and keeps the per-fetch counters for dynamic origins."""
+    registrations, and keeps the per-fetch counters for dynamic origins.
+    A session holds no locks, so it must not be shared across threads."""
 
     def __init__(self, scenario: Scenario, db: ProviderDb):
         self.scenario = scenario
@@ -223,12 +219,10 @@ class SimulatedInternet:
             index = self._host_index[prov.name] = {}
             for entry in prov.host_table:
                 index.setdefault(entry.host, entry)
-        # a fingerprint answer depends only on these four inputs and is frozen;
-        # threads racing on one key store equal answers, so no lock is needed
+        # a fingerprint answer depends only on these four inputs and is frozen
         self._fp_responses: dict[tuple[Fingerprint, str, str, Optional[str]], HttpResponseSummary] = {}
         self._zone_overrides: dict[str, ZoneRecord] = {}
         self._fetch_counts: dict[tuple[str, str, str], int] = {}
-        self._write_lock = threading.Lock()
         self._dangling_targets = self._index_dangling_targets()
         # only the scenario's zones hold wildcards, and none are added later
         self._has_wildcards = any(name.startswith("*.") for name in scenario.zones)
@@ -384,10 +378,9 @@ class SimulatedInternet:
         else:
             body = origin.body
         if origin.dynamic:
-            with self._write_lock:
-                key = (ip, host, path)
-                count = self._fetch_counts.get(key, 0) + 1
-                self._fetch_counts[key] = count
+            key = (ip, host, path)
+            count = self._fetch_counts.get(key, 0) + 1
+            self._fetch_counts[key] = count
             body = body + f"<!-- fetch {count} -->".encode("ascii")
         return body
 
@@ -485,21 +478,20 @@ class SimulatedInternet:
         target_origin = origin_ip or self.scenario.attacker_origin_ip
         if target_origin is None:
             raise ScenarioError("scenario has no attacker origin")
-        with self._write_lock:
-            self._registrations[provider_name][custom_domain] = HostEntry(
-                host=custom_domain,
-                origin_ip=target_origin,
-                registered_by=RegisteredBy.ATTACKER,
-                dns_points_here=True,
-            )
-            # the assigned name now serves traffic again
-            self._zone_overrides[assigned] = ZoneRecord(a=prov.ips)
-            old = self.scenario.zones.get(custom_domain)
-            if custom_domain in self.scenario.discontinued and old is not None and old.cname:
-                # W1 misconnection: the victim's old assigned name routes to
-                # the edge via the fixed subdomain even though the attacker
-                # was handed a different name
-                self._zone_overrides[old.cname] = ZoneRecord(a=prov.ips)
+        self._registrations[provider_name][custom_domain] = HostEntry(
+            host=custom_domain,
+            origin_ip=target_origin,
+            registered_by=RegisteredBy.ATTACKER,
+            dns_points_here=True,
+        )
+        # the assigned name now serves traffic again
+        self._zone_overrides[assigned] = ZoneRecord(a=prov.ips)
+        old = self.scenario.zones.get(custom_domain)
+        if custom_domain in self.scenario.discontinued and old is not None and old.cname:
+            # W1 misconnection: the victim's old assigned name routes to
+            # the edge via the fixed subdomain even though the attacker
+            # was handed a different name
+            self._zone_overrides[old.cname] = ZoneRecord(a=prov.ips)
         return assigned
 
 

@@ -83,7 +83,6 @@ class DanglingFinding:
     stage: DanglingStage
     matched_cname: str
     evidence: tuple[Evidence, ...] = ()
-    takeover_paths: tuple[TakeoverPath, ...] = ()
 
 
 def _terminal_observation(record: HostedDomainRecord, transport) -> DnsObservation:

@@ -2,16 +2,21 @@
 The single gateway for all network effects: DNS resolution and HTTP(S)
 probes with independently controllable SNI and Host header.
 
-Two interchangeable backends exist. MockTransport answers from an
-in-process simulated internet and is fully deterministic: identical
-scenario plus identical probe sequence yields bit-identical responses.
-LiveTransport speaks real DNS (UDP/53 with TCP fallback, stdlib sockets)
-and HTTP/1.1 over TCP/TLS; certificate validation is off by default
-because borrowing detection must accept shared and default certificates.
+Two interchangeable backends exist. Each offers ``resolve``, ``probe``
+and ``stats`` (the counts of queries and probes sent). MockTransport
+answers from an in-process simulated internet and is fully deterministic:
+identical scenario plus identical probe sequence yields bit-identical
+responses. LiveTransport speaks real DNS (UDP/53 with TCP fallback,
+stdlib sockets) and HTTP/1.1 over TCP/TLS; certificate validation is off
+by default because borrowing detection must accept shared and default
+certificates.
 
 The live backend paces every send through a sliding-window rate
 limiter. The mock backend has no limiter: it never sleeps (determinism),
 and its stats count every query and probe.
+
+A scan runs on one thread, and the transports hold no locks: a transport
+must not be shared across threads.
 """
 
 from __future__ import annotations
@@ -21,10 +26,9 @@ import re
 import socket
 import ssl
 import struct
-import threading
 import time
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from typing import Callable, Optional
 
@@ -52,14 +56,11 @@ class Backend(Enum):
 
 class RRType(Enum):
     A = "a"
-    CNAME = "cname"
-    NS = "ns"
     ALL = "all"
 
 
 @dataclass
 class TransportConfig:
-    backend: Backend = Backend.MOCK
     timeout: float = 5.0
     qps_limit: float = 20.0
     retries: int = 2
@@ -67,23 +68,10 @@ class TransportConfig:
     resolver: Optional[str] = None
 
     def __post_init__(self) -> None:
-        if self.qps_limit <= 0:
+        if not self.qps_limit > 0:
             raise ValueError("qps_limit must be positive")
         if self.timeout <= 0:
             raise ValueError("timeout must be positive")
-
-
-class VirtualClock:
-    """Deterministic clock for the mock backend and rate-limiter tests."""
-
-    def __init__(self, start: float = 0.0):
-        self._now = start
-
-    def now(self) -> float:
-        return self._now
-
-    def sleep(self, seconds: float) -> None:
-        self._now += max(0.0, seconds)
 
 
 class RateLimiter:
@@ -99,19 +87,17 @@ class RateLimiter:
         self._now = now
         self._sleep = sleep
         self._window: deque[float] = deque()
-        self._lock = threading.Lock()
 
     def acquire(self) -> None:
-        with self._lock:
-            while True:
-                now = self._now()
-                while self._window and now - self._window[0] >= 1.0:
-                    self._window.popleft()
-                if len(self._window) < self.qps_limit:
-                    self._window.append(now)
-                    return
-                wait = 1.0 - (now - self._window[0])
-                self._sleep(max(wait, 0.0))
+        while True:
+            now = self._now()
+            while self._window and now - self._window[0] >= 1.0:
+                self._window.popleft()
+            if len(self._window) < self.qps_limit:
+                self._window.append(now)
+                return
+            wait = 1.0 - (now - self._window[0])
+            self._sleep(max(wait, 0.0))
 
 
 @dataclass
@@ -129,39 +115,23 @@ class TransportStats:
 class MockTransport:
     """Transport over a SimulatedInternet session.
 
-    ``record=True`` keeps a full probe log for call audits (budget and
-    mode-isolation tests read it).
+    ``record=True`` also keeps every probe in ``probe_log`` and every
+    query in ``query_log`` as ``(name, rrtype)`` pairs, for call audits
+    (budget and mode-isolation tests read them).
     """
 
-    def __init__(
-        self,
-        simnet,
-        config: Optional[TransportConfig] = None,
-        clock: Optional[VirtualClock] = None,
-        record: bool = False,
-    ):
+    def __init__(self, simnet, record: bool = False):
         self.simnet = simnet
-        self.config = config or TransportConfig(backend=Backend.MOCK)
-        self.clock = clock or VirtualClock()
         self.stats = TransportStats()
         self.record = record
         self.probe_log: list[ProbeLogEntry] = []
         self.query_log: list[tuple[str, str]] = []
-        self._lock = threading.Lock()
-
-    def now(self) -> float:
-        return self.clock.now()
 
     def resolve(self, name: Fqdn, rrtype: RRType = RRType.ALL) -> DnsObservation:
-        with self._lock:
-            self.stats.dns_queries += 1
-            if self.record:
-                self.query_log.append((str(name), rrtype.value))
+        self.stats.dns_queries += 1
+        if self.record:
+            self.query_log.append((str(name), rrtype.value))
         obs = self.simnet.serve_dns(name)
-        if rrtype is RRType.CNAME:
-            return DnsObservation(fqdn=obs.fqdn, cname_chain=obs.cname_chain, rcode=obs.rcode, cname_loop=obs.cname_loop)
-        if rrtype is RRType.NS:
-            return DnsObservation(fqdn=obs.fqdn, ns=obs.ns, rcode=obs.rcode)
         if rrtype is RRType.A:
             return DnsObservation(
                 fqdn=obs.fqdn,
@@ -173,14 +143,10 @@ class MockTransport:
         return obs
 
     def probe(self, probe: HttpProbe) -> HttpResponseSummary:
-        if probe.scheme is Scheme.HTTPS and probe.sni is None:
-            raise ValueError("https probe requires an SNI")
-        with self._lock:
-            self.stats.http_probes += 1
+        self.stats.http_probes += 1
         response = self.simnet.serve_http(probe)
         if self.record:
-            with self._lock:
-                self.probe_log.append(ProbeLogEntry(probe, response))
+            self.probe_log.append(ProbeLogEntry(probe, response))
         return response
 
 
@@ -281,10 +247,6 @@ class LiveTransport:
         self.limiter = RateLimiter(config.qps_limit)
         self.stats = TransportStats()
         self._qid = 0
-        self._lock = threading.Lock()
-
-    def now(self) -> float:
-        return time.time()
 
     # -- DNS ---------------------------------------------------------------
 
@@ -336,11 +298,9 @@ class LiveTransport:
         return buf
 
     def _query(self, name: str, rrtype: str) -> Optional[tuple[int, list[tuple[str, int, str]]]]:
-        with self._lock:
-            self._qid = (self._qid + 1) & 0xFFFF
-            qid = self._qid
-            self.stats.dns_queries += 1
-        data = self._exchange(build_dns_query(name, _DNS_TYPE[rrtype], qid))
+        self._qid = (self._qid + 1) & 0xFFFF
+        self.stats.dns_queries += 1
+        data = self._exchange(build_dns_query(name, _DNS_TYPE[rrtype], self._qid))
         if data is None:
             return None
         try:
@@ -349,7 +309,7 @@ class LiveTransport:
             return None
 
     def resolve(self, name: Fqdn, rrtype: RRType = RRType.ALL) -> DnsObservation:
-        wanted = ["a"] if rrtype is RRType.A else [rrtype.value] if rrtype is not RRType.ALL else ["a", "cname", "ns"]
+        wanted = ["a"] if rrtype is RRType.A else ["a", "cname", "ns"]
         chain: list[str] = []
         a_records: list[str] = []
         ns: list[str] = []
@@ -399,11 +359,8 @@ class LiveTransport:
     # -- HTTP --------------------------------------------------------------
 
     def probe(self, probe: HttpProbe) -> HttpResponseSummary:
-        if probe.scheme is Scheme.HTTPS and probe.sni is None:
-            raise ValueError("https probe requires an SNI")
         self.limiter.acquire()
-        with self._lock:
-            self.stats.http_probes += 1
+        self.stats.http_probes += 1
         port = 443 if probe.scheme is Scheme.HTTPS else 80
         cert_name: Optional[str] = None
         try:
@@ -555,11 +512,3 @@ def _dechunk(body: bytes) -> bytes:
         out += body[line_end + 2: line_end + 2 + size]
         pos = line_end + 2 + size + 2
     return bytes(out)
-
-
-def make_transport(config: TransportConfig, simnet=None, record: bool = False):
-    if config.backend is Backend.MOCK:
-        if simnet is None:
-            raise ValueError("mock backend needs a scenario")
-        return MockTransport(simnet, config, record=record)
-    return LiveTransport(config)

@@ -1,13 +1,20 @@
+import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import dvahunter
 from dvahunter.cli import main
 from dvahunter.report import CounterMismatch, IncompatibleRuns, ScanReport, diff_reports
 from dvahunter.scan import run_scan
 from dvahunter.simnet import scenario_to_json
 from dvahunter.worlds import build_reference_world
 from tests.conftest import DATA, scan_config, write_world
+from tests.test_golden_report import REFERENCE_REPORT_SHA1
 
 
 @pytest.fixture(scope="module")
@@ -251,6 +258,21 @@ class TestCli:
         assert "config error" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("backend", ["mock", "live"])
+    @pytest.mark.parametrize("qps", ["0", "-1", "nan", "inf"])
+    def test_qps_not_finite_and_positive_is_config_error(self, small_paths, capsys, monkeypatch, qps, backend):
+        import dvahunter.scan as scan_mod
+
+        def no_scan(ctx):
+            raise AssertionError("the scan started")
+
+        monkeypatch.setattr(scan_mod, "_phase_enumerate", no_scan)
+        scenario, targets = small_paths
+        where = ["--scenario", str(scenario)] if backend == "mock" else ["--resolver", "192.0.2.53"]
+        code = main(["scan", "--targets", str(targets), "--backend", backend, f"--qps={qps}", *where])
+        assert code == 2
+        assert "qps must be a finite positive number" in capsys.readouterr().err
+
     def test_scan_mock_without_scenario_is_config_error(self, small_paths, capsys):
         _, targets = small_paths
         assert main(["scan", "--targets", str(targets), "--backend", "mock"]) == 2
@@ -295,3 +317,21 @@ class TestPresetDrift:
             if line and not line.startswith("#")
         ]
         assert committed_targets == world.targets
+
+
+class TestHashSeed:
+    @pytest.mark.parametrize("hash_seed", ["1", "2"])
+    def test_reference_report_does_not_depend_on_hash_seed(self, tmp_path, hash_seed):
+        # str hashes are seeded once per interpreter, so each hash seed needs its own process
+        out = tmp_path / "report.json"
+        src = str(Path(dvahunter.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONHASHSEED": hash_seed, "PYTHONPATH": src}
+        proc = subprocess.run(
+            [sys.executable, "-m", "dvahunter.cli", "scan",
+             "--targets", str(DATA["reference_world_targets.txt"]),
+             "--scenario", str(DATA["reference_world.json"]),
+             "--backend", "mock", "--mode", "all", "--seed", "7", "--out", str(out)],
+            env=env, capture_output=True, text=True, timeout=300,
+        )
+        assert proc.returncode in (0, 1), proc.stderr
+        assert hashlib.sha1(out.read_bytes()).hexdigest() == REFERENCE_REPORT_SHA1

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import pytest
@@ -274,15 +275,24 @@ class TestAttackerRegister:
         with pytest.raises(VerificationFailed):
             net.attacker_register("Baidu", "victim.domain.com", "acct-1")
 
+    @staticmethod
+    def net_with_token(db, world, token_cname):
+        # a copy of the zones: the world fixture is shared by the module
+        zones = {**world.scenario.zones,
+                 "cdnverify.tokened.example.com": ZoneRecord(cname=token_cname, external=True)}
+        return SimulatedInternet(dataclasses.replace(world.scenario, zones=zones), db)
+
     def test_dns_token_checked_accepts_with_token(self, db, world):
-        scenario = world.scenario
-        scenario.zones["cdnverify.tokened.example.com"] = ZoneRecord(
-            cname="token-abc.dv.baidu.example", external=True
-        )
-        net = SimulatedInternet(scenario, db)
+        net = self.net_with_token(db, world, "token-abc.dv.baidu.example")
         assigned = net.attacker_register("Baidu", "tokened.example.com", "acct-1")
         assert assigned.endswith(".bdydns.com")
-        del scenario.zones["cdnverify.tokened.example.com"]
+        served = net.serve_http(probe(ingress_of(world, "Baidu"), "tokened.example.com", scheme=Scheme.HTTP))
+        assert served.status == 200
+
+    def test_dns_token_checked_rejects_another_providers_token(self, db, world):
+        net = self.net_with_token(db, world, "token-abc.dv.fastly.example")
+        with pytest.raises(VerificationFailed):
+            net.attacker_register("Baidu", "tokened.example.com", "acct-1")
 
     def test_multicdn_template_collides_with_namespace(self, net):
         assigned = net.attacker_register("KuaikuaiCloud", "custom.com", "attacker")
