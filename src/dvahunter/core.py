@@ -134,6 +134,11 @@ class DnsObservation:
     def has_records(self) -> bool:
         return bool(self.cname_chain or self.ns or self.a_records)
 
+    @property
+    def exists_with_records(self) -> bool:
+        """The test for a name that exists: NOERROR with some record."""
+        return self.rcode is Rcode.NOERROR and self.has_records
+
     def to_json(self) -> dict[str, Any]:
         return {
             "fqdn": str(self.fqdn),

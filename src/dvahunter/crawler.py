@@ -5,8 +5,11 @@ answer against the wildcard signature instead of mere existence, so
 explicitly defined hosts under a wildcard survive.
 
 Dictionary labels are syntax-checked once, when the dictionary is loaded;
-each candidate is then built from those labels and the already parsed SLD,
-so only the total name length is left to check per candidate.
+each candidate is then the text ``prefix + "." + sld``, so only the total
+name length is left to check per candidate. The candidates of one SLD go
+to the transport in one ``resolve_existing`` call, which answers only the
+names that exist: nearly every candidate is NXDOMAIN, and such a name
+stays a string, with no Fqdn or DnsObservation built for it.
 
 The observation that confirmed a name is handed on with the result, so
 the record crawl does not resolve the name a second time.
@@ -20,7 +23,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Optional
 
-from .core import MAX_NAME_LENGTH, DnsObservation, Fqdn, Rcode, derive_rng, parse_fqdn
+from .core import MAX_NAME_LENGTH, DnsObservation, Fqdn, derive_rng, parse_fqdn
 from .transport import RRType
 
 logger = logging.getLogger(__name__)
@@ -36,17 +39,13 @@ class WildcardInconclusive(Exception):
 @dataclass(frozen=True)
 class PrefixDictionary:
     """Ordered, deduplicated, lowercase label prefixes. A prefix may span
-    several labels (e.g. "dev.api"). ``labels`` holds each prefix split
-    into its labels, in the same order."""
+    several labels (e.g. "dev.api")."""
 
     prefixes: tuple[str, ...]
-    labels: tuple[tuple[str, ...], ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        labels = tuple(tuple(prefix.split(".")) for prefix in self.prefixes)
-        for label in dict.fromkeys(label for split in labels for label in split):
+        for label in dict.fromkeys(label for prefix in self.prefixes for label in prefix.split(".")):
             parse_fqdn(f"{label}.example.com")  # syntax check, raises DomainSyntaxError
-        object.__setattr__(self, "labels", labels)
 
     @classmethod
     def from_lines(cls, lines: list[str]) -> "PrefixDictionary":
@@ -115,7 +114,7 @@ def detect_wildcard(sld: Fqdn, transport, seed: int = 0) -> Optional[WildcardSig
     for _ in range(WILDCARD_PROBES):
         name = parse_fqdn(f"{_random_label(rng)}.{sld}")
         obs = transport.resolve(name, RRType.ALL)
-        if obs.rcode is Rcode.NOERROR and obs.has_records:
+        if obs.exists_with_records:
             signatures.append(WildcardSignature.of(obs))
         else:
             signatures.append(None)
@@ -132,8 +131,8 @@ def enumerate_subdomains(
     transport,
     seed: int = 0,
 ) -> EnumerationResult:
-    """Join every prefix with the SLD, resolve each candidate once, in
-    dictionary order, keep the ones whose DNS answer carries records, and
+    """Join every prefix with the SLD, resolve the candidates in one batch,
+    in dictionary order, keep the ones whose DNS answer carries records, and
     drop the ones indistinguishable from the wildcard signature. Output is
     sorted and deduplicated, and carries the observation of every
     confirmed name; per-candidate timeouts land in ``unconfirmed``."""
@@ -144,25 +143,20 @@ def enumerate_subdomains(
         result.wildcard_inconclusive = True
         logger.warning("wildcard check inconclusive for %s; enumeration proceeds without exclusion", sld)
 
+    suffix = "." + sld.name
+    candidates = [prefix + suffix for prefix in dictionary.prefixes]
     # dictionary labels and the SLD are both validated already: only the
     # total length can still make a candidate illegal
-    room = MAX_NAME_LENGTH - len(sld.name) - 1
-    confirmed: dict[str, tuple[Fqdn, DnsObservation]] = {}
-    for prefix, labels in zip(dictionary.prefixes, dictionary.labels):
-        if len(prefix) > room:
-            result.unconfirmed.append(f"{prefix}.{sld}")
-            continue
-        name = Fqdn(labels + sld.labels)
-        obs = transport.resolve(name, RRType.ALL)
-        if obs.rcode is not Rcode.NOERROR or not obs.has_records:
-            result.unconfirmed.append(str(name))
-            continue
+    found = transport.resolve_existing([text for text in candidates if len(text) <= MAX_NAME_LENGTH])
+    result.unconfirmed = [text for text in candidates if text not in found]
+    confirmed: dict[str, DnsObservation] = {}
+    for text, obs in found.items():
         if result.wildcard is not None and WildcardSignature.of(obs) == result.wildcard:
-            result.excluded_by_wildcard.append(str(name))
-            continue
-        confirmed[name.name] = (name, obs)
+            result.excluded_by_wildcard.append(text)
+        else:
+            confirmed[text] = obs
     for text in sorted(confirmed):
-        name, obs = confirmed[text]
-        result.confirmed.append(name)
+        obs = confirmed[text]
+        result.confirmed.append(obs.fqdn)
         result.observations[text] = obs
     return result

@@ -237,7 +237,7 @@ def _phase_crawl(ctx: ScanContext, targets: list[Fqdn]) -> None:
     for obs in observations:
         if str(obs.fqdn) in hosted_names:
             continue
-        if obs.rcode is Rcode.NOERROR and obs.has_records and identify_cdn(obs, ctx.db) is None:
+        if obs.exists_with_records and identify_cdn(obs, ctx.db) is None:
             ctx.nonhosted.append(obs.fqdn)
     ctx.nonhosted.sort(key=str)
 

@@ -24,7 +24,7 @@ import json
 from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
-from typing import Any, Optional, Union
+from typing import Any, Optional, Sequence, Union
 
 from .core import (
     DnsObservation,
@@ -314,6 +314,22 @@ class SimulatedInternet:
             rcode=Rcode.NOERROR,
             cname_loop=loop,
         )
+
+    def serve_dns_existing(self, names: Sequence[str]) -> dict[str, DnsObservation]:
+        """The answers of the names that exist with records, keyed by the
+        given text, in the given order; every other name is left out.
+        A name the zone lookup finds nothing for is NXDOMAIN, so it is
+        skipped without building its answer; the rest go through
+        serve_dns, as a single ``serve_dns`` call would."""
+        lookup = self._lookup
+        found: dict[str, DnsObservation] = {}
+        for name in names:
+            if lookup(name) is None:
+                continue
+            obs = self.serve_dns(name)
+            if obs.exists_with_records:
+                found[name] = obs
+        return found
 
     def city_of(self, ip: str) -> Optional[str]:
         prov = self._ip_owner.get(ip)

@@ -2,8 +2,13 @@
 The single gateway for all network effects: DNS resolution and HTTP(S)
 probes with independently controllable SNI and Host header.
 
-Two interchangeable backends exist. Each offers ``resolve``, ``probe``
-and ``stats`` (the counts of queries and probes sent). MockTransport
+Two interchangeable backends exist. Each offers ``resolve``,
+``resolve_existing``, ``probe`` and ``stats`` (the counts of queries and
+probes sent). ``resolve_existing`` takes a batch of name texts, each
+already normalized and valid (the text of a ``parse_fqdn`` result), and
+returns only the ones that exist with records; it counts one query per
+name, as ``resolve`` would, but the mock builds no answer for a name
+that does not exist, which is most of what enumeration asks. MockTransport
 answers from an in-process simulated internet and is fully deterministic:
 identical scenario plus identical probe sequence yields bit-identical
 responses. LiveTransport speaks real DNS (UDP/53 with TCP fallback,
@@ -23,6 +28,7 @@ from __future__ import annotations
 
 import logging
 import re
+import secrets
 import socket
 import ssl
 import struct
@@ -30,7 +36,7 @@ import time
 from collections import deque
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable, Optional
+from typing import Callable, Optional, Sequence
 
 from .core import (
     DnsObservation,
@@ -142,6 +148,14 @@ class MockTransport:
             )
         return obs
 
+    def resolve_existing(self, names: Sequence[str]) -> dict[str, DnsObservation]:
+        """``resolve`` of each name (normalized text), kept only where the
+        answer is NOERROR with records, keyed by the text."""
+        self.stats.dns_queries += len(names)
+        if self.record:
+            self.query_log.extend((name, RRType.ALL.value) for name in names)
+        return self.simnet.serve_dns_existing(names)
+
     def probe(self, probe: HttpProbe) -> HttpResponseSummary:
         self.stats.http_probes += 1
         response = self.simnet.serve_http(probe)
@@ -246,7 +260,6 @@ class LiveTransport:
         self.config = config
         self.limiter = RateLimiter(config.qps_limit)
         self.stats = TransportStats()
-        self._qid = 0
 
     # -- DNS ---------------------------------------------------------------
 
@@ -298,9 +311,9 @@ class LiveTransport:
         return buf
 
     def _query(self, name: str, rrtype: str) -> Optional[tuple[int, list[tuple[str, int, str]]]]:
-        self._qid = (self._qid + 1) & 0xFFFF
+        # an unpredictable id (RFC 5452), kept across the retries
         self.stats.dns_queries += 1
-        data = self._exchange(build_dns_query(name, _DNS_TYPE[rrtype], self._qid))
+        data = self._exchange(build_dns_query(name, _DNS_TYPE[rrtype], secrets.randbits(16)))
         if data is None:
             return None
         try:
@@ -355,6 +368,17 @@ class LiveTransport:
             a_records=tuple(a_records),
             rcode=Rcode.NOERROR,
         )
+
+    def resolve_existing(self, names: Sequence[str]) -> dict[str, DnsObservation]:
+        """``resolve`` of each name in turn, kept only where the answer is
+        NOERROR with records: the same queries as one ``resolve`` call per
+        name."""
+        found: dict[str, DnsObservation] = {}
+        for name in names:
+            obs = self.resolve(parse_fqdn(name))
+            if obs.exists_with_records:
+                found[name] = obs
+        return found
 
     # -- HTTP --------------------------------------------------------------
 

@@ -94,6 +94,9 @@ class TestEnumerate:
         class AllTimeout:
             def resolve(self, name, rrtype=RRType.ALL):
                 return DnsObservation(fqdn=name, rcode=Rcode.TIMEOUT)
+
+            def resolve_existing(self, names):
+                return {}  # a timed-out name is not confirmed
         d = PrefixDictionary.from_lines(["www", "mail"])
         result = enumerate_subdomains(parse_fqdn("example.com"), d, AllTimeout())
         assert result.confirmed == []
@@ -107,6 +110,14 @@ class TestEnumerate:
         assert "mail.wild.com" not in names       # equals the wildcard answer
         assert "random-name.wild.com" not in names
         assert "mail.wild.com" in result.excluded_by_wildcard
+
+    def test_unconfirmed_and_excluded_keep_dictionary_order(self, plain_zone, wildcard_zone):
+        d = PrefixDictionary.from_lines(["zzz", "www", "mail", "aaa"])
+        plain = enumerate_subdomains(parse_fqdn("example.com"), d, plain_zone)
+        assert plain.unconfirmed == ["zzz.example.com", "aaa.example.com"]
+        wild = enumerate_subdomains(parse_fqdn("wild.com"), d, wildcard_zone)
+        assert wild.excluded_by_wildcard == ["zzz.wild.com", "mail.wild.com", "aaa.wild.com"]
+        assert [str(f) for f in wild.confirmed] == ["www.wild.com"]
 
     def test_brute_force_oracle_on_handbuilt_zone(self, db):
         # every confirmed name must resolve with records; every defined name
@@ -134,19 +145,24 @@ class TestEnumerate:
 
 
 class RecordingTransport:
-    """Answers NXDOMAIN for everything and keeps the names it was asked."""
+    """Answers NXDOMAIN for everything and keeps the names it was asked,
+    as their text."""
 
     def __init__(self):
         self.asked = []
 
     def resolve(self, name, rrtype=RRType.ALL):
-        self.asked.append(name)
+        self.asked.append(str(name))
         return DnsObservation(fqdn=name, rcode=Rcode.NXDOMAIN)
+
+    def resolve_existing(self, names):
+        self.asked.extend(names)
+        return {}
 
 
 class TestCandidateFastPath:
-    """Candidates are built from validated labels, not re-parsed; they must
-    still be the names parse_fqdn would have produced."""
+    """Candidates are joined from validated labels, not parsed; their text
+    must still be the text parse_fqdn would have produced."""
 
     @pytest.fixture(scope="class")
     def bundled(self):
@@ -161,10 +177,9 @@ class TestCandidateFastPath:
         assert len(candidates) == len(bundled)
         for prefix, candidate in zip(bundled.prefixes, candidates):
             parsed = parse_fqdn(f"{prefix}.{sld}")
-            assert candidate.labels == parsed.labels
-            assert str(candidate) == str(parsed)
-            assert candidate == parsed and hash(candidate) == hash(parsed)
-        assert result.unconfirmed == [str(c) for c in candidates]
+            assert candidate == str(parsed)
+            assert parse_fqdn(candidate) == parsed
+        assert result.unconfirmed == candidates
 
     def test_overlong_candidates_go_to_unconfirmed(self):
         labels = ["a" * 63, "b" * 63, "c" * 63]
@@ -174,14 +189,14 @@ class TestCandidateFastPath:
         transport = RecordingTransport()
         result = enumerate_subdomains(sld, d, transport)
         overlong = [f"{'y' * (room + 1)}.{sld}", f"dev.api{'z' * (room - 6)}.{sld}"]
-        asked = [str(name) for name in transport.asked[WILDCARD_PROBES:]]
+        asked = transport.asked[WILDCARD_PROBES:]
         assert asked == [f"www.{sld}", f"{'x' * room}.{sld}"]
         assert all(len(name) <= 253 for name in asked)
         for name in overlong:
             assert name in result.unconfirmed
             with pytest.raises(DomainSyntaxError):
                 parse_fqdn(name)
-        assert sorted(result.unconfirmed) == sorted(overlong + asked)
+        assert result.unconfirmed == asked + overlong  # dictionary order
 
 
 class TestFqdnCachedText:

@@ -205,6 +205,34 @@ class TestLiveQueries:
         assert [str(c) for c in obs.cname_chain] == ["gone.cdn.example.net"]
         assert sent == ["a", "cname", "ns"]
 
+    def test_resolve_existing_sends_what_resolve_sends(self, monkeypatch):
+        sent: list[tuple[str, str]] = []
+
+        def fake_query(self, name, rrtype):
+            sent.append((name, rrtype))
+            label = name.split(".")[0]
+            if label == "missing":
+                return 3, []
+            if label == "broken":
+                return 2, []
+            if label == "slow":
+                return None  # every try timed out
+            if rrtype == "ns":
+                return 0, []
+            return 0, [(name, 1, "192.0.2.10")]
+
+        monkeypatch.setattr(LiveTransport, "_query", fake_query)
+        names = [f"{label}.example.com" for label in ("www", "missing", "broken", "slow", "api")]
+        batch = live_transport()
+        found = batch.resolve_existing(names)
+        batch_sent = list(sent)
+        sent.clear()
+        single = live_transport()
+        answers = {name: single.resolve(parse_fqdn(name), RRType.ALL) for name in names}
+        assert batch_sent == sent
+        assert [answers[name].rcode for name in names[1:4]] == [Rcode.NXDOMAIN, Rcode.SERVFAIL, Rcode.TIMEOUT]
+        assert found == {name: answers[name] for name in ("www.example.com", "api.example.com")}
+
 
 class TestLiveProbe:
     def test_out_of_range_status_is_connect_refused(self, monkeypatch):
@@ -231,9 +259,16 @@ def a_reply(qid: int, ip: str, flags: bytes = b"\x81\x80") -> bytes:
     return header + question + answer
 
 
+def echo(ip: str, flags: bytes = b"\x81\x80", qid_offset: int = 0):
+    """A reply built from the query it answers: ``a_reply`` with the
+    query's id plus ``qid_offset`` (a non-zero offset makes a mismatch)."""
+    return lambda query: a_reply((int.from_bytes(query[:2], "big") + qid_offset) & 0xFFFF, ip, flags)
+
+
 class FakeUdpSocket:
     """Stands in for socket.socket: hands out queued (data, source)
-    datagrams, then times out."""
+    datagrams, then times out. ``data`` may be a function of the query
+    last sent, such as ``echo(...)``."""
 
     def __init__(self, datagrams):
         self.datagrams = list(datagrams)
@@ -254,14 +289,19 @@ class FakeUdpSocket:
     def recvfrom(self, size):
         if not self.datagrams:
             raise socket.timeout("timed out")
-        return self.datagrams.pop(0)
+        data, source = self.datagrams.pop(0)
+        if callable(data):
+            data = data(self.sent[-1][0])
+        return data, source
 
 
 class FakeTcpSocket:
-    """Stands in for socket.create_connection: serves one byte string."""
+    """Stands in for socket.create_connection: answers the query sent over
+    it with ``reply(query)``, length-prefixed."""
 
-    def __init__(self, data: bytes):
-        self.data = data
+    def __init__(self, reply):
+        self.reply = reply
+        self.data = b""
 
     def __enter__(self):
         return self
@@ -270,7 +310,8 @@ class FakeTcpSocket:
         return False
 
     def sendall(self, data):
-        pass
+        body = self.reply(data[2:])
+        self.data = len(body).to_bytes(2, "big") + body
 
     def recv(self, size):
         chunk, self.data = self.data[:size], self.data[size:]
@@ -283,11 +324,10 @@ class TestLiveExchange:
     RESOLVER = ("192.0.2.53", 53)
 
     def test_udp_reply_must_match_qid_and_source(self, monkeypatch):
-        # the first query of a transport carries qid 1
         fake = FakeUdpSocket([
-            (a_reply(0x0BAD, "203.0.113.1"), self.RESOLVER),  # wrong qid
-            (a_reply(1, "203.0.113.2"), ("198.51.100.7", 53)),  # wrong source
-            (a_reply(1, "192.0.2.10"), self.RESOLVER),
+            (echo("203.0.113.1", qid_offset=1), self.RESOLVER),  # wrong qid
+            (echo("203.0.113.2"), ("198.51.100.7", 53)),  # wrong source
+            (echo("192.0.2.10"), self.RESOLVER),
         ])
         monkeypatch.setattr(socket, "socket", lambda *a, **kw: fake)
         transport = live_transport()
@@ -299,7 +339,7 @@ class TestLiveExchange:
         fakes = []
 
         def make(*a, **kw):
-            fakes.append(FakeUdpSocket([(a_reply(0x0BAD, "203.0.113.1"), self.RESOLVER)]))
+            fakes.append(FakeUdpSocket([(echo("203.0.113.1", qid_offset=1), self.RESOLVER)]))
             return fakes[-1]
 
         monkeypatch.setattr(socket, "socket", make)
@@ -308,19 +348,45 @@ class TestLiveExchange:
         assert len(fakes) == 2  # the query was retried, and each try ran out
 
     def test_tcp_fallback_reply_must_match_qid(self, monkeypatch):
-        truncated = a_reply(1, "192.0.2.10", flags=b"\x83\x80")  # TC bit set
+        truncated = echo("192.0.2.10", flags=b"\x83\x80")  # TC bit set
         monkeypatch.setattr(socket, "socket", lambda *a, **kw: FakeUdpSocket([(truncated, self.RESOLVER)]))
-        wrong = a_reply(0x0BAD, "203.0.113.1")
-        monkeypatch.setattr(
-            socket, "create_connection", lambda *a, **kw: FakeTcpSocket(len(wrong).to_bytes(2, "big") + wrong)
-        )
+        wrong = echo("203.0.113.1", qid_offset=1)
+        monkeypatch.setattr(socket, "create_connection", lambda *a, **kw: FakeTcpSocket(wrong))
         transport = LiveTransport(TransportConfig(resolver="192.0.2.53", qps_limit=1e9, retries=0))
         assert transport._query("www.example.com", "a") is None
+
+    def test_tcp_fallback_reply_with_matching_qid_accepted(self, monkeypatch):
+        truncated = echo("192.0.2.10", flags=b"\x83\x80")  # TC bit set
+        monkeypatch.setattr(socket, "socket", lambda *a, **kw: FakeUdpSocket([(truncated, self.RESOLVER)]))
+        monkeypatch.setattr(socket, "create_connection", lambda *a, **kw: FakeTcpSocket(echo("192.0.2.11")))
+        transport = LiveTransport(TransportConfig(resolver="192.0.2.53", qps_limit=1e9, retries=0))
+        assert transport._query("www.example.com", "a") == (0, [("www.example.com", 1, "192.0.2.11")])
+
+    def test_query_id_is_drawn_at_random_and_kept_across_retries(self, monkeypatch):
+        draws = []
+
+        def randbits(bits):
+            draws.append(bits)
+            return 0xBEEF
+
+        monkeypatch.setattr(transport_mod.secrets, "randbits", randbits)
+        fakes = []
+
+        def make(*a, **kw):
+            # the first try times out; the retry is answered
+            fakes.append(FakeUdpSocket([(echo("192.0.2.10"), self.RESOLVER)] if fakes else []))
+            return fakes[-1]
+
+        monkeypatch.setattr(socket, "socket", make)
+        transport = LiveTransport(TransportConfig(resolver="192.0.2.53", qps_limit=1e9, retries=1))
+        assert transport._query("www.example.com", "a") == (0, [("www.example.com", 1, "192.0.2.10")])
+        assert draws == [16]  # one id per query, not per try
+        assert [fake.sent[0][0][:2] for fake in fakes] == [b"\xbe\xef", b"\xbe\xef"]
 
 
     def test_resolver_given_by_name_is_matched_by_address(self, monkeypatch):
         monkeypatch.setattr(socket, "gethostbyname", {"dns.example": "192.0.2.53"}.__getitem__)
-        fake = FakeUdpSocket([(a_reply(1, "192.0.2.10"), self.RESOLVER)])
+        fake = FakeUdpSocket([(echo("192.0.2.10"), self.RESOLVER)])
         monkeypatch.setattr(socket, "socket", lambda *a, **kw: fake)
         transport = LiveTransport(TransportConfig(resolver="dns.example", qps_limit=1e9, retries=0))
         assert transport._query("www.example.com", "a") == (0, [("www.example.com", 1, "192.0.2.10")])
