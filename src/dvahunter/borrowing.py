@@ -45,19 +45,23 @@ class BorrowingTls(Enum):
 
 @dataclass(frozen=True, slots=True)
 class BorrowingCandidate:
-    """One candidate probed at one provider's ingress: the probe, the
-    answer, the outcome ``kind`` and the fingerprint it was judged by.
+    """One candidate probed at one provider's ingress: the answer, the
+    outcome ``kind`` and the fingerprint it was judged by.
 
-    ``verdict`` builds the evidence chain from these on each access, so a
-    scan that reads only ``kind`` never builds it."""
+    ``probe`` and ``verdict`` are built from these on each access, so a
+    scan that reads only ``kind`` never builds them."""
 
     domain: Fqdn
     provider: str
     ingress_ip: str
-    probe: HttpProbe
     response: HttpResponseSummary
     kind: VerdictKind
     fingerprint_id: str
+
+    @property
+    def probe(self) -> HttpProbe:
+        """The plain-http probe that got ``response``: Host = the domain."""
+        return HttpProbe(target_ip=self.ingress_ip, scheme=Scheme.HTTP, host_header=self.domain)
 
     @property
     def verdict(self) -> Verdict:
@@ -106,27 +110,34 @@ def find_borrowing(
     A concrete response that does not match the non-hosted fingerprint
     means the edge serves the domain: borrowing.
 
+    The domains go to the transport as one batch, ``probe_hosts``, which
+    counts one probe per domain. The mock answers every domain the edge
+    does not serve with one shared response object, so each response is
+    judged only when it is not the object judged just before.
+
     Returns one candidate per domain, in order, each carrying its outcome
-    ``kind``; the evidence behind it is built only when a caller reads
-    ``verdict``. The domains must be non-hosted, and are not checked
-    here: the scan's crawl admits only names whose DNS attributes to no
-    provider."""
+    ``kind``; its probe and evidence are built only when a caller reads
+    ``probe`` or ``verdict``. The domains must be non-hosted, and are not
+    checked here: the scan's crawl admits only names whose DNS attributes
+    to no provider."""
     fp = profile.nonhosted_fp
     if fp is None:
         raise ValueError(f"{profile.name}: baseline-first ordering violated (no fingerprint)")
+    responses = transport.probe_hosts(ingress_ip, domains)
     out = []
-    for domain in domains:
-        probe = HttpProbe(target_ip=ingress_ip, scheme=Scheme.HTTP, host_header=domain)
-        response = transport.probe(probe)
-        if response.failure is not None and not fp.no_response:
-            kind = VerdictKind.INCONCLUSIVE
-        elif match_fingerprint(fp, http=response):
-            kind = VerdictKind.NOT_VULNERABLE
-        elif response.status is not None:
-            kind = VerdictKind.VULNERABLE
-        else:
-            kind = VerdictKind.INCONCLUSIVE
-        out.append(BorrowingCandidate(domain, profile.name, ingress_ip, probe, response, kind, fp.id))
+    judged = None
+    for domain, response in zip(domains, responses):
+        if response is not judged:
+            judged = response
+            if response.failure is not None and not fp.no_response:
+                kind = VerdictKind.INCONCLUSIVE
+            elif match_fingerprint(fp, http=response):
+                kind = VerdictKind.NOT_VULNERABLE
+            elif response.status is not None:
+                kind = VerdictKind.VULNERABLE
+            else:
+                kind = VerdictKind.INCONCLUSIVE
+        out.append(BorrowingCandidate(domain, profile.name, ingress_ip, response, kind, fp.id))
     return out
 
 

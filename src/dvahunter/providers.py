@@ -211,6 +211,8 @@ def _parse_fingerprint(raw: Any, fp_id: str) -> Fingerprint:
         else:
             raise SchemaError(f"fingerprint {fp_id}: bad dns_signal {sig!r}")
     body = raw.get("body_contains")
+    if body is not None and not isinstance(body, str):
+        raise SchemaError(f"fingerprint {fp_id}: body_contains must be a string")
     status = raw.get("status")
     if status is not None and not isinstance(status, int):
         raise SchemaError(f"fingerprint {fp_id}: status must be an integer")
@@ -224,31 +226,48 @@ def _parse_fingerprint(raw: Any, fp_id: str) -> Fingerprint:
     )
 
 
-def _parse_provider(raw: dict[str, Any]) -> ProviderProfile:
+def _parse_provider(raw: Any) -> ProviderProfile:
+    if not isinstance(raw, dict):
+        raise SchemaError(f"provider entry must be an object, got {type(raw).__name__}")
     try:
         name = raw["name"]
         suffixes = raw["assigned_suffixes"]
     except KeyError as missing:
         raise SchemaError(f"provider entry missing {missing}")
-    if not isinstance(suffixes, list):
-        raise SchemaError(f"{name}: assigned_suffixes must be a list")
+    if not isinstance(name, str):
+        raise SchemaError(f"provider name must be a string, got {name!r}")
+    if not isinstance(suffixes, list) or not all(isinstance(suffix, str) for suffix in suffixes):
+        raise SchemaError(f"{name}: assigned_suffixes must be a list of strings")
     nonhosted = raw.get("nonhosted_fp")
     discontinued = raw.get("discontinued_fp")
+    raw_edges = raw.get("shares_infra_of", [])
+    if not isinstance(raw_edges, list):
+        raise SchemaError(f"{name}: shares_infra_of must be a list")
     edges = []
-    for edge in raw.get("shares_infra_of", []):
-        edges.append(ShareEdge(provider=edge["provider"], template=edge.get("template"), note=edge.get("note", "")))
+    for edge in raw_edges:
+        if not isinstance(edge, dict) or not isinstance(edge.get("provider"), str):
+            raise SchemaError(f"{name}: a sharing edge must be an object with a provider name, got {edge!r}")
+        template, note = edge.get("template"), edge.get("note", "")
+        if not isinstance(template, (str, type(None))) or not isinstance(note, str):
+            raise SchemaError(f"{name}: sharing edge to {edge['provider']}: template and note must be strings")
+        edges.append(ShareEdge(provider=edge["provider"], template=template, note=note))
     liveness = None
     if raw.get("liveness_header") is not None:
         lh = raw["liveness_header"]
+        if not isinstance(lh, dict) or "name" not in lh or "contains" not in lh:
+            raise SchemaError(f"{name}: liveness_header needs name/contains")
         liveness = (str(lh["name"]), str(lh["contains"]))
+    metadata = raw.get("metadata", {})
+    if not isinstance(metadata, dict):
+        raise SchemaError(f"{name}: metadata must be an object")
     return ProviderProfile(
-        name=str(name),
+        name=name,
         assigned_suffixes=tuple(suffixes),
         nonhosted_fp=_parse_fingerprint(nonhosted, f"{name}:nonhosted") if nonhosted else None,
         discontinued_fp=_parse_fingerprint(discontinued, f"{name}:discontinued") if discontinued else None,
         shares_infra_of=tuple(edges),
         liveness_header=liveness,
-        metadata=dict(raw.get("metadata", {})),
+        metadata=dict(metadata),
     )
 
 

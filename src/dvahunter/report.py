@@ -99,15 +99,18 @@ class ScanReport:
             raise
 
     @classmethod
-    def from_json(cls, data: dict[str, Any]) -> "ScanReport":
+    def from_json(cls, data: Any) -> "ScanReport":
+        """The report in a parsed document; ValueError when the document
+        is not a report object of this schema with object sections."""
+        if not isinstance(data, dict):
+            raise ValueError(f"a report must be a JSON object, not {type(data).__name__}")
         if data.get("schema") != SCHEMA:
             raise ValueError(f"unsupported report schema: {data.get('schema')!r}")
-        return cls(
-            meta=data.get("meta", {}),
-            providers=data.get("providers", {}),
-            domains=data.get("domains", {}),
-            counters=data.get("counters", {}),
-        )
+        sections = {key: data.get(key, {}) for key in ("meta", "providers", "domains", "counters")}
+        for key, section in sections.items():
+            if not isinstance(section, dict):
+                raise ValueError(f"report {key} must be a JSON object, not {type(section).__name__}")
+        return cls(**sections)
 
     @classmethod
     def load(cls, path: str | Path) -> "ScanReport":

@@ -454,7 +454,11 @@ class SimulatedInternet:
             fp = profile.discontinued_fp if profile is not None else None
             if fp is not None and fp.needs_http:
                 return self._fp_response(fp, prov, ip, cert)
+        return self._unknown_host(prov, ip, cert)
 
+    def _unknown_host(self, prov: ScenarioProvider, ip: str, cert: Optional[str]) -> HttpResponseSummary:
+        """What the edge answers for a host it does not serve: the world's
+        override, else the DB's non-hosted fingerprint, else a plain 404."""
         if prov.nonhosted_override is not None:
             status, text = prov.nonhosted_override
             return HttpResponseSummary.from_body(
@@ -465,6 +469,28 @@ class SimulatedInternet:
         if fp is not None:
             return self._fp_response(fp, prov, ip, cert)
         return HttpResponseSummary.from_body(404, _GENERIC_404, self._headers(prov, ip), tls_cert_name=cert)
+
+    def serve_http_hosts(self, ip: str, hosts: Sequence[Fqdn]) -> list[HttpResponseSummary]:
+        """``serve_http`` of one plain-http probe per host at ``ip`` (Host =
+        the host, no SNI), in the given order. At a provider's ingress a
+        host the provider has no entry for, and that is not discontinued,
+        can only get the unknown-host answer: it is built once and shared
+        by every such host of the batch, and no probe is built for them."""
+        prov = self._ip_owner.get(ip)
+        if prov is None:
+            return [self.serve_http(HttpProbe(target_ip=ip, scheme=Scheme.HTTP, host_header=host)) for host in hosts]
+        registered = self._registrations[prov.name]
+        indexed = self._host_index[prov.name]
+        discontinued = self.scenario.discontinued
+        unknown = self._unknown_host(prov, ip, None)
+        out = []
+        for host in hosts:
+            name = host.name
+            if name in registered or name in indexed or name in discontinued:
+                out.append(self.serve_http(HttpProbe(target_ip=ip, scheme=Scheme.HTTP, host_header=host)))
+            else:
+                out.append(unknown)
+        return out
 
     # -- registration -------------------------------------------------------
 

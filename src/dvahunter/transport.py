@@ -3,12 +3,16 @@ The single gateway for all network effects: DNS resolution and HTTP(S)
 probes with independently controllable SNI and Host header.
 
 Two interchangeable backends exist. Each offers ``resolve``,
-``resolve_existing``, ``probe`` and ``stats`` (the counts of queries and
-probes sent). ``resolve_existing`` takes a batch of name texts, each
-already normalized and valid (the text of a ``parse_fqdn`` result), and
-returns only the ones that exist with records; it counts one query per
-name, as ``resolve`` would, but the mock builds no answer for a name
-that does not exist, which is most of what enumeration asks. MockTransport
+``resolve_existing``, ``probe``, ``probe_hosts`` and ``stats`` (the
+counts of queries and probes sent). ``resolve_existing`` takes a batch
+of name texts, each already normalized and valid (the text of a
+``parse_fqdn`` result), and returns only the ones that exist with
+records; it counts one query per name, as ``resolve`` would, but the
+mock builds no answer for a name that does not exist, which is most of
+what enumeration asks. ``probe_hosts`` sends one plain-http probe per
+host to one IP and counts one probe per host; the mock shares one
+answer among the hosts the edge does not serve, which is most of what
+the borrowing check asks. MockTransport
 answers from an in-process simulated internet and is fully deterministic:
 identical scenario plus identical probe sequence yields bit-identical
 responses. LiveTransport speaks real DNS (UDP/53 with TCP fallback,
@@ -162,6 +166,18 @@ class MockTransport:
         if self.record:
             self.probe_log.append(ProbeLogEntry(probe, response))
         return response
+
+    def probe_hosts(self, target_ip: str, hosts: Sequence[Fqdn]) -> list[HttpResponseSummary]:
+        """``probe`` of one plain-http request per host at ``target_ip``
+        (Host = the host, no SNI), answered in the order given."""
+        self.stats.http_probes += len(hosts)
+        responses = self.simnet.serve_http_hosts(target_ip, hosts)
+        if self.record:
+            self.probe_log.extend(
+                ProbeLogEntry(HttpProbe(target_ip=target_ip, scheme=Scheme.HTTP, host_header=host), response)
+                for host, response in zip(hosts, responses)
+            )
+        return responses
 
 
 # ---------------------------------------------------------------------------
@@ -424,6 +440,11 @@ class LiveTransport:
                 sock.close()
             except OSError:
                 pass
+
+    def probe_hosts(self, target_ip: str, hosts: Sequence[Fqdn]) -> list[HttpResponseSummary]:
+        """``probe`` of one plain-http request per host at ``target_ip``
+        (Host = the host, no SNI), one after the other, in the order given."""
+        return [self.probe(HttpProbe(target_ip=target_ip, scheme=Scheme.HTTP, host_header=host)) for host in hosts]
 
 
 def _peer_cert_name(sock: ssl.SSLSocket) -> Optional[str]:

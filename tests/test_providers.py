@@ -4,6 +4,7 @@ from dataclasses import FrozenInstanceError, fields, replace
 
 import pytest
 
+from dvahunter.cli import main
 from dvahunter.core import DnsObservation, HttpResponseSummary, Rcode, parse_fqdn
 from dvahunter.providers import (
     DnsSignal,
@@ -90,6 +91,36 @@ class TestLoadValidation:
         path.write_text(json.dumps([{"name": "X", "assigned_suffixes": ["bad-no-dot.com"]}]))
         with pytest.raises(SchemaError):
             load_provider_db(path)
+
+    @pytest.mark.parametrize("entry", [
+        [1],
+        ["x"],
+        {"name": "X", "assigned_suffixes": [5]},
+        {"name": ["A"], "assigned_suffixes": [".a.com"]},
+        {"name": "X", "assigned_suffixes": [".x.com"], "shares_infra_of": 5},
+        {"name": "X", "assigned_suffixes": [".x.com"], "shares_infra_of": ["X"]},
+        {"name": "X", "assigned_suffixes": [".x.com"], "shares_infra_of": [{"template": None}]},
+        {"name": "X", "assigned_suffixes": [".x.com"], "shares_infra_of": [{"provider": "X", "template": 5}]},
+        {"name": "X", "assigned_suffixes": [".x.com"], "liveness_header": "x-cache"},
+        {"name": "X", "assigned_suffixes": [".x.com"], "liveness_header": {"name": "x-cache"}},
+        {"name": "X", "assigned_suffixes": [".x.com"], "metadata": 5},
+        {"name": "X", "assigned_suffixes": [".x.com"], "metadata": ["a", "b"]},
+        {"name": "X", "assigned_suffixes": [".x.com"], "nonhosted_fp": {"body_contains": 5}},
+    ], ids=[
+        "entry-list-of-int", "entry-list-of-str", "suffix-not-string", "name-not-string",
+        "edges-not-list", "edge-not-object", "edge-without-provider", "edge-template-not-string",
+        "liveness-not-object", "liveness-without-contains", "metadata-int", "metadata-list",
+        "body-contains-not-string",
+    ])
+    def test_wrong_json_types_are_schema_errors(self, tmp_path, entry):
+        # each of these once escaped as TypeError/AttributeError/KeyError,
+        # or (a list as name) was turned into its repr; validate-db then
+        # printed a traceback and exited 1, the "findings present" code
+        path = tmp_path / "db.json"
+        path.write_text(json.dumps([entry] if isinstance(entry, dict) else entry))
+        with pytest.raises(SchemaError):
+            load_provider_db(path)
+        assert main(["validate-db", str(path)]) == 2
 
     def test_fingerprint_needs_a_field(self):
         with pytest.raises(SchemaError):

@@ -300,6 +300,26 @@ class TestCli:
         payload = json.loads(capsys.readouterr().out)
         assert payload["empty"] is True
 
+    @pytest.mark.parametrize("doc", [
+        [1, 2],
+        {"schema": "dvahunter-report/1", "meta": [1]},
+        {"schema": "dvahunter-report/1", "providers": "x"},
+        {"schema": "dvahunter-report/1", "domains": 5},
+        {"schema": "dvahunter-report/1", "counters": None},
+    ], ids=["top-level-list", "meta-list", "providers-string", "domains-int", "counters-null"])
+    def test_diff_of_a_report_that_is_not_an_object_is_config_error(self, small_paths, tmp_path, capsys, doc):
+        # these once raised AttributeError: a traceback and exit 1, which
+        # reads as "changes found"
+        scenario, targets = small_paths
+        good, bad = tmp_path / "good.json", tmp_path / "bad.json"
+        main(["scan", "--targets", str(targets), "--scenario", str(scenario), "--seed", "7", "--out", str(good)])
+        bad.write_text(json.dumps(doc))
+        with pytest.raises(ValueError):
+            ScanReport.from_json(doc)
+        assert main(["diff", str(good), str(bad)]) == 2
+        assert main(["diff", str(bad), str(good)]) == 2
+        assert "config error" in capsys.readouterr().err
+
     def test_scan_rejects_unknown_mode_at_parse(self, small_paths):
         _, targets = small_paths
         with pytest.raises(SystemExit):

@@ -250,6 +250,39 @@ class TestLiveProbe:
         )
         assert response.failure is TransportFailure.CONNECT_REFUSED
 
+    def test_probe_hosts_sends_what_probe_sends(self, monkeypatch):
+        sent: list[tuple[tuple, bytes]] = []
+
+        class FakeSocket:
+            def __init__(self, address):
+                self.address = address
+
+            def sendall(self, data):
+                sent.append((self.address, data))
+
+            def close(self):
+                pass
+
+        def fake_read(sock, timeout):
+            host = sent[-1][1].split(b"Host: ")[1].split(b"\r\n")[0]
+            return (404 if host.startswith(b"missing.") else 200), [], b"page of " + host
+
+        monkeypatch.setattr(socket, "create_connection", lambda address, **kw: FakeSocket(address))
+        monkeypatch.setattr(transport_mod, "_read_http_response", fake_read)
+        hosts = [parse_fqdn(name) for name in ("www.example.com", "missing.example.com", "www.example.com")]
+        batch = live_transport()
+        answers = batch.probe_hosts("192.0.2.10", hosts)
+        batch_sent = list(sent)
+        sent.clear()
+        single = live_transport()
+        expected = [single.probe(HttpProbe(target_ip="192.0.2.10", scheme=Scheme.HTTP, host_header=host))
+                    for host in hosts]
+        assert batch_sent == sent
+        assert [address for address, _ in sent] == [("192.0.2.10", 80)] * 3
+        assert answers == expected
+        assert [answer.status for answer in answers] == [200, 404, 200]
+        assert batch.stats.http_probes == single.stats.http_probes == 3
+
 
 def a_reply(qid: int, ip: str, flags: bytes = b"\x81\x80") -> bytes:
     """A resolver reply for www.example.com with one A record."""
