@@ -8,9 +8,7 @@ NOT reproduce it is being served, i.e. borrowed.
 
 from __future__ import annotations
 
-import logging
 import string
-from dataclasses import dataclass
 from enum import Enum
 
 from .core import (
@@ -20,13 +18,10 @@ from .core import (
     HttpResponseSummary,
     Scheme,
     Verdict,
-    VerdictKind,
     derive_rng,
     parse_fqdn,
 )
 from .providers import ProviderProfile, match_fingerprint
-
-logger = logging.getLogger(__name__)
 
 BASELINE_HOST_LENGTH = 32
 
@@ -40,39 +35,6 @@ class BorrowingTls(Enum):
     SHARED_CERTIFICATE = "shared_certificate"
     WILDCARD_CERTIFICATE = "wildcard_certificate"
     HTTP_ONLY = "http_only"
-    INCONCLUSIVE = "inconclusive"
-
-
-@dataclass(frozen=True, slots=True)
-class BorrowingCandidate:
-    """One candidate probed at one provider's ingress: the answer, the
-    outcome ``kind`` and the fingerprint it was judged by.
-
-    ``probe`` and ``verdict`` are built from these on each access, so a
-    scan that reads only ``kind`` never builds them."""
-
-    domain: Fqdn
-    provider: str
-    ingress_ip: str
-    response: HttpResponseSummary
-    kind: VerdictKind
-    fingerprint_id: str
-
-    @property
-    def probe(self) -> HttpProbe:
-        """The plain-http probe that got ``response``: Host = the domain."""
-        return HttpProbe(target_ip=self.ingress_ip, scheme=Scheme.HTTP, host_header=self.domain)
-
-    @property
-    def verdict(self) -> Verdict:
-        evidence = Evidence(
-            "borrowing-probe",
-            f"host={self.domain} at {self.provider} ingress {self.ingress_ip}",
-            probe=self.probe,
-            response=self.response,
-            fingerprint_id=self.fingerprint_id,
-        )
-        return Verdict(self.kind, (evidence,))
 
 
 def random_baseline_host(seed: int, provider: str) -> Fqdn:
@@ -105,67 +67,71 @@ def find_borrowing(
     profile: ProviderProfile,
     ingress_ip: str,
     transport,
-) -> list[BorrowingCandidate]:
-    """Probe each domain as the Host header at one representative ingress.
-    A concrete response that does not match the non-hosted fingerprint
-    means the edge serves the domain: borrowing.
+) -> Verdict:
+    """The provider's borrowing verdict: probe each domain as the Host
+    header at one representative ingress. A concrete response that does
+    not match the non-hosted fingerprint means the edge serves the
+    domain: borrowing.
 
     The domains go to the transport as one batch, ``probe_hosts``, which
     counts one probe per domain. The mock answers every domain the edge
     does not serve with one shared response object, so each response is
     judged only when it is not the object judged just before.
 
-    Returns one candidate per domain, in order, each carrying its outcome
-    ``kind``; its probe and evidence are built only when a caller reads
-    ``probe`` or ``verdict``. The domains must be non-hosted, and are not
-    checked here: the scan's crawl admits only names whose DNS attributes
-    to no provider."""
+    Vulnerable carries one ``borrowing-probe`` evidence per hit, in domain
+    order; Not vulnerable needs at least one answer that matched the
+    fingerprint; anything else is Inconclusive. The domains must be
+    non-hosted, and are not checked here: the scan's crawl admits only
+    names whose DNS attributes to no provider."""
     fp = profile.nonhosted_fp
     if fp is None:
         raise ValueError(f"{profile.name}: baseline-first ordering violated (no fingerprint)")
     responses = transport.probe_hosts(ingress_ip, domains)
-    out = []
+    hits = []
+    matched = False
     judged = None
     for domain, response in zip(domains, responses):
         if response is not judged:
             judged = response
-            if response.failure is not None and not fp.no_response:
-                kind = VerdictKind.INCONCLUSIVE
-            elif match_fingerprint(fp, http=response):
-                kind = VerdictKind.NOT_VULNERABLE
-            elif response.status is not None:
-                kind = VerdictKind.VULNERABLE
-            else:
-                kind = VerdictKind.INCONCLUSIVE
-        out.append(BorrowingCandidate(domain, profile.name, ingress_ip, response, kind, fp.id))
-    return out
+            served = False
+            if response.failure is None or fp.no_response:
+                if match_fingerprint(fp, http=response):
+                    matched = True
+                else:
+                    served = response.status is not None
+        if served:
+            hits.append(Evidence(
+                "borrowing-probe",
+                f"host={domain} at {profile.name} ingress {ingress_ip}",
+                probe=HttpProbe(target_ip=ingress_ip, scheme=Scheme.HTTP, host_header=domain),
+                response=response,
+                fingerprint_id=fp.id,
+            ))
+    if hits:
+        return Verdict.vulnerable(hits)
+    if matched:
+        return Verdict.not_vulnerable(
+            (Evidence("borrowing", f"{len(domains)} candidate(s) all matched the non-hosted fingerprint"),)
+        )
+    return Verdict.inconclusive((Evidence("borrowing", "no candidate produced a definitive answer"),))
 
 
-def classify_borrowing_tls(candidate: BorrowingCandidate, transport) -> BorrowingTls:
-    """For a borrowing-vulnerable candidate, classify how the edge serves
-    it over TLS: another tenant's wildcard certificate covering the name,
-    the provider's default shared certificate, or plain HTTP only."""
-    probe = HttpProbe(
-        target_ip=candidate.ingress_ip,
-        scheme=Scheme.HTTPS,
-        host_header=candidate.domain,
-        sni=candidate.domain,
+def classify_borrowing_tls(hit: Evidence, transport) -> BorrowingTls:
+    """For one ``borrowing-probe`` evidence of a Vulnerable verdict, classify
+    how the edge serves the domain over TLS: another tenant's wildcard
+    certificate covering the name, the provider's default shared
+    certificate, or plain HTTP only. The hit's plain-http probe got a
+    status, so a TLS probe that gets none means plain HTTP only."""
+    domain = hit.probe.host_header
+    response = transport.probe(
+        HttpProbe(target_ip=hit.probe.target_ip, scheme=Scheme.HTTPS, host_header=domain, sni=domain)
     )
-    response = transport.probe(probe)
-    if response.failure is None and response.status is not None:
-        cert = response.tls_cert_name or ""
-        if cert.startswith("*.") and _wildcard_covers(cert, str(candidate.domain)):
-            return BorrowingTls.WILDCARD_CERTIFICATE
-        return BorrowingTls.SHARED_CERTIFICATE
-    http_side = candidate.response
-    if http_side.failure is None and http_side.status is not None:
+    if response.status is None:
         return BorrowingTls.HTTP_ONLY
-    retry = transport.probe(
-        HttpProbe(target_ip=candidate.ingress_ip, scheme=Scheme.HTTP, host_header=candidate.domain)
-    )
-    if retry.failure is None:
-        return BorrowingTls.HTTP_ONLY
-    return BorrowingTls.INCONCLUSIVE
+    cert = response.tls_cert_name or ""
+    if cert.startswith("*.") and _wildcard_covers(cert, str(domain)):
+        return BorrowingTls.WILDCARD_CERTIFICATE
+    return BorrowingTls.SHARED_CERTIFICATE
 
 
 def _wildcard_covers(pattern: str, name: str) -> bool:

@@ -14,8 +14,6 @@ from dataclasses import dataclass, field
 from enum import Enum
 from typing import Any, Iterable, Optional
 
-from .psl import PublicSuffixList
-
 MAX_NAME_LENGTH = 253
 BODY_EXCERPT_CAP = 4096
 
@@ -58,14 +56,11 @@ class VerdictKind(Enum):
 class Fqdn:
     """A normalized, lowercase fully qualified domain name.
 
-    ``sld`` is the registrable domain computed against the bundled
-    public-suffix snapshot at parse time (None when the name itself is a
-    public suffix). ``name`` is the dotted text, joined once at
-    construction; equality, ordering and hashing use ``labels`` only.
+    ``name`` is the dotted text, joined once at construction; equality,
+    ordering and hashing use ``labels`` only.
     """
 
     labels: tuple[str, ...]
-    sld: Optional[str] = field(compare=False, default=None)
     name: str = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
@@ -81,7 +76,7 @@ class Fqdn:
         return self.name.endswith(suffix)
 
 
-def parse_fqdn(text: str, psl: Optional[PublicSuffixList] = None) -> Fqdn:
+def parse_fqdn(text: str) -> Fqdn:
     """Parse and normalize a domain name.
 
     Raises DomainSyntaxError on empty/illegal labels and
@@ -103,8 +98,7 @@ def parse_fqdn(text: str, psl: Optional[PublicSuffixList] = None) -> Fqdn:
             raise DomainSyntaxError(f"label over 63 chars in {text!r}")
         if not _LABEL_RE.match(label):
             raise DomainSyntaxError(f"illegal label {label!r} in {text!r}")
-    sld = psl.registrable_domain(name) if psl is not None else None
-    return Fqdn(labels=labels, sld=sld)
+    return Fqdn(labels=labels)
 
 
 @dataclass(frozen=True, slots=True)

@@ -101,15 +101,23 @@ class ScanReport:
     @classmethod
     def from_json(cls, data: Any) -> "ScanReport":
         """The report in a parsed document; ValueError when the document
-        is not a report object of this schema with object sections."""
+        is not a report object of this schema whose sections, provider
+        sections, provider category entries and domain entries are
+        objects."""
         if not isinstance(data, dict):
             raise ValueError(f"a report must be a JSON object, not {type(data).__name__}")
         if data.get("schema") != SCHEMA:
             raise ValueError(f"unsupported report schema: {data.get('schema')!r}")
         sections = {key: data.get(key, {}) for key in ("meta", "providers", "domains", "counters")}
         for key, section in sections.items():
-            if not isinstance(section, dict):
-                raise ValueError(f"report {key} must be a JSON object, not {type(section).__name__}")
+            _require_object(f"report {key}", section)
+        for name, provider in sections["providers"].items():
+            _require_object(f"provider {name!r}", provider)
+            for category in PROVIDER_CATEGORIES:
+                if category in provider:
+                    _require_object(f"provider {name!r} {category}", provider[category])
+        for name, domain in sections["domains"].items():
+            _require_object(f"domain {name!r}", domain)
         return cls(**sections)
 
     @classmethod
@@ -191,6 +199,11 @@ class ScanReport:
                 (d.get("exposure") or {}).get("kind", ""),
             ])
         return buf.getvalue()
+
+
+def _require_object(label: str, value: Any) -> None:
+    if not isinstance(value, dict):
+        raise ValueError(f"{label} must be a JSON object, not {type(value).__name__}")
 
 
 def diff_reports(prev: ScanReport, nxt: ScanReport) -> dict[str, Any]:

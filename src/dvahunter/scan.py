@@ -185,11 +185,11 @@ def _load_targets(ctx: ScanContext) -> tuple[list[Fqdn], list[Fqdn]]:
         if not line:
             continue
         try:
-            fqdn = parse_fqdn(line, ctx.psl)
+            fqdn = parse_fqdn(line)
         except DomainSyntaxError as err:
             logger.warning("skipping malformed target %r: %s", line, err)
             continue
-        if fqdn.sld == str(fqdn):
+        if ctx.psl.registrable_domain(fqdn.name) == fqdn.name:
             slds.append(fqdn)
         else:
             direct.append(fqdn)
@@ -360,67 +360,39 @@ def _phase_fronting(ctx: ScanContext) -> None:
 # -- borrowing ----------------------------------------------------------------
 
 
-def _borrowing_for_provider(ctx: ScanContext, profile):
-    """(verdict, baseline | None, hits, loud_note | None)."""
-    name = profile.name
-    if profile.nonhosted_fp is None:
-        verdict = Verdict.inconclusive(
-            (Evidence("borrowing", "no non-hosted fingerprint for this provider; skipped"),)
-        )
-        return verdict, None, [], None
-    rep = _representative(ctx, name, "borrowing-ingress")
-    if rep is None:
-        return (
-            Verdict.inconclusive((Evidence("borrowing", "no live ingress representative"),)),
-            None, [], None,
-        )
-    try:
-        baseline = borrowing_mod.probe_baseline(profile, rep, ctx.transport, seed=ctx.config.seed)
-    except borrowing_mod.BaselineMismatch as err:
-        verdict = Verdict.inconclusive((Evidence("baseline-mismatch", str(err)),))
-        return verdict, None, [], f"BASELINE MISMATCH, provider excluded: {err}"
-    candidates = borrowing_mod.find_borrowing(ctx.nonhosted, profile, rep, ctx.transport)
-    hits = []
-    kinds = []
-    for candidate in candidates:
-        kinds.append(candidate.kind)
-        if candidate.kind is not VerdictKind.VULNERABLE:
-            continue
-        tls = borrowing_mod.classify_borrowing_tls(candidate, ctx.transport)
-        hits.append((candidate, tls))
-    if hits:
-        verdict = Verdict.vulnerable(
-            tuple(e for candidate, _tls in hits for e in candidate.verdict.evidence)
-        )
-    elif VerdictKind.NOT_VULNERABLE in kinds:
-        verdict = Verdict.not_vulnerable(
-            (Evidence("borrowing", f"{len(candidates)} candidate(s) all matched the non-hosted fingerprint"),)
-        )
-    else:
-        verdict = Verdict.inconclusive(
-            (Evidence("borrowing", "no candidate produced a definitive answer"),)
-        )
-    return verdict, baseline, hits, None
-
-
 def _phase_borrowing(ctx: ScanContext) -> None:
     for profile in ctx.db.providers:
         name = profile.name
-        verdict, baseline, hits, note = _borrowing_for_provider(ctx, profile)
         section = _provider_section(ctx, name)
+        rep = _representative(ctx, name, "borrowing-ingress")
+        if profile.nonhosted_fp is None:
+            skipped = "no non-hosted fingerprint for this provider; skipped"
+        elif rep is None:
+            skipped = "no live ingress representative"
+        else:
+            skipped = None
+        if skipped:
+            section["borrowing"] = Verdict.inconclusive((Evidence("borrowing", skipped),)).to_json()
+            continue
+        try:
+            baseline = borrowing_mod.probe_baseline(profile, rep, ctx.transport, seed=ctx.config.seed)
+        except borrowing_mod.BaselineMismatch as err:
+            section["borrowing"] = Verdict.inconclusive((Evidence("baseline-mismatch", str(err)),)).to_json()
+            section.setdefault("notes", []).append(f"BASELINE MISMATCH, provider excluded: {err}")
+            continue
+        verdict = borrowing_mod.find_borrowing(ctx.nonhosted, profile, rep, ctx.transport)
         section["borrowing"] = verdict.to_json()
-        if note:
-            section.setdefault("notes", []).append(note)
-        if baseline is not None:
-            section["borrowing_baseline"] = baseline.to_json()
-        if hits:
-            section["borrowing_hits"] = [
-                {"domain": str(candidate.domain), "tls": tls.value} for candidate, tls in hits
-            ]
-        for candidate, tls in hits:
-            entry = ctx.report.domains.setdefault(str(candidate.domain), {"rcode": "noerror"})
+        section["borrowing_baseline"] = baseline.to_json()
+        if verdict.kind is not VerdictKind.VULNERABLE:
+            continue
+        hits = section["borrowing_hits"] = []
+        for hit in verdict.evidence:
+            domain = str(hit.probe.host_header)
+            tls = borrowing_mod.classify_borrowing_tls(hit, ctx.transport).value
+            hits.append({"domain": domain, "tls": tls})
+            entry = ctx.report.domains.setdefault(domain, {"rcode": "noerror"})
             entry.setdefault("borrowed_at", []).append(name)
-            entry.setdefault("tls_borrowing_by_provider", {})[name] = tls.value
+            entry.setdefault("tls_borrowing_by_provider", {})[name] = tls
 
 
 # -- exposure ------------------------------------------------------------------

@@ -31,6 +31,7 @@ must not be shared across threads.
 from __future__ import annotations
 
 import logging
+import math
 import re
 import secrets
 import socket
@@ -85,7 +86,13 @@ class TransportConfig:
 
 
 class RateLimiter:
-    """Sliding one-second window: at most qps_limit sends per window."""
+    """At most ``qps_limit`` sends in any one-second window; below 1 qps,
+    sends at least ``1 / qps_limit`` seconds apart. Each send holds one of
+    ``max(1, floor(qps_limit))`` slots for ``max(1, 1 / qps_limit)`` s.
+
+    The window keeps the time at which each slot frees and compares clock
+    readings with it: a difference compared with the span can stay a
+    sub-ulp short of it, which a sleep cannot close."""
 
     def __init__(
         self,
@@ -94,6 +101,8 @@ class RateLimiter:
         sleep: Callable[[float], None] = time.sleep,
     ):
         self.qps_limit = qps_limit
+        self._slots = max(1, math.floor(qps_limit))
+        self._span = max(1.0, 1.0 / qps_limit)
         self._now = now
         self._sleep = sleep
         self._window: deque[float] = deque()
@@ -101,13 +110,12 @@ class RateLimiter:
     def acquire(self) -> None:
         while True:
             now = self._now()
-            while self._window and now - self._window[0] >= 1.0:
+            while self._window and now >= self._window[0]:
                 self._window.popleft()
-            if len(self._window) < self.qps_limit:
-                self._window.append(now)
+            if len(self._window) < self._slots:
+                self._window.append(now + self._span)
                 return
-            wait = 1.0 - (now - self._window[0])
-            self._sleep(max(wait, 0.0))
+            self._sleep(self._window[0] - now)
 
 
 @dataclass
@@ -448,9 +456,9 @@ class LiveTransport:
 
 
 def _peer_cert_name(sock: ssl.SSLSocket) -> Optional[str]:
-    """Best-effort leaf certificate name. With verification disabled the
-    parsed dict is empty, so fall back to a scan of the DER bytes for a
-    printable CN / dNSName."""
+    """Best-effort leaf certificate name: the first SAN dNSName, else the
+    subject CN. With verification disabled the parsed dict is empty, so
+    the same name is read from the DER bytes."""
     try:
         parsed = sock.getpeercert()
         if parsed:
@@ -463,24 +471,68 @@ def _peer_cert_name(sock: ssl.SSLSocket) -> Optional[str]:
                         return value
         der = sock.getpeercert(binary_form=True)
         if der:
-            return _scan_der_for_name(der)
+            return _der_cert_name(der)
     except (ssl.SSLError, ValueError):
         pass
     return None
 
 
-def _scan_der_for_name(der: bytes) -> Optional[str]:
-    # CN attribute OID 2.5.4.3 is 55 04 03; the value follows as a short
-    # string type. Crude, but only used when validation is disabled.
-    marker = der.find(b"\x55\x04\x03")
-    if marker == -1 or marker + 5 > len(der):
-        return None
-    length = der[marker + 4]
-    value = der[marker + 5: marker + 5 + length]
+_SAN_OID = bytes.fromhex("551d11")  # 2.5.29.17 subjectAltName
+_CN_OID = bytes.fromhex("550403")  # 2.5.4.3 commonName
+_DER_STRINGS = {0x0C: "utf-8", 0x13: "ascii", 0x16: "ascii"}  # UTF8, Printable, IA5
+
+
+def _der_cert_name(der: bytes) -> Optional[str]:
+    """The leaf name in a DER X.509 certificate (RFC 5280 §4.1): the first
+    SAN dNSName, else the subject CN. The issuer's name comes before the
+    subject's in the DER, so only the TLV structure tells them apart.
+    None when there is neither, or the DER is malformed."""
     try:
-        return value.decode("ascii")
-    except UnicodeDecodeError:
-        return None
+        ((_, cert),) = _der_items(der)
+        tbs = _der_items(cert)[0][1]
+        fields = _der_items(tbs)
+        if fields[0][0] == 0xA0:  # [0] version
+            fields = fields[1:]
+        # serial, signature, issuer, validity, subject, key, then [1] [2] [3]
+        subject = fields[4][1]
+        extensions = [content for tag, content in fields[6:] if tag == 0xA3]  # [3]
+        for _, extension in _der_items(_der_items(extensions[0])[0][1]) if extensions else ():
+            parts = _der_items(extension)
+            if parts[0] == (0x06, _SAN_OID):
+                for tag, value in _der_items(_der_items(parts[-1][1])[0][1]):
+                    if tag == 0x82:  # [2] dNSName
+                        return value.decode("ascii")
+        for _, rdn in _der_items(subject):
+            for _, attribute in _der_items(rdn):
+                (_, oid), (tag, value) = _der_items(attribute)[:2]
+                if oid == _CN_OID and tag in _DER_STRINGS:
+                    return value.decode(_DER_STRINGS[tag])
+    except (ValueError, IndexError):  # UnicodeDecodeError is a ValueError
+        pass
+    return None
+
+
+def _der_items(der: bytes) -> list[tuple[int, bytes]]:
+    """(tag, content) of each DER TLV in ``der``, in order. ValueError when
+    a length runs past the end or a tag or length form is unsupported."""
+    items = []
+    pos = 0
+    while pos < len(der):
+        if pos + 2 > len(der) or der[pos] & 0x1F == 0x1F:
+            raise ValueError("truncated DER or multi-byte tag")
+        tag, length = der[pos], der[pos + 1]
+        pos += 2
+        if length & 0x80:
+            size = length & 0x7F
+            if not 0 < size <= 4 or pos + size > len(der):
+                raise ValueError("unsupported DER length")
+            length = int.from_bytes(der[pos:pos + size], "big")
+            pos += size
+        if pos + length > len(der):
+            raise ValueError("truncated DER")
+        items.append((tag, der[pos:pos + length]))
+        pos += length
+    return items
 
 
 def _read_http_response(sock: socket.socket, timeout: float) -> tuple[int, list[tuple[str, str]], bytes]:

@@ -8,7 +8,16 @@ from dvahunter.borrowing import (
     probe_baseline,
     random_baseline_host,
 )
-from dvahunter.core import Evidence, HttpProbe, Scheme, Verdict, VerdictKind, parse_fqdn
+from dvahunter.core import (
+    Evidence,
+    HttpProbe,
+    HttpResponseSummary,
+    Scheme,
+    TransportFailure,
+    Verdict,
+    VerdictKind,
+    parse_fqdn,
+)
 from dvahunter.providers import identify_cdn
 from dvahunter.simnet import SimulatedInternet, scenario_from_json, scenario_to_json
 from dvahunter.transport import MockTransport
@@ -69,36 +78,60 @@ class TestBaseline:
             probe_baseline(db.by_name["Akamai"], rep(world, "Akamai"), transport)
 
 
+class FailingEdge:
+    """A transport whose edge times out for every host."""
+
+    def probe_hosts(self, target_ip, hosts):
+        return [HttpResponseSummary(failure=TransportFailure.TIMEOUT) for _ in hosts]
+
+
+def hit_domains(verdict):
+    return [str(e.probe.host_header) for e in verdict.evidence]
+
+
 class TestFindBorrowing:
     def test_attacker_entry_detected(self, db, world, transport):
-        results = find_borrowing([parse_fqdn(c) for c in CANDIDATES],
+        verdict = find_borrowing([parse_fqdn(c) for c in CANDIDATES],
                                  db.by_name["Fastly"], rep(world, "Fastly"), transport)
-        by_domain = {str(c.domain): c.verdict.kind for c in results}
-        assert by_domain["pages.shared-press-kit.org"] is VerdictKind.VULNERABLE
-        assert by_domain["static.plain-directsite.net"] is VerdictKind.NOT_VULNERABLE
+        assert verdict.kind is VerdictKind.VULNERABLE
+        assert hit_domains(verdict) == ["pages.shared-press-kit.org"]
 
     def test_silent_provider_candidates(self, db, world, transport):
-        results = find_borrowing([parse_fqdn(c) for c in CANDIDATES],
+        verdict = find_borrowing([parse_fqdn(c) for c in CANDIDATES],
                                  db.by_name["CDN77"], rep(world, "CDN77"), transport)
-        by_domain = {str(c.domain): c.verdict.kind for c in results}
-        assert by_domain["pages.shared-press-kit.org"] is VerdictKind.VULNERABLE
-        assert by_domain["static.plain-directsite.net"] is VerdictKind.NOT_VULNERABLE
+        assert verdict.kind is VerdictKind.VULNERABLE
+        assert hit_domains(verdict) == ["pages.shared-press-kit.org"]
 
-    def test_verdict_built_on_demand_from_the_probe(self, db, world, transport):
+    def test_hit_evidence_is_the_plain_http_probe(self, db, world, transport):
         profile = db.by_name["Fastly"]
         ip = rep(world, "Fastly")
-        results = find_borrowing([parse_fqdn(c) for c in CANDIDATES], profile, ip, transport)
-        for candidate in results:
-            probe = HttpProbe(target_ip=ip, scheme=Scheme.HTTP, host_header=candidate.domain)
-            assert candidate.probe == probe
-            assert candidate.response == transport.probe(probe)
-            assert candidate.verdict == Verdict(candidate.kind, (Evidence(
-                "borrowing-probe",
-                f"host={candidate.domain} at Fastly ingress {ip}",
-                probe=probe,
-                response=candidate.response,
-                fingerprint_id=profile.nonhosted_fp.id,
-            ),))
+        verdict = find_borrowing([parse_fqdn(c) for c in CANDIDATES], profile, ip, transport)
+        domain = parse_fqdn("pages.shared-press-kit.org")
+        probe = HttpProbe(target_ip=ip, scheme=Scheme.HTTP, host_header=domain)
+        assert verdict == Verdict.vulnerable((Evidence(
+            "borrowing-probe",
+            f"host={domain} at Fastly ingress {ip}",
+            probe=probe,
+            response=transport.probe(probe),
+            fingerprint_id=profile.nonhosted_fp.id,
+        ),))
+
+    def test_all_matched_is_not_vulnerable(self, db, world, transport):
+        verdict = find_borrowing([parse_fqdn("static.plain-directsite.net")],
+                                 db.by_name["Fastly"], rep(world, "Fastly"), transport)
+        assert verdict == Verdict.not_vulnerable(
+            (Evidence("borrowing", "1 candidate(s) all matched the non-hosted fingerprint"),)
+        )
+
+    @pytest.mark.parametrize("edge", ["no candidates", "failing edge"])
+    def test_no_definitive_answer_is_inconclusive(self, db, world, transport, edge):
+        domains = [] if edge == "no candidates" else [parse_fqdn(c) for c in CANDIDATES]
+        if edge == "failing edge":
+            transport = FailingEdge()
+        verdict = find_borrowing(domains, db.by_name["Fastly"], rep(world, "Fastly"), transport)
+        assert verdict == Verdict.inconclusive(
+            (Evidence("borrowing", "no candidate produced a definitive answer"),)
+        )
 
     def test_require_dns_proof_provider_all_clean(self, db, world, transport):
         # Baidu requires DNS proof; exhaustively sweep its scenario host
@@ -114,9 +147,9 @@ class TestFindBorrowing:
                 prov["borrowing_policy"] = "require_dns_proof"
         guarded = scenario_from_json(doc)
         transport = MockTransport(SimulatedInternet(guarded, db))
-        results = find_borrowing([parse_fqdn(c) for c in CANDIDATES],
+        verdict = find_borrowing([parse_fqdn(c) for c in CANDIDATES],
                                  db.by_name["Fastly"], rep(world, "Fastly"), transport)
-        assert all(c.verdict.kind is VerdictKind.NOT_VULNERABLE for c in results)
+        assert verdict.kind is VerdictKind.NOT_VULNERABLE
 
     def test_candidates_are_nonhosted_by_construction(self, db, world, transport):
         # precondition enforcement check: a hosted domain injected into the
@@ -128,20 +161,22 @@ class TestFindBorrowing:
 
 
 class TestClassifyTls:
-    def _candidate(self, db, world, transport, provider):
-        results = find_borrowing([parse_fqdn("pages.shared-press-kit.org")],
+    def _hit(self, db, world, transport, provider):
+        verdict = find_borrowing([parse_fqdn("pages.shared-press-kit.org")],
                                  db.by_name[provider], rep(world, provider), transport)
-        assert results[0].verdict.kind is VerdictKind.VULNERABLE
-        return results[0]
+        assert verdict.kind is VerdictKind.VULNERABLE
+        return verdict.evidence[0]
 
     def test_shared_certificate(self, db, world, transport):
-        candidate = self._candidate(db, world, transport, "Fastly")
-        assert classify_borrowing_tls(candidate, transport) is BorrowingTls.SHARED_CERTIFICATE
+        hit = self._hit(db, world, transport, "Fastly")
+        assert classify_borrowing_tls(hit, transport) is BorrowingTls.SHARED_CERTIFICATE
 
     def test_wildcard_certificate(self, db, world, transport):
-        candidate = self._candidate(db, world, transport, "Netlify")
-        assert classify_borrowing_tls(candidate, transport) is BorrowingTls.WILDCARD_CERTIFICATE
+        hit = self._hit(db, world, transport, "Netlify")
+        assert classify_borrowing_tls(hit, transport) is BorrowingTls.WILDCARD_CERTIFICATE
 
     def test_http_only(self, db, world, transport):
-        candidate = self._candidate(db, world, transport, "KuoCai")
-        assert classify_borrowing_tls(candidate, transport) is BorrowingTls.HTTP_ONLY
+        hit = self._hit(db, world, transport, "KuoCai")
+        probes = transport.stats.http_probes
+        assert classify_borrowing_tls(hit, transport) is BorrowingTls.HTTP_ONLY
+        assert transport.stats.http_probes == probes + 1  # the TLS probe alone, no plain-http retry

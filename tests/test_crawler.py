@@ -170,9 +170,9 @@ class TestCandidateFastPath:
         return PrefixDictionary.load(DATA["prefixes.txt"])
 
     @pytest.mark.parametrize("sld", ["example.com", "shop.co.uk", "a-b.example.org", "x.io"])
-    def test_candidates_equal_parsed_names(self, bundled, sld, psl):
+    def test_candidates_equal_parsed_names(self, bundled, sld):
         transport = RecordingTransport()
-        result = enumerate_subdomains(parse_fqdn(sld, psl), bundled, transport)
+        result = enumerate_subdomains(parse_fqdn(sld), bundled, transport)
         candidates = transport.asked[WILDCARD_PROBES:]  # after the random wildcard probes
         assert len(candidates) == len(bundled)
         for prefix, candidate in zip(bundled.prefixes, candidates):
@@ -202,7 +202,7 @@ class TestCandidateFastPath:
 class TestFqdnCachedText:
     def test_equality_and_ordering_ignore_cached_text(self):
         a = Fqdn(("www", "example", "com"))
-        b = Fqdn(("www", "example", "com"), sld="example.com")
+        b = Fqdn(("www", "example", "com"))
         object.__setattr__(b, "name", "something-else")
         assert a == b and hash(a) == hash(b)
         assert not a < b and not b < a

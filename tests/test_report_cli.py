@@ -306,7 +306,11 @@ class TestCli:
         {"schema": "dvahunter-report/1", "providers": "x"},
         {"schema": "dvahunter-report/1", "domains": 5},
         {"schema": "dvahunter-report/1", "counters": None},
-    ], ids=["top-level-list", "meta-list", "providers-string", "domains-int", "counters-null"])
+        {"schema": "dvahunter-report/1", "domains": {"a.com": "x"}},
+        {"schema": "dvahunter-report/1", "providers": {"X": [1]}},
+        {"schema": "dvahunter-report/1", "providers": {"X": {"fronting": 5}}},
+    ], ids=["top-level-list", "meta-list", "providers-string", "domains-int", "counters-null",
+            "domain-entry-string", "provider-section-list", "category-entry-int"])
     def test_diff_of_a_report_that_is_not_an_object_is_config_error(self, small_paths, tmp_path, capsys, doc):
         # these once raised AttributeError: a traceback and exit 1, which
         # reads as "changes found"
@@ -318,6 +322,7 @@ class TestCli:
             ScanReport.from_json(doc)
         assert main(["diff", str(good), str(bad)]) == 2
         assert main(["diff", str(bad), str(good)]) == 2
+        assert main(["diff", str(bad), str(bad)]) == 2
         assert "config error" in capsys.readouterr().err
 
     def test_scan_rejects_unknown_mode_at_parse(self, small_paths):

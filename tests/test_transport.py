@@ -1,3 +1,4 @@
+import math
 import socket
 from dataclasses import replace
 
@@ -107,6 +108,28 @@ class TestRateLimiter:
             in_window = [t for t in sent if start <= t < start + 1.0]
             assert len(in_window) <= 5
         assert clock[0] >= (23 - 5) / 5  # had to wait for capacity
+
+    @pytest.mark.parametrize("qps", [0.5, 2.5, 0.3])
+    def test_fractional_qps_is_a_ceiling(self, qps):
+        # these once held ceil(qps) sends per second: 0.5 and 0.3 sent
+        # once a second, 2.5 three times
+        clock = [0.0]
+
+        def sleep(seconds):
+            assert seconds > 0
+            clock[0] += seconds
+
+        limiter = RateLimiter(qps, now=lambda: clock[0], sleep=sleep)
+        sent = []
+        for _ in range(30):
+            limiter.acquire()
+            sent.append(clock[0])
+        for start in sent:  # one send is the least a window can hold
+            assert len([t for t in sent if start <= t < start + 1.0]) <= max(qps, 1)
+        if qps < 1:
+            assert all(later >= earlier + 1 / qps for earlier, later in zip(sent, sent[1:]))
+        # a ceiling, not a stall: the sends keep up floor(qps) a second, or qps below 1
+        assert clock[0] < 30 / (math.floor(qps) if qps >= 1 else qps)
 
 
 class TestDnsWire:
@@ -550,3 +573,59 @@ class TestReadHttpResponse:
             HttpProbe(target_ip="192.0.2.10", scheme=Scheme.HTTP, host_header=parse_fqdn("www.example.com"))
         )
         assert response.failure is TransportFailure.CONNECT_REFUSED
+
+
+class TestCertNameFromDer:
+    """With verification off the live certificate name is read from the
+    DER. The issuer's CN comes before the subject's there, so a byte scan
+    for the CN attribute once named the issuing CA."""
+
+    @pytest.fixture(scope="class")
+    def make_cert(self):
+        x509 = pytest.importorskip("cryptography.x509")
+        from datetime import datetime, timedelta, timezone
+
+        from cryptography.hazmat.primitives import hashes
+        from cryptography.hazmat.primitives.asymmetric import ec
+        from cryptography.hazmat.primitives.serialization import Encoding
+        from cryptography.x509.oid import NameOID
+
+        def name(cn):
+            return x509.Name([x509.NameAttribute(NameOID.ORGANIZATION_NAME, "Example")]
+                             + ([x509.NameAttribute(NameOID.COMMON_NAME, cn)] if cn else []))
+
+        ca_key = ec.generate_private_key(ec.SECP256R1())
+
+        def make(subject_cn, san=(), self_signed=False):
+            key = ec.generate_private_key(ec.SECP256R1())
+            issuer, signer = (name(subject_cn), key) if self_signed else (name("Example Issuing CA"), ca_key)
+            now = datetime(2024, 1, 1, tzinfo=timezone.utc)
+            builder = (x509.CertificateBuilder().subject_name(name(subject_cn)).issuer_name(issuer)
+                       .public_key(key.public_key()).serial_number(x509.random_serial_number())
+                       .not_valid_before(now).not_valid_after(now + timedelta(days=30)))
+            if san:
+                builder = builder.add_extension(
+                    x509.SubjectAlternativeName([x509.DNSName(n) for n in san]), critical=False)
+            return builder.sign(signer, hashes.SHA256()).public_bytes(Encoding.DER)
+
+        return make
+
+    def test_ca_issued_leaf_names_its_subject(self, make_cert):
+        der = make_cert("*.edge.example")
+        assert transport_mod._der_cert_name(der) == "*.edge.example"
+
+    def test_san_only_leaf_names_its_first_dns_name(self, make_cert):
+        der = make_cert(None, san=("*.edge.example", "edge.example"))
+        assert transport_mod._der_cert_name(der) == "*.edge.example"
+
+    def test_san_wins_over_subject_cn(self, make_cert):
+        der = make_cert("origin.edge.example", san=("*.edge.example",))
+        assert transport_mod._der_cert_name(der) == "*.edge.example"
+
+    def test_self_signed(self, make_cert):
+        assert transport_mod._der_cert_name(make_cert("self.example", self_signed=True)) == "self.example"
+
+    def test_malformed_der_gives_none(self, make_cert):
+        der = make_cert("*.edge.example")
+        for bad in (der[: len(der) // 2], der[:1], b"", b"\x30\x84\xff\xff\xff\xff", der + b"\x00"):
+            assert transport_mod._der_cert_name(bad) is None
