@@ -34,18 +34,19 @@ MAX_DOMAINS_PER_PROVIDER = 10
 MAX_TUPLES_PER_PROVIDER = 10
 MAX_URLS_PER_DOMAIN = 10
 
-_STATIC_KINDS = {
-    ".png": "image", ".jpg": "image", ".jpeg": "image", ".gif": "image",
-    ".svg": "image", ".ico": "image", ".webp": "image",
-    ".js": "script",
-    ".css": "stylesheet",
-}
-
 
 class UrlKind(Enum):
     IMAGE = "image"
     SCRIPT = "script"
     STYLESHEET = "stylesheet"
+
+
+_STATIC_KINDS = {
+    ".png": UrlKind.IMAGE, ".jpg": UrlKind.IMAGE, ".jpeg": UrlKind.IMAGE, ".gif": UrlKind.IMAGE,
+    ".svg": UrlKind.IMAGE, ".ico": UrlKind.IMAGE, ".webp": UrlKind.IMAGE,
+    ".js": UrlKind.SCRIPT,
+    ".css": UrlKind.STYLESHEET,
+}
 
 
 class RootFetchFailed(Exception):
@@ -100,7 +101,7 @@ def _classify(path: str) -> Optional[UrlKind]:
     lowered = path.lower().split("?", 1)[0]
     for ext, kind in _STATIC_KINDS.items():
         if lowered.endswith(ext):
-            return UrlKind(kind)
+            return kind
     return None
 
 
@@ -124,9 +125,9 @@ def harvest_urls(
     seed: int = 0,
 ) -> list[HarvestedUrl]:
     """Fetch "/" through the CDN, collect same-domain static asset
-    references, fetch each twice, and keep the ones whose bodies hashed
-    identically. Seeded-random truncation caps the result at
-    MAX_URLS_PER_DOMAIN."""
+    references, fetch each twice (one ``probe_paths`` batch), and keep
+    the ones whose bodies hashed identically. Seeded-random truncation
+    caps the result at MAX_URLS_PER_DOMAIN."""
     root = transport.probe(
         HttpProbe(target_ip=ingress_ip, scheme=Scheme.HTTPS, host_header=domain, sni=domain, path="/")
     )
@@ -145,11 +146,11 @@ def harvest_urls(
             continue
         seen.add(path)
         candidates.append((path, kind))
+    # each path twice in a row, so a dynamic origin counts its fetches
+    # in the order that one probe per fetch would
+    answers = transport.probe_paths(ingress_ip, domain, [path for path, _ in candidates for _ in (1, 2)])
     stable: list[HarvestedUrl] = []
-    for path, kind in candidates:
-        probe = HttpProbe(target_ip=ingress_ip, scheme=Scheme.HTTPS, host_header=domain, sni=domain, path=path)
-        first = transport.probe(probe)
-        second = transport.probe(probe)
+    for (path, kind), first, second in zip(candidates, answers[0::2], answers[1::2]):
         if first.failure is not None or second.failure is not None:
             continue
         if not first.ok or first.body_hash != second.body_hash:

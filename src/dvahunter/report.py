@@ -10,10 +10,12 @@ from __future__ import annotations
 import csv
 import io
 import json
+import math
 import os
 from dataclasses import dataclass, field
+from json.encoder import encode_basestring
 from pathlib import Path
-from typing import Any
+from typing import Any, TextIO
 
 SCHEMA = "dvahunter-report/1"
 
@@ -79,8 +81,8 @@ class ScanReport:
     def dump(self, path: str | Path) -> None:
         """Write the report as indented UTF-8 JSON plus a final newline:
         the bytes of ``json.dumps(self.to_json(), indent=2,
-        ensure_ascii=False) + "\\n"``, streamed so that the whole text is
-        never held in memory.
+        ensure_ascii=False) + "\\n"``, streamed by ``_write_indented`` so
+        that the whole text is never held in memory.
 
         The text goes to a temporary file beside ``path`` that replaces
         ``path`` only once it is complete, so a dump that fails leaves an
@@ -91,8 +93,7 @@ class ScanReport:
         tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
         try:
             with tmp.open("w", encoding="utf-8") as fh:
-                json.dump(doc, fh, indent=2, ensure_ascii=False)
-                fh.write("\n")
+                _write_indented(doc, fh)
             os.replace(tmp, path)
         except BaseException:
             tmp.unlink(missing_ok=True)
@@ -199,6 +200,104 @@ class ScanReport:
                 (d.get("exposure") or {}).get("kind", ""),
             ])
         return buf.getvalue()
+
+
+_FLUSH_PIECES = 512
+
+
+def _write_indented(doc: Any, fh: TextIO) -> None:
+    """Write ``json.dumps(doc, indent=2, ensure_ascii=False) + "\\n"`` to
+    ``fh``. With an indent, ``json`` runs its pure-Python encoder, one
+    generator per nesting level; this writer appends the same pieces to
+    a list, quotes strings with the C ``encode_basestring``, and writes
+    the list out whenever a container closes with ``_FLUSH_PIECES`` or
+    more pieces held. A value ``json`` cannot encode raises TypeError; a
+    container that holds itself raises RecursionError."""
+    out: list[str] = []
+    append = out.append
+    encode = encode_basestring
+
+    def write(value: Any, indent: str) -> None:
+        if isinstance(value, str):
+            append(encode(value))
+        elif isinstance(value, dict):
+            write_object(value, indent)
+        elif isinstance(value, (list, tuple)):
+            write_array(value, indent)
+        else:
+            append(_scalar_text(value))
+
+    def write_object(obj: dict, indent: str) -> None:
+        if not obj:
+            append("{}")
+            return
+        inner = indent + "  "
+        separator = "{" + inner
+        for key, value in obj.items():
+            append(separator)
+            append(encode(key if isinstance(key, str) else _key_text(key)))
+            append(": ")
+            # most values are strings: quote them without a call to write
+            if isinstance(value, str):
+                append(encode(value))
+            else:
+                write(value, inner)
+            separator = "," + inner
+        append(indent + "}")
+        if len(out) >= _FLUSH_PIECES:
+            fh.write("".join(out))
+            out.clear()
+
+    def write_array(items: Any, indent: str) -> None:
+        if not items:
+            append("[]")
+            return
+        inner = indent + "  "
+        separator = "[" + inner
+        for value in items:
+            append(separator)
+            if isinstance(value, str):
+                append(encode(value))
+            else:
+                write(value, inner)
+            separator = "," + inner
+        append(indent + "]")
+        if len(out) >= _FLUSH_PIECES:
+            fh.write("".join(out))
+            out.clear()
+
+    write(doc, "\n")
+    append("\n")
+    fh.write("".join(out))
+
+
+def _scalar_text(value: Any) -> str:
+    """A value that is neither a string nor a container, as ``json``
+    spells it (int and float subclasses by the base type's repr)."""
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    if isinstance(value, float):
+        if value != value:
+            return "NaN"
+        if value == math.inf:
+            return "Infinity"
+        if value == -math.inf:
+            return "-Infinity"
+        return float.__repr__(value)
+    raise TypeError(f"Object of type {value.__class__.__name__} is not JSON serializable")
+
+
+def _key_text(key: Any) -> str:
+    """A non-string dict key as ``json`` spells it before quoting it."""
+    if key is None or isinstance(key, (int, float)):
+        return _scalar_text(key)
+    raise TypeError(f"keys must be str, int, float, bool or None, not {key.__class__.__name__}")
 
 
 def _require_object(label: str, value: Any) -> None:

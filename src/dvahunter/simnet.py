@@ -360,6 +360,16 @@ class SimulatedInternet:
             return prov.shared_cert_name
         return None
 
+    @staticmethod
+    def _proof_blocked(prov: ScenarioProvider, entry: HostEntry) -> bool:
+        """An attacker entry whose DNS does not point here, at an edge that
+        serves only hosts with DNS proof: the edge treats it as unknown."""
+        return (
+            entry.registered_by is RegisteredBy.ATTACKER
+            and not entry.dns_points_here
+            and prov.borrowing_policy is BorrowingPolicy.REQUIRE_DNS_PROOF
+        )
+
     def _headers(self, prov: ScenarioProvider, ip: str, extra: tuple[tuple[str, str], ...] = ()) -> tuple:
         headers: list[tuple[str, str]] = []
         if prov.server_header and ip not in prov.degraded_ips:
@@ -421,12 +431,7 @@ class SimulatedInternet:
         host = str(probe.host_header)
         entry = self._active_entry(prov, host)
         if entry is not None:
-            proof_blocked = (
-                entry.registered_by is RegisteredBy.ATTACKER
-                and not entry.dns_points_here
-                and prov.borrowing_policy is BorrowingPolicy.REQUIRE_DNS_PROOF
-            )
-            if not proof_blocked:
+            if not self._proof_blocked(prov, entry):
                 if (
                     probe.scheme is Scheme.HTTPS
                     and str(probe.sni) != host
@@ -491,6 +496,34 @@ class SimulatedInternet:
             else:
                 out.append(unknown)
         return out
+
+    def serve_http_paths(self, ip: str, domain: Fqdn, paths: Sequence[str]) -> list[HttpResponseSummary]:
+        """``serve_http`` of one https probe per path (each beginning with
+        "/") at ``ip``, SNI = Host = ``domain``, in the given order. The
+        certificate and the host entry are selected once: when the SNI gets
+        no certificate, or the domain's entry serves a static origin or a
+        missing one, the answer cannot depend on the path, so it is built
+        once and shared by the whole batch. Every other case goes through
+        serve_http per path."""
+        prov = self._ip_owner.get(ip)
+        if prov is not None:
+            host = domain.name
+            cert = self._select_cert(prov, host)
+            if cert is None:
+                return [HttpResponseSummary.failed(TransportFailure.TLS_ERROR)] * len(paths)
+            entry = self._active_entry(prov, host)
+            if entry is not None and not self._proof_blocked(prov, entry):
+                origin = self.scenario.origins.get(entry.origin_ip)
+                if origin is None:
+                    return [HttpResponseSummary.failed(TransportFailure.CONNECT_REFUSED)] * len(paths)
+                if not origin.dynamic:
+                    body = (origin.per_host or {}).get(host, origin.body)
+                    headers = self._headers(prov, ip, (("Content-Type", origin.content_type),))
+                    return [HttpResponseSummary.from_body(200, body, headers, tls_cert_name=cert)] * len(paths)
+        return [
+            self.serve_http(HttpProbe(target_ip=ip, scheme=Scheme.HTTPS, host_header=domain, sni=domain, path=path))
+            for path in paths
+        ]
 
     # -- registration -------------------------------------------------------
 
@@ -607,12 +640,16 @@ def scenario_to_json(scenario: Scenario) -> dict[str, Any]:
 
 
 def scenario_from_json(data: dict[str, Any]) -> Scenario:
+    """The scenario in a parsed document; ScenarioError when a field is
+    missing or of the wrong JSON type."""
     try:
+        _object(data, "a scenario document")
         providers = []
         for raw in data["providers"]:
+            name = _object(raw, "a provider")["name"]
             providers.append(
                 ScenarioProvider(
-                    name=raw["name"],
+                    name=name,
                     ingress_ips=tuple((ip, city) for ip, city in raw["ingress_ips"]),
                     fronting_policy=FrontingPolicy(raw.get("fronting_policy", "reject_on_mismatch")),
                     borrowing_policy=BorrowingPolicy(raw.get("borrowing_policy", "require_dns_proof")),
@@ -624,7 +661,7 @@ def scenario_from_json(data: dict[str, Any]) -> Scenario:
                             registered_by=RegisteredBy(h.get("registered_by", "legit")),
                             dns_points_here=bool(h.get("dns_points_here", True)),
                         )
-                        for h in raw.get("host_table", [])
+                        for h in _objects(raw.get("host_table", []), "a host_table item of {!r}", name)
                     ),
                     assigned_subdomain_rule=raw.get("assigned_subdomain_rule", "random"),
                     shared_cert_name=raw.get("shared_cert_name"),
@@ -646,25 +683,29 @@ def scenario_from_json(data: dict[str, Any]) -> Scenario:
                 servfail=bool(rec.get("servfail", False)),
                 external=bool(rec.get("external", False)),
             )
-            for name, rec in data.get("zones", {}).items()
+            for name, rec in _entries(data, "zones", "zone")
         }
         origins = {
             ip: Origin(
-                body=raw["body"].encode("utf-8"),
+                body=_utf8(raw["body"], "origin {!r} body", ip),
                 per_host=(
-                    {host: body.encode("utf-8") for host, body in raw["per_host"].items()}
+                    {
+                        host: _utf8(body, "origin {!r} per_host {!r}", ip, host)
+                        for host, body in _object(raw["per_host"], "origin {!r} per_host", ip).items()
+                    }
                     if raw.get("per_host") is not None
                     else None
                 ),
                 dynamic=bool(raw.get("dynamic", False)),
                 content_type=raw.get("content_type", "text/html"),
             )
-            for ip, raw in data.get("origins", {}).items()
+            for ip, raw in _entries(data, "origins", "origin")
         }
         discontinued = {
             host: DiscontinuedService(provider=raw["provider"], origin_ip=raw.get("origin_ip"))
-            for host, raw in data.get("discontinued_hosts", {}).items()
+            for host, raw in _entries(data, "discontinued_hosts", "discontinued host")
         }
+        seed = int(data.get("seed", 0))
     except (KeyError, TypeError, ValueError) as err:
         raise ScenarioError(f"bad scenario document: {err}")
     return Scenario(
@@ -672,16 +713,46 @@ def scenario_from_json(data: dict[str, Any]) -> Scenario:
         zones=zones,
         origins=origins,
         discontinued=discontinued,
-        seed=int(data.get("seed", 0)),
+        seed=seed,
         attacker_origin_ip=data.get("attacker_origin_ip"),
     )
+
+
+def _object(value: Any, label: str, *args: Any) -> dict[str, Any]:
+    """``value``, when it is a JSON object. The label is formatted only
+    for the error: a scenario holds thousands of entries."""
+    if not isinstance(value, dict):
+        raise ScenarioError(f"{label.format(*args)} must be a JSON object, not {type(value).__name__}")
+    return value
+
+
+def _objects(values: Any, label: str, *args: Any) -> Any:
+    for value in values:
+        if not isinstance(value, dict):
+            _object(value, label, *args)
+    return values
+
+
+def _entries(data: dict[str, Any], section: str, label: str) -> Any:
+    """The (key, entry) pairs of an optional section whose entries are objects."""
+    entries = _object(data.get(section, {}), "section {!r}", section)
+    for key, entry in entries.items():
+        if not isinstance(entry, dict):
+            _object(entry, "{} {!r}", label, key)
+    return entries.items()
+
+
+def _utf8(value: Any, label: str, *args: Any) -> bytes:
+    if not isinstance(value, str):
+        raise ScenarioError(f"{label.format(*args)} must be a string, not {type(value).__name__}")
+    return value.encode("utf-8")
 
 
 def load_scenario(path: str | Path) -> Scenario:
     try:
         data = json.loads(Path(path).read_text(encoding="utf-8"))
-    except json.JSONDecodeError as err:
-        raise ScenarioError(f"{path}: not valid JSON: {err}")
+    except (UnicodeDecodeError, json.JSONDecodeError) as err:
+        raise ScenarioError(f"{path}: not valid UTF-8 JSON: {err}")
     return scenario_from_json(data)
 
 

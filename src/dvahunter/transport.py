@@ -3,22 +3,28 @@ The single gateway for all network effects: DNS resolution and HTTP(S)
 probes with independently controllable SNI and Host header.
 
 Two interchangeable backends exist. Each offers ``resolve``,
-``resolve_existing``, ``probe``, ``probe_hosts`` and ``stats`` (the
-counts of queries and probes sent). ``resolve_existing`` takes a batch
-of name texts, each already normalized and valid (the text of a
-``parse_fqdn`` result), and returns only the ones that exist with
+``resolve_existing``, ``probe``, ``probe_hosts``, ``probe_paths`` and
+``stats`` (the counts of queries and probes sent). ``resolve_existing``
+takes a batch of name texts, each already normalized and valid (the text
+of a ``parse_fqdn`` result), and returns only the ones that exist with
 records; it counts one query per name, as ``resolve`` would, but the
 mock builds no answer for a name that does not exist, which is most of
 what enumeration asks. ``probe_hosts`` sends one plain-http probe per
 host to one IP and counts one probe per host; the mock shares one
 answer among the hosts the edge does not serve, which is most of what
-the borrowing check asks. MockTransport
-answers from an in-process simulated internet and is fully deterministic:
-identical scenario plus identical probe sequence yields bit-identical
-responses. LiveTransport speaks real DNS (UDP/53 with TCP fallback,
-stdlib sockets) and HTTP/1.1 over TCP/TLS; certificate validation is off
-by default because borrowing detection must accept shared and default
-certificates.
+the borrowing check asks. ``probe_paths`` sends one https probe per path
+(each beginning with "/") to one IP, with SNI and Host both the given
+domain, and counts one probe per path; the mock builds an answer that
+cannot depend on the path once and shares it across the batch, which is
+most of what the fronting harvest asks. Both batches answer in the order
+given.
+
+MockTransport answers from an in-process simulated internet and is fully
+deterministic: identical scenario plus identical probe sequence yields
+bit-identical responses. LiveTransport speaks real DNS (UDP/53 with TCP
+fallback, stdlib sockets) and HTTP/1.1 over TCP/TLS; certificate
+validation is off by default because borrowing detection must accept
+shared and default certificates.
 
 The live backend paces every send through a sliding-window rate
 limiter. The mock backend has no limiter: it never sleeps (determinism),
@@ -35,13 +41,12 @@ import math
 import re
 import secrets
 import socket
-import ssl
 import struct
 import time
 from collections import deque
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable, Optional, Sequence
+from typing import TYPE_CHECKING, Callable, Optional, Sequence
 
 from .core import (
     DnsObservation,
@@ -53,6 +58,12 @@ from .core import (
     TransportFailure,
     parse_fqdn,
 )
+
+if TYPE_CHECKING:
+    # ssl is imported where a live probe needs TLS: a mock scan never
+    # does, and skipping the import shortens its set-up and lowers its
+    # peak memory
+    import ssl
 
 logger = logging.getLogger(__name__)
 
@@ -184,6 +195,21 @@ class MockTransport:
             self.probe_log.extend(
                 ProbeLogEntry(HttpProbe(target_ip=target_ip, scheme=Scheme.HTTP, host_header=host), response)
                 for host, response in zip(hosts, responses)
+            )
+        return responses
+
+    def probe_paths(self, target_ip: str, domain: Fqdn, paths: Sequence[str]) -> list[HttpResponseSummary]:
+        """``probe`` of one https request per path at ``target_ip`` (SNI =
+        Host = ``domain``), answered in the order given."""
+        self.stats.http_probes += len(paths)
+        responses = self.simnet.serve_http_paths(target_ip, domain, paths)
+        if self.record:
+            self.probe_log.extend(
+                ProbeLogEntry(
+                    HttpProbe(target_ip=target_ip, scheme=Scheme.HTTPS, host_header=domain, sni=domain, path=path),
+                    response,
+                )
+                for path, response in zip(paths, responses)
             )
         return responses
 
@@ -419,6 +445,8 @@ class LiveTransport:
             return HttpResponseSummary.failed(TransportFailure.CONNECT_REFUSED)
         try:
             if probe.scheme is Scheme.HTTPS:
+                import ssl
+
                 context = ssl.create_default_context()
                 if not self.config.verify_tls:
                     context.check_hostname = False
@@ -454,11 +482,21 @@ class LiveTransport:
         (Host = the host, no SNI), one after the other, in the order given."""
         return [self.probe(HttpProbe(target_ip=target_ip, scheme=Scheme.HTTP, host_header=host)) for host in hosts]
 
+    def probe_paths(self, target_ip: str, domain: Fqdn, paths: Sequence[str]) -> list[HttpResponseSummary]:
+        """``probe`` of one https request per path at ``target_ip`` (SNI =
+        Host = ``domain``), one after the other, in the order given."""
+        return [
+            self.probe(HttpProbe(target_ip=target_ip, scheme=Scheme.HTTPS, host_header=domain, sni=domain, path=path))
+            for path in paths
+        ]
+
 
 def _peer_cert_name(sock: ssl.SSLSocket) -> Optional[str]:
     """Best-effort leaf certificate name: the first SAN dNSName, else the
     subject CN. With verification disabled the parsed dict is empty, so
     the same name is read from the DER bytes."""
+    import ssl
+
     try:
         parsed = sock.getpeercert()
         if parsed:

@@ -290,6 +290,42 @@ class TestCli:
         assert main(["validate-scenario", str(scenario)]) == 0
         assert main(["validate-scenario", str(DATA["reference_world.json"])]) == 0
 
+    @pytest.mark.parametrize("doc, message", [
+        ({"providers": [], "zones": {"a.com": "x"}}, "zone 'a.com' must be a JSON object, not str"),
+        ({"providers": [], "zones": []}, "section 'zones' must be a JSON object, not list"),
+        ({"providers": [], "origins": []}, "section 'origins' must be a JSON object, not list"),
+        ({"providers": [], "discontinued_hosts": []}, "section 'discontinued_hosts' must be a JSON object, not list"),
+        ({"providers": [], "origins": {"192.0.2.1": "x"}}, "origin '192.0.2.1' must be a JSON object, not str"),
+        ({"providers": [], "discontinued_hosts": {"a.com": ["Fastly"]}},
+         "discontinued host 'a.com' must be a JSON object, not list"),
+        ({"providers": [{"name": "Fastly", "ingress_ips": [["192.0.2.1", "x"]], "host_table": ["a.com"]}]},
+         "a host_table item of 'Fastly' must be a JSON object, not str"),
+        ({"providers": [], "origins": {"192.0.2.1": {"body": 5}}}, "origin '192.0.2.1' body must be a string, not int"),
+        ({"providers": [], "origins": {"192.0.2.1": {"body": "x", "per_host": {"a.com": None}}}},
+         "origin '192.0.2.1' per_host 'a.com' must be a string, not NoneType"),
+        ({"providers": [], "seed": "abc"}, "invalid literal for int()"),
+    ], ids=["zone-entry-string", "zones-list", "origins-list", "discontinued-list", "origin-entry-string",
+            "discontinued-entry-list", "host-table-item-string", "origin-body-int", "per-host-value-null",
+            "seed-text"])
+    def test_scenario_of_wrong_json_types_is_config_error(self, small_paths, tmp_path, capsys, doc, message):
+        # these once escaped as AttributeError or ValueError (a traceback;
+        # from ``scan``, exit 1, which reads as "findings present") or
+        # exited 2 with a message that did not name the entry
+        _, targets = small_paths
+        path = tmp_path / "scenario.json"
+        path.write_text(json.dumps(doc))
+        assert main(["validate-scenario", str(path)]) == 2
+        assert main(["scan", "--targets", str(targets), "--scenario", str(path)]) == 2
+        assert capsys.readouterr().err.count(message) == 2
+
+    def test_scenario_that_is_not_utf8_is_config_error(self, small_paths, tmp_path, capsys):
+        _, targets = small_paths
+        path = tmp_path / "scenario.json"
+        path.write_bytes('{"providers": [], "zones": {"café.com": {}}}'.encode("latin-1"))
+        assert main(["validate-scenario", str(path)]) == 2
+        assert main(["scan", "--targets", str(targets), "--scenario", str(path)]) == 2
+        assert capsys.readouterr().err.count("not valid UTF-8 JSON") == 2
+
     def test_diff_cli(self, small_paths, tmp_path, capsys):
         scenario, targets = small_paths
         a, b = tmp_path / "a.json", tmp_path / "b.json"

@@ -1,6 +1,8 @@
 import math
 import socket
+import ssl
 from dataclasses import replace
+from typing import Optional
 
 import pytest
 
@@ -305,6 +307,56 @@ class TestLiveProbe:
         assert answers == expected
         assert [answer.status for answer in answers] == [200, 404, 200]
         assert batch.stats.http_probes == single.stats.http_probes == 3
+
+    def test_probe_paths_sends_what_probe_sends(self, monkeypatch):
+        sent: list[tuple[tuple, Optional[str], bytes]] = []
+
+        class FakeSocket:
+            def __init__(self, address):
+                self.address = address
+                self.sni: Optional[str] = None
+
+            def sendall(self, data):
+                sent.append((self.address, self.sni, data))
+
+            def close(self):
+                pass
+
+        class FakeContext:
+            check_hostname = True
+            verify_mode = None
+
+            def wrap_socket(self, sock, server_hostname):
+                sock.sni = server_hostname
+                return sock
+
+        def fake_read(sock, timeout):
+            path = sent[-1][2].split(b" ")[1]
+            return (404 if path.startswith(b"/missing") else 200), [], b"asset " + path
+
+        monkeypatch.setattr(socket, "create_connection", lambda address, **kw: FakeSocket(address))
+        monkeypatch.setattr(ssl, "create_default_context", FakeContext)
+        monkeypatch.setattr(transport_mod, "_peer_cert_name", lambda sock: f"cert.{sock.sni}")
+        monkeypatch.setattr(transport_mod, "_read_http_response", fake_read)
+        domain = parse_fqdn("www.example.com")
+        paths = ["/logo.png", "/logo.png", "/missing.js", "/missing.js"]
+        batch = live_transport()
+        answers = batch.probe_paths("192.0.2.10", domain, paths)
+        batch_sent = list(sent)
+        sent.clear()
+        single = live_transport()
+        expected = [
+            single.probe(HttpProbe(target_ip="192.0.2.10", scheme=Scheme.HTTPS, host_header=domain, sni=domain, path=path))
+            for path in paths
+        ]
+        assert batch_sent == sent
+        assert [(address, sni) for address, sni, _ in sent] == [(("192.0.2.10", 443), "www.example.com")] * 4
+        assert [data.split(b"\r\n")[0] for _, _, data in sent] == [f"GET {p} HTTP/1.1".encode() for p in paths]
+        assert answers == expected
+        assert [(answer.status, answer.tls_cert_name) for answer in answers] == (
+            [(200, "cert.www.example.com")] * 2 + [(404, "cert.www.example.com")] * 2
+        )
+        assert batch.stats.http_probes == single.stats.http_probes == 4
 
 
 def a_reply(qid: int, ip: str, flags: bytes = b"\x81\x80") -> bytes:
