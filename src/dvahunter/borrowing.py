@@ -73,9 +73,9 @@ def find_borrowing(
     not match the non-hosted fingerprint means the edge serves the
     domain: borrowing.
 
-    The domains go to the transport as one batch, ``probe_hosts``, which
-    counts one probe per domain. The mock answers every domain the edge
-    does not serve with one shared response object, so each response is
+    The domains go to the transport as one plain-http ``probe_batch`` of
+    (domain, "/") requests. The mock answers every domain the edge does
+    not serve with one shared response object, so each response is
     judged only when it is not the object judged just before.
 
     Vulnerable carries one ``borrowing-probe`` evidence per hit, in domain
@@ -86,7 +86,7 @@ def find_borrowing(
     fp = profile.nonhosted_fp
     if fp is None:
         raise ValueError(f"{profile.name}: baseline-first ordering violated (no fingerprint)")
-    responses = transport.probe_hosts(ingress_ip, domains)
+    responses = transport.probe_batch(ingress_ip, Scheme.HTTP, [(domain, "/") for domain in domains])
     hits = []
     matched = False
     judged = None
@@ -123,9 +123,7 @@ def classify_borrowing_tls(hit: Evidence, transport) -> BorrowingTls:
     certificate, or plain HTTP only. The hit's plain-http probe got a
     status, so a TLS probe that gets none means plain HTTP only."""
     domain = hit.probe.host_header
-    response = transport.probe(
-        HttpProbe(target_ip=hit.probe.target_ip, scheme=Scheme.HTTPS, host_header=domain, sni=domain)
-    )
+    response = transport.probe(HttpProbe.request(hit.probe.target_ip, Scheme.HTTPS, domain))
     if response.status is None:
         return BorrowingTls.HTTP_ONLY
     cert = response.tls_cert_name or ""

@@ -163,6 +163,11 @@ class HttpProbe:
         if not self.path.startswith("/"):
             raise ValueError(f"path must begin with '/': {self.path!r}")
 
+    @classmethod
+    def request(cls, target_ip: str, scheme: Scheme, host: Fqdn, path: str = "/") -> "HttpProbe":
+        """A probe with SNI = Host over https and no SNI over plain http."""
+        return cls(target_ip, scheme, host, path, sni=host if scheme is Scheme.HTTPS else None)
+
     def to_json(self) -> dict[str, Any]:
         return {
             "target_ip": self.target_ip,

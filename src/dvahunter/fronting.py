@@ -10,6 +10,7 @@ executed per provider, at most 10 URLs harvested per domain.
 from __future__ import annotations
 
 import logging
+import re
 from dataclasses import dataclass, replace
 from enum import Enum
 from html.parser import HTMLParser
@@ -47,6 +48,7 @@ _STATIC_KINDS = {
     ".js": UrlKind.SCRIPT,
     ".css": UrlKind.STYLESHEET,
 }
+_REQUEST_PATH = re.compile(r'/[!-"$-~]*')  # visible ASCII ("!" to "~") without a fragment ("#")
 
 
 class RootFetchFailed(Exception):
@@ -106,16 +108,21 @@ def _classify(path: str) -> Optional[UrlKind]:
 
 
 def _same_domain_path(ref: str, domain: Fqdn) -> Optional[str]:
+    """The request path of a same-domain reference, or None for one unfit
+    for a request line (html.parser unescapes entities: CR LF can occur)."""
     if ref.startswith("//"):
         ref = "https:" + ref
     if "://" in ref:
-        parsed = urlparse(ref)
+        try:
+            parsed = urlparse(ref)
+        except ValueError:  # such as an unclosed "[" in the authority
+            return None
         if parsed.hostname != str(domain):
             return None
-        return parsed.path or "/"
-    if ref.startswith("/"):
-        return ref
-    return "/" + ref
+        path = parsed.path or "/"
+    else:
+        path = ref if ref.startswith("/") else "/" + ref
+    return path if _REQUEST_PATH.fullmatch(path) else None
 
 
 def harvest_urls(
@@ -125,12 +132,10 @@ def harvest_urls(
     seed: int = 0,
 ) -> list[HarvestedUrl]:
     """Fetch "/" through the CDN, collect same-domain static asset
-    references, fetch each twice (one ``probe_paths`` batch), and keep
+    references, fetch each twice (one https ``probe_batch``), and keep
     the ones whose bodies hashed identically. Seeded-random truncation
     caps the result at MAX_URLS_PER_DOMAIN."""
-    root = transport.probe(
-        HttpProbe(target_ip=ingress_ip, scheme=Scheme.HTTPS, host_header=domain, sni=domain, path="/")
-    )
+    root = transport.probe(HttpProbe.request(ingress_ip, Scheme.HTTPS, domain))
     if root.failure is not None or not root.ok:
         raise RootFetchFailed(f"{domain}: / answered {root.failure.value if root.failure else root.status}")
     extractor = _AssetExtractor()
@@ -148,7 +153,7 @@ def harvest_urls(
         candidates.append((path, kind))
     # each path twice in a row, so a dynamic origin counts its fetches
     # in the order that one probe per fetch would
-    answers = transport.probe_paths(ingress_ip, domain, [path for path, _ in candidates for _ in (1, 2)])
+    answers = transport.probe_batch(ingress_ip, Scheme.HTTPS, [(domain, p) for p, _ in candidates for _ in (1, 2)])
     stable: list[HarvestedUrl] = []
     for (path, kind), first, second in zip(candidates, answers[0::2], answers[1::2]):
         if first.failure is not None or second.failure is not None:

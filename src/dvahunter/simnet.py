@@ -475,55 +475,59 @@ class SimulatedInternet:
             return self._fp_response(fp, prov, ip, cert)
         return HttpResponseSummary.from_body(404, _GENERIC_404, self._headers(prov, ip), tls_cert_name=cert)
 
-    def serve_http_hosts(self, ip: str, hosts: Sequence[Fqdn]) -> list[HttpResponseSummary]:
-        """``serve_http`` of one plain-http probe per host at ``ip`` (Host =
-        the host, no SNI), in the given order. At a provider's ingress a
-        host the provider has no entry for, and that is not discontinued,
-        can only get the unknown-host answer: it is built once and shared
-        by every such host of the batch, and no probe is built for them."""
+    def serve_http_batch(
+        self, ip: str, scheme: Scheme, requests: Sequence[tuple[Fqdn, str]]
+    ) -> list[HttpResponseSummary]:
+        """``serve_http`` of one probe per (Host, path) request at ``ip``,
+        SNI = Host over https, in order. Only a dynamic origin's counter
+        depends on the path: a host with an entry is looked at once, and one
+        with none that is not discontinued shares its certificate's
+        unknown-host answer with the batch's other such hosts."""
         prov = self._ip_owner.get(ip)
         if prov is None:
-            return [self.serve_http(HttpProbe(target_ip=ip, scheme=Scheme.HTTP, host_header=host)) for host in hosts]
-        registered = self._registrations[prov.name]
-        indexed = self._host_index[prov.name]
+            return [self.serve_http(HttpProbe.request(ip, scheme, host, path)) for host, path in requests]
+        https = scheme is Scheme.HTTPS
+        registered, indexed = self._registrations[prov.name], self._host_index[prov.name]
         discontinued = self.scenario.discontinued
-        unknown = self._unknown_host(prov, ip, None)
+        shared: dict[str, Optional[HttpResponseSummary]] = {}
+        # by certificate; over https a host without one gets a TLS error
+        unknown = {None: HttpResponseSummary.failed(TransportFailure.TLS_ERROR)} if https else {}
         out = []
-        for host in hosts:
+        for host, path in requests:
             name = host.name
-            if name in registered or name in indexed or name in discontinued:
-                out.append(self.serve_http(HttpProbe(target_ip=ip, scheme=Scheme.HTTP, host_header=host)))
+            if name in shared:
+                answer = shared[name]
+            elif name in registered or name in indexed or name in discontinued:
+                answer = shared[name] = self._host_answer(prov, ip, https, name)
             else:
-                out.append(unknown)
+                cert = self._select_cert(prov, name) if https else None
+                if cert not in unknown:
+                    unknown[cert] = self._unknown_host(prov, ip, cert)
+                answer = unknown[cert]
+            if answer is None:
+                answer = self.serve_http(HttpProbe.request(ip, scheme, host, path))
+            out.append(answer)
         return out
 
-    def serve_http_paths(self, ip: str, domain: Fqdn, paths: Sequence[str]) -> list[HttpResponseSummary]:
-        """``serve_http`` of one https probe per path (each beginning with
-        "/") at ``ip``, SNI = Host = ``domain``, in the given order. The
-        certificate and the host entry are selected once: when the SNI gets
-        no certificate, or the domain's entry serves a static origin or a
-        missing one, the answer cannot depend on the path, so it is built
-        once and shared by the whole batch. Every other case goes through
-        serve_http per path."""
-        prov = self._ip_owner.get(ip)
-        if prov is not None:
-            host = domain.name
-            cert = self._select_cert(prov, host)
-            if cert is None:
-                return [HttpResponseSummary.failed(TransportFailure.TLS_ERROR)] * len(paths)
-            entry = self._active_entry(prov, host)
-            if entry is not None and not self._proof_blocked(prov, entry):
-                origin = self.scenario.origins.get(entry.origin_ip)
-                if origin is None:
-                    return [HttpResponseSummary.failed(TransportFailure.CONNECT_REFUSED)] * len(paths)
-                if not origin.dynamic:
-                    body = (origin.per_host or {}).get(host, origin.body)
-                    headers = self._headers(prov, ip, (("Content-Type", origin.content_type),))
-                    return [HttpResponseSummary.from_body(200, body, headers, tls_cert_name=cert)] * len(paths)
-        return [
-            self.serve_http(HttpProbe(target_ip=ip, scheme=Scheme.HTTPS, host_header=domain, sni=domain, path=path))
-            for path in paths
-        ]
+    def _host_answer(self, prov: ScenarioProvider, ip: str, https: bool, host: str) -> Optional[HttpResponseSummary]:
+        """``serve_http``'s answer to every request for ``host`` at ``ip``:
+        a TLS error, or a missing or static origin. None for a dynamic
+        origin, an unproven entry or a discontinued host, whose rules stay
+        in ``serve_http`` alone."""
+        cert = self._select_cert(prov, host) if https else None
+        if https and cert is None:
+            return HttpResponseSummary.failed(TransportFailure.TLS_ERROR)
+        entry = self._active_entry(prov, host)
+        if entry is None or self._proof_blocked(prov, entry):
+            return None
+        origin = self.scenario.origins.get(entry.origin_ip)
+        if origin is None:
+            return HttpResponseSummary.failed(TransportFailure.CONNECT_REFUSED)
+        if origin.dynamic:
+            return None
+        body = (origin.per_host or {}).get(host, origin.body)
+        headers = self._headers(prov, ip, (("Content-Type", origin.content_type),))
+        return HttpResponseSummary.from_body(200, body, headers, tls_cert_name=cert)
 
     # -- registration -------------------------------------------------------
 

@@ -98,12 +98,10 @@ def _http_stage_probe(record: HostedDomainRecord, transport):
     ips = record.observation.a_records
     if not ips:
         return None, None
-    probe = HttpProbe(
-        target_ip=ips[0], scheme=Scheme.HTTPS, host_header=record.fqdn, sni=record.fqdn
-    )
+    probe = HttpProbe.request(ips[0], Scheme.HTTPS, record.fqdn)
     response = transport.probe(probe)
     if response.failure is TransportFailure.TLS_ERROR:
-        probe = HttpProbe(target_ip=ips[0], scheme=Scheme.HTTP, host_header=record.fqdn)
+        probe = HttpProbe.request(ips[0], Scheme.HTTP, record.fqdn)
         response = transport.probe(probe)
     return probe, response
 
@@ -267,9 +265,7 @@ def _validate_path(path: TakeoverPath, finding: DanglingFinding, register: Regis
     obs = transport.resolve(finding.fqdn, RRType.A)
     if not obs.a_records:
         return False
-    response = transport.probe(
-        HttpProbe(target_ip=obs.a_records[0], scheme=Scheme.HTTP, host_header=finding.fqdn)
-    )
+    response = transport.probe(HttpProbe.request(obs.a_records[0], Scheme.HTTP, finding.fqdn))
     return response.failure is None and response.ok
 
 

@@ -3,21 +3,21 @@ The single gateway for all network effects: DNS resolution and HTTP(S)
 probes with independently controllable SNI and Host header.
 
 Two interchangeable backends exist. Each offers ``resolve``,
-``resolve_existing``, ``probe``, ``probe_hosts``, ``probe_paths`` and
-``stats`` (the counts of queries and probes sent). ``resolve_existing``
-takes a batch of name texts, each already normalized and valid (the text
-of a ``parse_fqdn`` result), and returns only the ones that exist with
+``resolve_existing``, ``probe``, ``probe_batch`` and ``stats`` (the
+counts of queries and probes sent). ``resolve_existing`` takes a batch
+of name texts, each already normalized and valid (the text of a
+``parse_fqdn`` result), and returns only the ones that exist with
 records; it counts one query per name, as ``resolve`` would, but the
 mock builds no answer for a name that does not exist, which is most of
-what enumeration asks. ``probe_hosts`` sends one plain-http probe per
-host to one IP and counts one probe per host; the mock shares one
-answer among the hosts the edge does not serve, which is most of what
-the borrowing check asks. ``probe_paths`` sends one https probe per path
-(each beginning with "/") to one IP, with SNI and Host both the given
-domain, and counts one probe per path; the mock builds an answer that
-cannot depend on the path once and shares it across the batch, which is
-most of what the fronting harvest asks. Both batches answer in the order
-given.
+what enumeration asks.
+
+``probe_batch(ip, scheme, requests)`` sends one probe per (Host, path)
+request to one IP, with SNI = Host over https, answers in the order
+given and counts one probe per request: the borrowing sweep's many hosts
+over plain http, and the fronting harvest's many paths of one host over
+https. The mock looks at each distinct host once and shares every answer
+that cannot depend on the path. The fronting attempt, whose SNI differs
+from its Host, is a single ``probe``.
 
 MockTransport answers from an in-process simulated internet and is fully
 deterministic: identical scenario plus identical probe sequence yields
@@ -186,30 +186,17 @@ class MockTransport:
             self.probe_log.append(ProbeLogEntry(probe, response))
         return response
 
-    def probe_hosts(self, target_ip: str, hosts: Sequence[Fqdn]) -> list[HttpResponseSummary]:
-        """``probe`` of one plain-http request per host at ``target_ip``
-        (Host = the host, no SNI), answered in the order given."""
-        self.stats.http_probes += len(hosts)
-        responses = self.simnet.serve_http_hosts(target_ip, hosts)
+    def probe_batch(
+        self, target_ip: str, scheme: Scheme, requests: Sequence[tuple[Fqdn, str]]
+    ) -> list[HttpResponseSummary]:
+        """``probe`` of each (Host, path) request at ``target_ip`` (SNI =
+        Host over https), answered in the order given."""
+        self.stats.http_probes += len(requests)
+        responses = self.simnet.serve_http_batch(target_ip, scheme, requests)
         if self.record:
             self.probe_log.extend(
-                ProbeLogEntry(HttpProbe(target_ip=target_ip, scheme=Scheme.HTTP, host_header=host), response)
-                for host, response in zip(hosts, responses)
-            )
-        return responses
-
-    def probe_paths(self, target_ip: str, domain: Fqdn, paths: Sequence[str]) -> list[HttpResponseSummary]:
-        """``probe`` of one https request per path at ``target_ip`` (SNI =
-        Host = ``domain``), answered in the order given."""
-        self.stats.http_probes += len(paths)
-        responses = self.simnet.serve_http_paths(target_ip, domain, paths)
-        if self.record:
-            self.probe_log.extend(
-                ProbeLogEntry(
-                    HttpProbe(target_ip=target_ip, scheme=Scheme.HTTPS, host_header=domain, sni=domain, path=path),
-                    response,
-                )
-                for path, response in zip(paths, responses)
+                ProbeLogEntry(HttpProbe.request(target_ip, scheme, host, path), response)
+                for (host, path), response in zip(requests, responses)
             )
         return responses
 
@@ -330,8 +317,9 @@ class LiveTransport:
                 if len(data) >= 4 and data[2] & 0x02:  # TC bit: retry over TCP
                     with socket.create_connection(resolver, timeout=self.config.timeout) as tcp:
                         tcp.sendall(struct.pack(">H", len(query)) + query)
-                        size = struct.unpack(">H", self._recv_exact(tcp, 2))[0]
-                        data = self._recv_exact(tcp, size)
+                        deadline = time.monotonic() + self.config.timeout
+                        size = struct.unpack(">H", self._recv_exact(tcp, 2, deadline))[0]
+                        data = self._recv_exact(tcp, size, deadline)
                     if data[:2] != qid:
                         continue
                 return data
@@ -342,19 +330,15 @@ class LiveTransport:
     def _await_reply(self, sock: socket.socket, resolver: tuple[str, int], qid: bytes) -> bytes:
         deadline = time.monotonic() + self.config.timeout
         while True:
-            remaining = deadline - time.monotonic()
-            if remaining <= 0:
-                raise socket.timeout("no matching reply")
-            sock.settimeout(remaining)
-            data, source = sock.recvfrom(4096)
+            data, source = _until(sock, deadline).recvfrom(4096)
             if source[:2] == resolver and data[:2] == qid:
                 return data
 
     @staticmethod
-    def _recv_exact(sock: socket.socket, count: int) -> bytes:
+    def _recv_exact(sock: socket.socket, count: int, deadline: float) -> bytes:
         buf = b""
         while len(buf) < count:
-            chunk = sock.recv(count - len(buf))
+            chunk = _until(sock, deadline).recv(count - len(buf))
             if not chunk:
                 raise OSError("connection closed")
             buf += chunk
@@ -477,18 +461,12 @@ class LiveTransport:
             except OSError:
                 pass
 
-    def probe_hosts(self, target_ip: str, hosts: Sequence[Fqdn]) -> list[HttpResponseSummary]:
-        """``probe`` of one plain-http request per host at ``target_ip``
-        (Host = the host, no SNI), one after the other, in the order given."""
-        return [self.probe(HttpProbe(target_ip=target_ip, scheme=Scheme.HTTP, host_header=host)) for host in hosts]
-
-    def probe_paths(self, target_ip: str, domain: Fqdn, paths: Sequence[str]) -> list[HttpResponseSummary]:
-        """``probe`` of one https request per path at ``target_ip`` (SNI =
-        Host = ``domain``), one after the other, in the order given."""
-        return [
-            self.probe(HttpProbe(target_ip=target_ip, scheme=Scheme.HTTPS, host_header=domain, sni=domain, path=path))
-            for path in paths
-        ]
+    def probe_batch(
+        self, target_ip: str, scheme: Scheme, requests: Sequence[tuple[Fqdn, str]]
+    ) -> list[HttpResponseSummary]:
+        """``probe`` of each (Host, path) request at ``target_ip`` (SNI =
+        Host over https), one after the other, in the order given."""
+        return [self.probe(HttpProbe.request(target_ip, scheme, host, path)) for host, path in requests]
 
 
 def _peer_cert_name(sock: ssl.SSLSocket) -> Optional[str]:
@@ -573,15 +551,27 @@ def _der_items(der: bytes) -> list[tuple[int, bytes]]:
     return items
 
 
+def _until(sock: socket.socket, deadline: float) -> socket.socket:
+    """``sock``, with its timeout set to the time left until ``deadline``
+    (``time.monotonic``), so a peer that drips its bytes gets no fresh
+    timeout per read. socket.timeout once the deadline has passed."""
+    remaining = deadline - time.monotonic()
+    if remaining <= 0:
+        raise socket.timeout("deadline passed")
+    sock.settimeout(remaining)
+    return sock
+
+
 def _read_http_response(sock: socket.socket, timeout: float) -> tuple[int, list[tuple[str, str]], bytes]:
     """Read one response. The body ends where its framing says (RFC 9112
-    §6.3): chunked coding wins, then Content-Length; without either the
-    body runs until the peer closes or the timeout expires. Whatever the
-    peer declares, at most 4 MiB of body is read."""
-    sock.settimeout(timeout)
+    §6.3): chunked coding wins, then Content-Length, else the peer's close;
+    at most 4 MiB of it is read. Head and body share one deadline, in
+    ``timeout`` s: an incomplete head then raises socket.timeout, and an
+    incomplete body keeps what arrived."""
+    deadline = time.monotonic() + timeout
     raw = bytearray()
     while b"\r\n\r\n" not in raw:
-        chunk = sock.recv(4096)
+        chunk = _until(sock, deadline).recv(4096)
         if not chunk:
             break
         raw += chunk
@@ -605,7 +595,7 @@ def _read_http_response(sock: socket.socket, timeout: float) -> tuple[int, list[
     body = bytearray(rest)
     while len(body) < limit:
         try:
-            chunk = sock.recv(8192)
+            chunk = _until(sock, deadline).recv(8192)
         except socket.timeout:
             break
         if not chunk:

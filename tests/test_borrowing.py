@@ -81,8 +81,8 @@ class TestBaseline:
 class FailingEdge:
     """A transport whose edge times out for every host."""
 
-    def probe_hosts(self, target_ip, hosts):
-        return [HttpResponseSummary(failure=TransportFailure.TIMEOUT) for _ in hosts]
+    def probe_batch(self, target_ip, scheme, requests):
+        return [HttpResponseSummary(failure=TransportFailure.TIMEOUT) for _ in requests]
 
 
 def hit_domains(verdict):

@@ -33,8 +33,9 @@ from dvahunter.simnet import (
 from dvahunter.transport import MockTransport
 
 
-def fastly_world(db, n_assets_a=3, dynamic_asset=False, n_domains=2):
-    """Hosted sites on a fronting-vulnerable provider for harvest tests."""
+def fastly_world(db, n_assets_a=3, dynamic_asset=False, n_domains=2, page=None):
+    """Hosted sites on a fronting-vulnerable provider for harvest tests.
+    ``page``, when given, is the first site's body."""
     hosts = [f"www.front-site-{chr(ord('a') + i)}.com" for i in range(n_domains)]
     ip = "198.18.7.1"
     host_table = []
@@ -47,7 +48,7 @@ def fastly_world(db, n_assets_a=3, dynamic_asset=False, n_domains=2):
             assets += '<script src="/js/app.js"></script><link href="/css/site.css" rel="stylesheet">'
             if dynamic_asset:
                 assets += '<img src="/img/rotating.png">'
-            body = f"<html><head></head><body><h1>{host}</h1>{assets}</body></html>".encode()
+            body = page or f"<html><head></head><body><h1>{host}</h1>{assets}</body></html>".encode()
         else:
             body = f"<html><body><h1>{host}</h1><img src=\"/img/logo.png\"></body></html>".encode()
         origins[origin_ip] = Origin(body=body, dynamic=False)
@@ -94,6 +95,26 @@ class TestHarvest:
         second = harvest_urls(parse_fqdn(hosts[0]), ip, MockTransport(net2), seed=5)
         assert len(first) == 10
         assert [u.path for u in first] == [u.path for u in second]
+
+    @pytest.mark.parametrize("ref", [
+        "/x&#13;&#10;X-Evil: 1.png",
+        "/a b.png",
+        "/\u00e9.png",
+        "/b.png?v=2#top",
+        "//[bad/c.png",
+    ], ids=["crlf", "space", "non-ascii", "fragment", "unparsable"])
+    def test_paths_unfit_for_a_request_line_are_dropped(self, db, ref):
+        # html.parser unescapes entities, so a page can hand the harvest a
+        # CR LF (a header line injected into the live request), a space (a
+        # broken request line) or a non-ASCII character (a request the
+        # live backend cannot encode); a fragment is never sent, and an
+        # unclosed "[" makes the URL unparsable
+        page = f'<html><body><img src="{ref}"><img src="/img/logo.png"></body></html>'.encode()
+        net, ip, hosts = fastly_world(db, page=page)
+        transport = MockTransport(net, record=True)
+        urls = harvest_urls(parse_fqdn(hosts[0]), ip, transport)
+        assert [u.path for u in urls] == ["/img/logo.png"]
+        assert [entry.probe.path for entry in transport.probe_log] == ["/", "/img/logo.png", "/img/logo.png"]
 
     def test_unreachable_root_raises(self, db):
         net, ip, hosts = fastly_world(db)

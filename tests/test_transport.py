@@ -1,6 +1,9 @@
 import math
 import socket
 import ssl
+import threading
+import time
+from contextlib import contextmanager
 from dataclasses import replace
 from typing import Optional
 
@@ -275,40 +278,8 @@ class TestLiveProbe:
         )
         assert response.failure is TransportFailure.CONNECT_REFUSED
 
-    def test_probe_hosts_sends_what_probe_sends(self, monkeypatch):
-        sent: list[tuple[tuple, bytes]] = []
-
-        class FakeSocket:
-            def __init__(self, address):
-                self.address = address
-
-            def sendall(self, data):
-                sent.append((self.address, data))
-
-            def close(self):
-                pass
-
-        def fake_read(sock, timeout):
-            host = sent[-1][1].split(b"Host: ")[1].split(b"\r\n")[0]
-            return (404 if host.startswith(b"missing.") else 200), [], b"page of " + host
-
-        monkeypatch.setattr(socket, "create_connection", lambda address, **kw: FakeSocket(address))
-        monkeypatch.setattr(transport_mod, "_read_http_response", fake_read)
-        hosts = [parse_fqdn(name) for name in ("www.example.com", "missing.example.com", "www.example.com")]
-        batch = live_transport()
-        answers = batch.probe_hosts("192.0.2.10", hosts)
-        batch_sent = list(sent)
-        sent.clear()
-        single = live_transport()
-        expected = [single.probe(HttpProbe(target_ip="192.0.2.10", scheme=Scheme.HTTP, host_header=host))
-                    for host in hosts]
-        assert batch_sent == sent
-        assert [address for address, _ in sent] == [("192.0.2.10", 80)] * 3
-        assert answers == expected
-        assert [answer.status for answer in answers] == [200, 404, 200]
-        assert batch.stats.http_probes == single.stats.http_probes == 3
-
-    def test_probe_paths_sends_what_probe_sends(self, monkeypatch):
+    @pytest.mark.parametrize("scheme", [Scheme.HTTP, Scheme.HTTPS])
+    def test_probe_batch_sends_what_probe_sends(self, monkeypatch, scheme):
         sent: list[tuple[tuple, Optional[str], bytes]] = []
 
         class FakeSocket:
@@ -331,31 +302,44 @@ class TestLiveProbe:
                 return sock
 
         def fake_read(sock, timeout):
-            path = sent[-1][2].split(b" ")[1]
-            return (404 if path.startswith(b"/missing") else 200), [], b"asset " + path
+            request = sent[-1][2]
+            path = request.split(b" ")[1]
+            host = request.split(b"Host: ")[1].split(b"\r\n")[0]
+            missing = host.startswith(b"missing.") or path.startswith(b"/missing")
+            return (404 if missing else 200), [], b"page of " + host + path
 
         monkeypatch.setattr(socket, "create_connection", lambda address, **kw: FakeSocket(address))
         monkeypatch.setattr(ssl, "create_default_context", FakeContext)
         monkeypatch.setattr(transport_mod, "_peer_cert_name", lambda sock: f"cert.{sock.sni}")
         monkeypatch.setattr(transport_mod, "_read_http_response", fake_read)
-        domain = parse_fqdn("www.example.com")
-        paths = ["/logo.png", "/logo.png", "/missing.js", "/missing.js"]
+        requests = [(parse_fqdn(host), path) for host, path in (
+            ("www.example.com", "/logo.png"),
+            ("www.example.com", "/logo.png"),
+            ("missing.example.com", "/"),
+            ("www.example.com", "/missing.js"),
+        )]
         batch = live_transport()
-        answers = batch.probe_paths("192.0.2.10", domain, paths)
+        answers = batch.probe_batch("192.0.2.10", scheme, requests)
         batch_sent = list(sent)
         sent.clear()
         single = live_transport()
+        https = scheme is Scheme.HTTPS
         expected = [
-            single.probe(HttpProbe(target_ip="192.0.2.10", scheme=Scheme.HTTPS, host_header=domain, sni=domain, path=path))
-            for path in paths
+            single.probe(HttpProbe(target_ip="192.0.2.10", scheme=scheme, host_header=host, path=path,
+                                   sni=host if https else None))
+            for host, path in requests
         ]
         assert batch_sent == sent
-        assert [(address, sni) for address, sni, _ in sent] == [(("192.0.2.10", 443), "www.example.com")] * 4
-        assert [data.split(b"\r\n")[0] for _, _, data in sent] == [f"GET {p} HTTP/1.1".encode() for p in paths]
+        port = 443 if https else 80
+        assert [(address, sni) for address, sni, _ in sent] == [
+            (("192.0.2.10", port), str(host) if https else None) for host, _ in requests
+        ]
+        assert [data.split(b"\r\n")[:2] for _, _, data in sent] == [
+            [f"GET {path} HTTP/1.1".encode(), f"Host: {host}".encode()] for host, path in requests
+        ]
         assert answers == expected
-        assert [(answer.status, answer.tls_cert_name) for answer in answers] == (
-            [(200, "cert.www.example.com")] * 2 + [(404, "cert.www.example.com")] * 2
-        )
+        assert [answer.status for answer in answers] == [200, 200, 404, 404]
+        assert [answer.tls_cert_name for answer in answers] == [f"cert.{host}" if https else None for host, _ in requests]
         assert batch.stats.http_probes == single.stats.http_probes == 4
 
 
@@ -416,6 +400,9 @@ class FakeTcpSocket:
 
     def __exit__(self, *exc):
         return False
+
+    def settimeout(self, timeout):
+        pass
 
     def sendall(self, data):
         body = self.reply(data[2:])
@@ -491,6 +478,26 @@ class TestLiveExchange:
         assert draws == [16]  # one id per query, not per try
         assert [fake.sent[0][0][:2] for fake in fakes] == [b"\xbe\xef", b"\xbe\xef"]
 
+    def test_drip_fed_tcp_fallback_ends_at_the_timeout(self, monkeypatch):
+        # the length prefix and the reply, one byte every 50 ms: each recv
+        # is quick, so only a deadline for the whole read ends it
+        def length_prefixed(request):
+            body = echo("192.0.2.11")(request[2:])
+            return len(body).to_bytes(2, "big") + body
+
+        with dripping_peer(length_prefixed) as near:
+            truncated = echo("192.0.2.10", flags=b"\x83\x80")  # TC bit set
+            monkeypatch.setattr(socket, "socket", lambda *a, **kw: FakeUdpSocket([(truncated, self.RESOLVER)]))
+
+            def connect(address, timeout):
+                near.settimeout(timeout)
+                return near
+
+            monkeypatch.setattr(socket, "create_connection", connect)
+            transport = LiveTransport(TransportConfig(resolver="192.0.2.53", qps_limit=1e9, retries=0, timeout=0.3))
+            start = time.monotonic()
+            assert transport._query("www.example.com", "a") is None
+            assert time.monotonic() - start < 0.3 + 0.2
 
     def test_resolver_given_by_name_is_matched_by_address(self, monkeypatch):
         monkeypatch.setattr(socket, "gethostbyname", {"dns.example": "192.0.2.53"}.__getitem__)
@@ -511,6 +518,37 @@ class TestLiveExchange:
                          backend=Backend.LIVE, resolver="dns.invalid")
         with pytest.raises(ConfigError, match="cannot resolve"):
             run_scan(config)
+
+
+@contextmanager
+def dripping_peer(reply, burst=0, gap=0.05):
+    """A connected socket whose peer, on its own thread, reads one request
+    and then sends ``reply(request)``: the first ``burst`` bytes at once,
+    the rest one byte every ``gap`` seconds. Yields the near end."""
+    near, far = socket.socketpair()
+    stop = threading.Event()
+
+    def drip():
+        try:
+            data = reply(far.recv(4096))
+            far.sendall(data[:burst])
+            for byte in data[burst:]:
+                if stop.wait(gap):
+                    return
+                far.sendall(bytes([byte]))
+        except OSError:
+            pass
+
+    thread = threading.Thread(target=drip, daemon=True)
+    thread.start()
+    try:
+        yield near
+    finally:
+        stop.set()
+        near.close()
+        far.close()
+        thread.join(timeout=5)
+        assert not thread.is_alive()
 
 
 class FakeHttpSocket:
@@ -607,6 +645,26 @@ class TestReadHttpResponse:
     def test_status_line_without_code_rejected(self, line):
         with pytest.raises(ValueError):
             transport_mod._read_http_response(ClosingHttpSocket(line + b"\r\n\r\n"), 5.0)
+
+    @pytest.mark.parametrize("body", [False, True], ids=["head", "body"])
+    def test_drip_fed_response_ends_at_the_timeout(self, body):
+        # one byte every 50 ms: each recv is quick, so only a deadline for
+        # the whole response ends it. An incomplete head is a timeout; an
+        # incomplete body keeps what arrived. With ``body`` the head
+        # arrives at once and only the body drips
+        head = b"HTTP/1.1 200 OK\r\nContent-Length: 40\r\n\r\n"
+        reply = head + b"x" * 40
+
+        with dripping_peer(lambda request: reply, burst=len(head) if body else 0) as sock:
+            sock.sendall(b"GET / HTTP/1.1\r\n\r\n")
+            start = time.monotonic()
+            if body:
+                status, _, partial = transport_mod._read_http_response(sock, 0.3)
+                assert status == 200 and 0 < len(partial) < 40
+            else:
+                with pytest.raises(socket.timeout):
+                    transport_mod._read_http_response(sock, 0.3)
+            assert time.monotonic() - start < 0.3 + 0.2
 
     @pytest.mark.parametrize("raw", [
         b"HTTP/1.1\r\n\r\n",
