@@ -119,7 +119,7 @@ def _same_domain_path(ref: str, domain: Fqdn) -> Optional[str]:
             return None
         if parsed.hostname != str(domain):
             return None
-        path = parsed.path or "/"
+        path = (parsed.path or "/") + (f"?{parsed.query}" if parsed.query else "")
     else:
         path = ref if ref.startswith("/") else "/" + ref
     return path if _REQUEST_PATH.fullmatch(path) else None

@@ -260,10 +260,13 @@ def _parse_provider(raw: Any) -> ProviderProfile:
     metadata = raw.get("metadata", {})
     if not isinstance(metadata, dict):
         raise SchemaError(f"{name}: metadata must be an object")
+    nonhosted_fp = _parse_fingerprint(nonhosted, f"{name}:nonhosted") if nonhosted else None
+    if nonhosted_fp is not None and nonhosted_fp.dns_signal is not None:
+        raise SchemaError(f"{name}: nonhosted_fp cannot carry a dns_signal")
     return ProviderProfile(
         name=name,
         assigned_suffixes=tuple(suffixes),
-        nonhosted_fp=_parse_fingerprint(nonhosted, f"{name}:nonhosted") if nonhosted else None,
+        nonhosted_fp=nonhosted_fp,
         discontinued_fp=_parse_fingerprint(discontinued, f"{name}:discontinued") if discontinued else None,
         shares_infra_of=tuple(edges),
         liveness_header=liveness,
@@ -278,7 +281,8 @@ def load_provider_db(path: str | Path) -> ProviderDb:
     assigned_suffixes, nonhosted_fp, discontinued_fp, shares_infra_of,
     liveness_header, metadata. Fingerprint keys: status, header
     {name, contains}, body_contains, dns_signal ("nxdomain" | "servfail" |
-    {"resolves_to": ip} | "single_a_record"), no_response.
+    {"resolves_to": ip} | "single_a_record"), no_response. A nonhosted_fp
+    is matched against HTTP answers only, so it may not carry dns_signal.
     """
     try:
         data = json.loads(Path(path).read_text(encoding="utf-8"))
@@ -318,12 +322,11 @@ def match_fingerprint(
     http: Optional[HttpResponseSummary] = None,
     dns: Optional[DnsObservation] = None,
 ) -> bool:
-    """Conjunctive fingerprint match: every present field must hold.
+    """Conjunctive fingerprint match: every present field must hold, the
+    HTTP half by ``match_http`` and the DNS half by ``match_dns``.
 
-    Header names compare case-insensitively, header values and body
-    phrases are substring matches; body matching is byte-exact against
-    the response excerpt. Raises MissingEvidenceError when the required
-    evidence side was not supplied.
+    Raises MissingEvidenceError when the required evidence side was not
+    supplied.
     """
     if http is None and dns is None:
         raise MissingEvidenceError(f"{fp.id}: neither HTTP nor DNS evidence supplied")
@@ -331,37 +334,35 @@ def match_fingerprint(
         raise MissingEvidenceError(f"{fp.id}: requires an HTTP response")
     if fp.needs_dns and dns is None:
         raise MissingEvidenceError(f"{fp.id}: requires a DNS observation")
+    return (not fp.needs_http or match_http(fp, http)) and (not fp.needs_dns or match_dns(fp, dns))
 
-    if fp.no_response:
-        assert http is not None
-        if http.failure is None:
-            return False
-    if fp.status is not None:
-        assert http is not None
-        if http.status != fp.status:
-            return False
+
+def match_http(fp: Fingerprint, http: HttpResponseSummary) -> bool:
+    """The HTTP half of ``fp``: ``no_response``, status, header and body.
+    Header names compare case-insensitively, header values and body
+    phrases are substring matches; body matching is byte-exact against
+    the response excerpt. True when ``fp`` has no HTTP field."""
+    if fp.no_response and http.failure is None:
+        return False
+    if fp.status is not None and http.status != fp.status:
+        return False
     if fp.header is not None:
-        assert http is not None
         value = http.header(fp.header[0])
         if value is None or fp.header[1] not in value:
             return False
-    if fp.body_contains is not None:
-        assert http is not None
-        if fp.body_contains not in http.body_excerpt:
-            return False
-    if fp.dns_signal is not None:
-        assert dns is not None
-        signal = fp.dns_signal
-        if signal.kind is DnsSignalKind.NXDOMAIN:
-            if dns.rcode is not Rcode.NXDOMAIN:
-                return False
-        elif signal.kind is DnsSignalKind.SERVFAIL:
-            if dns.rcode is not Rcode.SERVFAIL:
-                return False
-        elif signal.kind is DnsSignalKind.RESOLVES_TO:
-            if signal.ip not in dns.a_records:
-                return False
-        elif signal.kind is DnsSignalKind.SINGLE_A_RECORD:
-            if dns.cname_chain or len(dns.a_records) != 1:
-                return False
-    return True
+    return fp.body_contains is None or fp.body_contains in http.body_excerpt
+
+
+def match_dns(fp: Fingerprint, dns: DnsObservation) -> bool:
+    """The DNS half of ``fp``: its ``dns_signal``. True when it has none."""
+    signal = fp.dns_signal
+    if signal is None:
+        return True
+    if signal.kind is DnsSignalKind.NXDOMAIN:
+        return dns.rcode is Rcode.NXDOMAIN
+    if signal.kind is DnsSignalKind.SERVFAIL:
+        return dns.rcode is Rcode.SERVFAIL
+    if signal.kind is DnsSignalKind.RESOLVES_TO:
+        return signal.ip in dns.a_records
+    # SINGLE_A_RECORD
+    return not dns.cname_chain and len(dns.a_records) == 1

@@ -4,9 +4,10 @@ ingress -> per-mode detection -> report. Partial failures degrade to
 Inconclusive entries; nothing aborts the run after configuration checks
 pass.
 
-Mode phases run in the order fronting, borrowing, exposure, takeover.
-Takeover goes last because mock-mode path validation registers attacker
-services and therefore mutates the simulated world.
+Mode phases run in the order fronting, borrowing, exposure, takeover,
+which is also the order of their keys in the report. Mock-mode takeover
+validation registers attacker services, each inside its own
+registration scope, so the simulated world ends the scan as it began.
 """
 
 from __future__ import annotations
@@ -37,7 +38,7 @@ from .providers import DnsSignalKind, ProviderDb, identify_cdn, load_provider_db
 from .psl import PublicSuffixList
 from .report import ScanReport
 from .simnet import SimulatedInternet, load_scenario, validate_scenario
-from .transport import Backend, LiveTransport, MockTransport, RRType, TransportConfig
+from .transport import Backend, LiveTransport, MockTransport, TransportConfig
 
 logger = logging.getLogger(__name__)
 
@@ -413,42 +414,29 @@ def _phase_exposure(ctx: ScanContext) -> None:
 
 
 def _phase_takeover(ctx: ScanContext) -> None:
-    register = None
-    if ctx.simnet is not None:
-        register = ctx.simnet.attacker_register
     vulnerable_via: dict[str, list[str]] = {}
     scanned: dict[str, int] = {}
     inconclusive_records: dict[str, int] = {}
 
-    records = sorted(ctx.hosted, key=lambda r: str(r.fqdn))
-
-    def detect(record):
-        try:
-            return takeover_mod.detect_dangling(record, ctx.transport, ctx.db)
-        except (LookupError, takeover_mod.DanglingProbeFailure) as err:
-            return err
-
-    # every record is checked before the first path validation: mock
-    # registrations mutate the world, and detection must see it unchanged
-    detections = [detect(record) for record in records]
-
-    for record, outcome in zip(records, detections):
+    for record in sorted(ctx.hosted, key=lambda r: str(r.fqdn)):
         scanned[record.provider] = scanned.get(record.provider, 0) + 1
         entry = ctx.report.domains[str(record.fqdn)]
-        if isinstance(outcome, LookupError):
-            entry["dangling_check"] = "inconclusive: no service-discontinued fingerprint"
+        undecided = None
+        try:
+            finding = takeover_mod.detect_dangling(record, ctx.transport, ctx.db)
+        except LookupError:
+            undecided = "no service-discontinued fingerprint"
+        except takeover_mod.DanglingProbeFailure as err:
+            undecided = str(err)
+        if undecided is not None:
+            entry["dangling_check"] = f"inconclusive: {undecided}"
             inconclusive_records[record.provider] = inconclusive_records.get(record.provider, 0) + 1
             continue
-        if isinstance(outcome, takeover_mod.DanglingProbeFailure):
-            entry["dangling_check"] = f"inconclusive: {outcome}"
-            inconclusive_records[record.provider] = inconclusive_records.get(record.provider, 0) + 1
-            continue
-        finding = outcome
         if finding is None:
             entry["dangling_check"] = "healthy"
             continue
         paths = takeover_mod.enumerate_takeover_paths(
-            finding, ctx.db, register=register, transport=ctx.transport
+            finding, ctx.db, simnet=ctx.simnet, transport=ctx.transport
         )
         entry["dangling"] = {
             "matched_fp": finding.matched_fp,
@@ -468,11 +456,10 @@ def _phase_takeover(ctx: ScanContext) -> None:
             owner_fp is not None
             and owner_fp.dns_signal is not None
             and owner_fp.dns_signal.kind is DnsSignalKind.SINGLE_A_RECORD
-            and record.observation.cname_chain
+            and finding.terminal is not None
         ):
-            terminal = ctx.transport.resolve(record.observation.cname_chain[-1], RRType.A)
             try:
-                verdict = takeover_mod.check_origin_exposure(finding.fqdn, terminal, ctx.transport)
+                verdict = takeover_mod.check_origin_exposure(finding.fqdn, finding.terminal, ctx.transport)
                 entry["exposure"] = verdict.to_json()
             except takeover_mod.ExposurePrecondition as err:
                 entry["exposure_check"] = f"skipped: {err}"

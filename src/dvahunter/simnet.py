@@ -15,16 +15,19 @@ Design notes:
     for two explicitly stateful features: per-URL fetch counters behind
     "dynamic" origins, and attacker registrations. Replaying the same
     call sequence on a fresh session reproduces identical responses.
+    Registrations made inside ``registration_scope()`` are undone when it
+    exits, so a scan's takeover validation leaves the world as it found it.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
-from typing import Any, Optional, Sequence, Union
+from typing import Any, Iterator, Optional, Sequence, Union
 
 from .core import (
     DnsObservation,
@@ -530,6 +533,19 @@ class SimulatedInternet:
         return HttpResponseSummary.from_body(200, body, headers, tls_cert_name=cert)
 
     # -- registration -------------------------------------------------------
+
+    @contextmanager
+    def registration_scope(self) -> Iterator[None]:
+        """Undo on exit every attacker registration made inside the block:
+        the registered hosts and the zone overrides go back to what they
+        were on entry. ``attacker_register`` outside a scope stays in force."""
+        registrations = {name: dict(hosts) for name, hosts in self._registrations.items()}
+        overrides = dict(self._zone_overrides)
+        try:
+            yield
+        finally:
+            self._registrations = registrations
+            self._zone_overrides = overrides
 
     def attacker_register(
         self,

@@ -8,7 +8,8 @@ residual-resolution providers.
 
 DNS-stage fingerprints describe the assigned subdomain's behavior after
 service termination, so they are evaluated against the terminal
-observation: a fresh resolution of the last CNAME chain element.
+observation: a fresh resolution of the last CNAME chain element, made
+once per record and kept on the finding.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from __future__ import annotations
 import logging
 from dataclasses import dataclass, replace
 from enum import Enum
-from typing import Callable, Optional
+from typing import Optional
 
 from .checker import HostedDomainRecord
 from .core import (
@@ -29,14 +30,11 @@ from .core import (
     Verdict,
     parse_fqdn,
 )
-from .providers import Fingerprint, ProviderDb, match_fingerprint
-from .simnet import VerificationFailed
+from .providers import Fingerprint, ProviderDb, match_dns, match_http
+from .simnet import SimulatedInternet, VerificationFailed
 from .transport import RRType
 
 logger = logging.getLogger(__name__)
-
-# register(provider, custom_domain, account) -> assigned subdomain
-RegisterFn = Callable[[str, str, str], str]
 
 
 class DanglingStage(Enum):
@@ -82,19 +80,16 @@ class DanglingFinding:
     matched_fp: str
     stage: DanglingStage
     matched_cname: str
+    # the DNS stage's resolution of the last chain element; None when no
+    # fingerprint source has a DNS signal
+    terminal: Optional[DnsObservation] = None
     evidence: tuple[Evidence, ...] = ()
-
-
-def _terminal_observation(record: HostedDomainRecord, transport) -> DnsObservation:
-    """Resolve the last chain element on its own: the records 'behind'
-    the assigned subdomain, where discontinuation signals live."""
-    tail = record.observation.cname_chain[-1]
-    return transport.resolve(tail, RRType.A)
 
 
 def _http_stage_probe(record: HostedDomainRecord, transport):
     """HTTPS with SNI = Host = fqdn, falling back to plain HTTP when the
-    edge has no certificate to offer for the dead name."""
+    edge has no certificate to offer for the dead name. The fallback is
+    the crawl recheck's question, so the recheck's answer is reused."""
     ips = record.observation.a_records
     if not ips:
         return None, None
@@ -102,7 +97,9 @@ def _http_stage_probe(record: HostedDomainRecord, transport):
     response = transport.probe(probe)
     if response.failure is TransportFailure.TLS_ERROR:
         probe = HttpProbe.request(ips[0], Scheme.HTTP, record.fqdn)
-        response = transport.probe(probe)
+        response = next((ev.response for ev in record.evidence if ev.probe == probe), None)
+        if response is None:
+            response = transport.probe(probe)
     return probe, response
 
 
@@ -140,14 +137,17 @@ def detect_dangling(
         if fp.dns_signal is None:
             continue
         if terminal is None:
-            terminal = _terminal_observation(record, transport)
-        if match_fingerprint(replace(fp, status=None, header=None, body_contains=None), dns=terminal):
+            # the records "behind" the assigned subdomain, where
+            # discontinuation signals live
+            terminal = transport.resolve(record.observation.cname_chain[-1], RRType.A)
+        if match_dns(fp, terminal):
             return DanglingFinding(
                 fqdn=record.fqdn,
                 provider=record.provider,
                 matched_fp=fp.id,
                 stage=DanglingStage.DNS_STAGE,
                 matched_cname=record.matched_cname,
+                terminal=terminal,
                 evidence=(
                     Evidence(
                         "dns-stage",
@@ -167,14 +167,14 @@ def detect_dangling(
     if response.failure is not None:
         raise DanglingProbeFailure(f"{record.fqdn}: HTTP-stage probe failed ({response.failure.value})")
     for owner, fp in http_sources:
-        checkable = replace(fp, dns_signal=None)
-        if match_fingerprint(checkable, http=response):
+        if match_http(fp, response):
             return DanglingFinding(
                 fqdn=record.fqdn,
                 provider=record.provider,
                 matched_fp=fp.id,
                 stage=DanglingStage.HTTP_STAGE,
                 matched_cname=record.matched_cname,
+                terminal=terminal,
                 evidence=(
                     Evidence(
                         "http-stage",
@@ -191,12 +191,14 @@ def detect_dangling(
 def enumerate_takeover_paths(
     finding: DanglingFinding,
     db: ProviderDb,
-    register: Optional[RegisterFn] = None,
+    simnet: Optional[SimulatedInternet] = None,
     transport=None,
 ) -> list[TakeoverPath]:
-    """Assemble takeover paths from provider knowledge. With a mock
-    registration oracle, each path is additionally validated end to end:
-    register the domain as an attacker and confirm the edge serves it.
+    """Assemble takeover paths from provider knowledge. Given the
+    simulated world (and a transport over it), each path is additionally
+    validated end to end: register the domain as an attacker and confirm
+    the edge serves it. Each validation runs in its own
+    ``registration_scope``, so the world is left as it was found.
     An empty list means dangling-only: the fingerprint matched but no
     automated path is known."""
     hosting = db.by_name[finding.provider]
@@ -239,34 +241,30 @@ def enumerate_takeover_paths(
                     f"bypassing {finding.provider}'s verification",
                 )
             )
-    if register is not None:
-        paths = [
-            replace(path, validated=_validate_path(path, finding, register, transport))
-            for path in paths
-        ]
+    if simnet is not None:
+        paths = [replace(path, validated=_validate_path(path, finding, simnet, transport)) for path in paths]
     return paths
 
 
-def _validate_path(path: TakeoverPath, finding: DanglingFinding, register: RegisterFn, transport) -> bool:
+def _validate_path(path: TakeoverPath, finding: DanglingFinding, simnet: SimulatedInternet, transport) -> bool:
     domain = str(finding.fqdn)
-    try:
-        assigned = register(path.via_provider, domain, "attacker-account-1")
-    except VerificationFailed as blocked:
-        logger.info("registration blocked: %s", blocked)
-        return False
-    if path.kind is TakeoverKind.FLAWED_W2:
-        second = register(path.via_provider, domain, "attacker-account-2")
-        if second != assigned:
+    with simnet.registration_scope():
+        try:
+            assigned = simnet.attacker_register(path.via_provider, domain, "attacker-account-1")
+        except VerificationFailed as blocked:
+            logger.info("registration blocked: %s", blocked)
             return False
-    if path.kind is TakeoverKind.MULTI_CDN_SHARED_CNAME and assigned != finding.matched_cname:
-        return False
-    if transport is None:
-        return True
-    obs = transport.resolve(finding.fqdn, RRType.A)
-    if not obs.a_records:
-        return False
-    response = transport.probe(HttpProbe.request(obs.a_records[0], Scheme.HTTP, finding.fqdn))
-    return response.failure is None and response.ok
+        if path.kind is TakeoverKind.FLAWED_W2:
+            second = simnet.attacker_register(path.via_provider, domain, "attacker-account-2")
+            if second != assigned:
+                return False
+        if path.kind is TakeoverKind.MULTI_CDN_SHARED_CNAME and assigned != finding.matched_cname:
+            return False
+        obs = transport.resolve(finding.fqdn, RRType.A)
+        if not obs.a_records:
+            return False
+        response = transport.probe(HttpProbe.request(obs.a_records[0], Scheme.HTTP, finding.fqdn))
+        return response.failure is None and response.ok
 
 
 def check_origin_exposure(fqdn: Fqdn, observation: DnsObservation, transport) -> Verdict:

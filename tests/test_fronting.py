@@ -116,6 +116,16 @@ class TestHarvest:
         assert [u.path for u in urls] == ["/img/logo.png"]
         assert [entry.probe.path for entry in transport.probe_log] == ["/", "/img/logo.png", "/img/logo.png"]
 
+    def test_absolute_and_relative_references_keep_the_query(self, db):
+        # both name the same URL, so both harvest the same request path
+        page = (b'<html><body><script src="https://www.front-site-a.com/x.js?v=2"></script>'
+                b'<script src="/x.js?v=2"></script></body></html>')
+        net, ip, hosts = fastly_world(db, page=page)
+        transport = MockTransport(net, record=True)
+        urls = harvest_urls(parse_fqdn(hosts[0]), ip, transport)
+        assert [u.path for u in urls] == ["/x.js?v=2"]
+        assert [entry.probe.path for entry in transport.probe_log] == ["/", "/x.js?v=2", "/x.js?v=2"]
+
     def test_unreachable_root_raises(self, db):
         net, ip, hosts = fastly_world(db)
         with pytest.raises(RootFetchFailed):

@@ -30,11 +30,11 @@ from dvahunter.scan import run_scan
 from dvahunter.simnet import scenario_to_json
 from tests.conftest import DATA, scan_config
 
-REFERENCE_REPORT_SHA1 = "9cb55c9f123fe9aebadb004bd9c908773d7b7e28"
+REFERENCE_REPORT_SHA1 = "d7f8cfe667b51f7f32ea9ee2ecb29efea52e0802"
 
 GENERATED_REPORT_SHA1 = {
-    "detect-wide": "982b9d0ebcef542c08de7a9f52aa6c441be17f52",
-    "takeover-churn": "c9da53b9a346013e0a2cf03aed116f07db15132f",
+    "detect-wide": "6f457bee3d04cbbce2bf8f474f5ff30777992d76",
+    "takeover-churn": "b639c055d454c91c41a1cc34f864ceb744d2046b",
 }
 
 WORLDGEN = Path(__file__).resolve().parents[1] / "perfbench" / "worldgen.py"

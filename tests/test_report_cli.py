@@ -285,6 +285,40 @@ class TestCli:
                                    {"name": "B", "assigned_suffixes": [".x.com"]}]))
         assert main(["validate-db", str(bad)]) == 2
 
+    @staticmethod
+    def _edited_db(tmp_path, provider, key, **fields):
+        """The bundled provider DB with ``fields`` added to one fingerprint."""
+        doc = json.loads(DATA["providers.json"].read_text(encoding="utf-8"))
+        entry = next(p for p in doc if p["name"] == provider)
+        entry[key] = {**entry[key], **fields}
+        path = tmp_path / "providers.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        return path
+
+    def test_silent_discontinued_fingerprint_with_dns_signal_matches_at_dns_stage(self, tmp_path, capsys):
+        # this DB once passed validate-db and then aborted a takeover scan:
+        # the DNS stage kept the fingerprint's no_response and asked for
+        # an HTTP response it did not have
+        providers = self._edited_db(tmp_path, "Azure", "discontinued_fp", no_response=True)
+        assert main(["validate-db", str(providers)]) == 0
+        targets = tmp_path / "targets.txt"
+        targets.write_text("legacy.azure-retired.net\n", encoding="utf-8")
+        out = tmp_path / "r.json"
+        assert main(["scan", "--targets", str(targets), "--scenario", str(DATA["reference_world.json"]),
+                     "--providers", str(providers), "--mode", "takeover", "--out", str(out)]) == 1
+        entry = json.loads(out.read_text())["domains"]["legacy.azure-retired.net"]
+        assert entry["dangling"]["stage"] == "dns_stage"
+
+    def test_nonhosted_fingerprint_with_dns_signal_is_config_error(self, small_paths, tmp_path, capsys):
+        # non-hosted fingerprints are matched against HTTP answers only; a
+        # DNS signal there once passed validate-db and aborted the recheck
+        providers = self._edited_db(tmp_path, "Fastly", "nonhosted_fp", dns_signal="nxdomain")
+        scenario, targets = small_paths
+        assert main(["validate-db", str(providers)]) == 2
+        assert main(["scan", "--targets", str(targets), "--scenario", str(scenario),
+                     "--providers", str(providers)]) == 2
+        assert capsys.readouterr().err.count("Fastly: nonhosted_fp cannot carry a dns_signal") == 2
+
     def test_validate_scenario(self, capsys, small_paths):
         scenario, _ = small_paths
         assert main(["validate-scenario", str(scenario)]) == 0

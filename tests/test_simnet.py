@@ -309,6 +309,30 @@ class TestAttackerRegister:
         assert after.status == 200
         assert b"staging bucket" in after.body_excerpt
 
+    def test_registration_scope_undoes_only_its_own_registrations(self, world, net):
+        # a W1 registration (Cachefly) and a no-verification one (EdgeNext)
+        # each point the victim's old CNAME target at the edge again
+        cases = [("Cachefly", "legacy.cachefly-retired.net"), ("EdgeNext", "legacy.edgenext-retired.net")]
+
+        def answers():
+            out = []
+            for provider, host in cases:
+                ip = ingress_of(world, provider)
+                for name in (host, world.scenario.zones[host].cname):
+                    out.append((net.serve_dns(name), net.serve_http(probe(ip, name, scheme=Scheme.HTTP))))
+            return out
+
+        kept = "legacy.fastly-retired.net"
+        net.attacker_register("Fastly", kept, "attacker")  # outside any scope: stays
+        before = answers()
+        with net.registration_scope():
+            for provider, host in cases:
+                net.attacker_register(provider, host, "attacker")
+            assert answers() != before
+        assert answers() == before
+        served = net.serve_http(probe(ingress_of(world, "Fastly"), kept, scheme=Scheme.HTTP))
+        assert b"staging bucket" in served.body_excerpt
+
 
 class TestScenarioIo:
     def test_roundtrip_through_json(self, world, db):

@@ -2,7 +2,8 @@ import pytest
 
 from dvahunter.checker import crawl_records, discover_hosted
 from dvahunter.core import VerdictKind, parse_fqdn
-from dvahunter.simnet import SimulatedInternet, VerificationFailed
+from dvahunter.scan import run_scan_with_context
+from dvahunter.simnet import SimulatedInternet, VerificationFailed, load_scenario
 from dvahunter.takeover import (
     DanglingStage,
     ExposurePrecondition,
@@ -13,6 +14,7 @@ from dvahunter.takeover import (
 )
 from dvahunter.transport import MockTransport
 from dvahunter.worlds import build_reference_world
+from tests.conftest import DATA, scan_config
 
 
 @pytest.fixture()
@@ -92,7 +94,7 @@ class TestTakeoverPaths:
     def test_shared_cname_path(self, db, net, transport):
         record = hosted_record(db, transport, "promo.kkshift-shop.com")
         finding = detect_dangling(record, transport, db)
-        paths = enumerate_takeover_paths(finding, db, register=net.attacker_register, transport=transport)
+        paths = enumerate_takeover_paths(finding, db, simnet=net, transport=transport)
         assert [p.kind for p in paths] == [TakeoverKind.MULTI_CDN_SHARED_CNAME]
         assert paths[0].via_provider == "KuaikuaiCloud"
         assert paths[0].validated is True
@@ -105,7 +107,7 @@ class TestTakeoverPaths:
         for host, expected in cases.items():
             record = hosted_record(db, transport, host)
             finding = detect_dangling(record, transport, db)
-            paths = enumerate_takeover_paths(finding, db, register=net.attacker_register, transport=transport)
+            paths = enumerate_takeover_paths(finding, db, simnet=net, transport=transport)
             assert [p.kind for p in paths] == [expected], host
             assert paths[0].validated is True, host
 
@@ -133,13 +135,49 @@ class TestTakeoverPaths:
         finding = detect_dangling(record, guarded_transport, checked_db)
         assert finding is not None  # dangling-only: fingerprint matched
         paths = enumerate_takeover_paths(finding, checked_db,
-                                         register=guarded_net.attacker_register,
+                                         simnet=guarded_net,
                                          transport=guarded_transport)
         assert paths == []
 
     def test_validation_blocked_by_token_check(self, db, net, transport):
         with pytest.raises(VerificationFailed):
             net.attacker_register("Baidu", "promo.kkshift-shop.com", "attacker")
+
+
+@pytest.fixture(scope="module")
+def reference_takeover_scan():
+    return run_scan_with_context(
+        scan_config(DATA["reference_world_targets.txt"], DATA["reference_world.json"], mode="takeover")
+    )
+
+
+class TestTakeoverScan:
+    def test_scan_leaves_the_world_as_it_found_it(self, db, reference_takeover_scan):
+        ctx = reference_takeover_scan
+        fresh = SimulatedInternet(load_scenario(DATA["reference_world.json"]), db)
+        dangling = {name: entry for name, entry in ctx.report.domains.items() if "dangling" in entry}
+        assert len(dangling) > 10
+        validated = 0
+        for name, entry in sorted(dangling.items()):
+            validated += sum(1 for path in entry["takeover_paths"] if path["validated"])
+            for asked in (name, entry["matched_cname"]):
+                assert ctx.simnet.serve_dns(asked) == fresh.serve_dns(asked), asked
+        assert validated > 0
+
+    def test_residual_single_a_domain_gets_its_exposure_verdict(self, world, reference_takeover_scan):
+        # the exposure check reads the DNS stage's one residual A record;
+        # it once re-resolved the name after the scan's own registration
+        # had pointed it at the edge, and skipped with "has 2 records"
+        host = "legacy.edgenext-retired.net"
+        entry = reference_takeover_scan.report.domains[host]
+        assert entry["dangling"]["stage"] == "dns_stage"
+        assert [path["validated"] for path in entry["takeover_paths"]] == [True]
+        assert "exposure_check" not in entry
+        assert entry["exposure"]["kind"] == "not_vulnerable"
+        residual = world.scenario.discontinued[host].origin_ip
+        assert [e["detail"] for e in entry["exposure"]["evidence"]] == [
+            f"host={host} at {residual}", f"host={residual} at {residual}",
+        ]
 
 
 class TestOriginExposure:

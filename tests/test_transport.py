@@ -278,6 +278,22 @@ class TestLiveProbe:
         )
         assert response.failure is TransportFailure.CONNECT_REFUSED
 
+    def test_drip_fed_tls_handshake_ends_at_the_timeout(self, monkeypatch):
+        # a TLS record header, then its body one byte every 50 ms: each recv
+        # is quick, but the handshake keeps one deadline of ``timeout``
+        record = b"\x16\x03\x03\x00\x40" + bytes(64)
+        with dripping_peer(lambda hello: record, burst=5) as near:
+            def connect(address, timeout):
+                near.settimeout(timeout)
+                return near
+
+            monkeypatch.setattr(socket, "create_connection", connect)
+            transport = LiveTransport(TransportConfig(resolver="192.0.2.53", qps_limit=1e9, timeout=0.3))
+            start = time.monotonic()
+            response = transport.probe(HttpProbe.request("192.0.2.10", Scheme.HTTPS, parse_fqdn("www.example.com")))
+            assert response.failure is TransportFailure.TIMEOUT
+            assert time.monotonic() - start < 0.3 + 0.2
+
     @pytest.mark.parametrize("scheme", [Scheme.HTTP, Scheme.HTTPS])
     def test_probe_batch_sends_what_probe_sends(self, monkeypatch, scheme):
         sent: list[tuple[tuple, Optional[str], bytes]] = []
