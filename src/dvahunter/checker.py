@@ -136,7 +136,10 @@ def collect_ingress(
     liveness probe (which must carry the provider-identifying header when
     the DB knows one), group by city, and pick one seeded-random
     representative per city. A provider with no live, placeable node
-    keeps its probed nodes and gets no representatives."""
+    keeps its probed nodes and gets no representatives. A node whose
+    liveness question the crawl recheck already asked (same IP, same
+    Host) keeps that answer instead of a second probe."""
+    rechecked = {e.probe: e.response for record in hosted for e in record.evidence if e.probe is not None}
     by_provider: dict[str, dict[str, Fqdn]] = {}
     for record in hosted:
         if record.recheck is Recheck.REFUTED_BY_FINGERPRINT:
@@ -152,7 +155,9 @@ def collect_ingress(
         for ip in sorted(by_provider[provider]):
             contributor = by_provider[provider][ip]
             probe = HttpProbe(target_ip=ip, scheme=Scheme.HTTP, host_header=contributor)
-            response = transport.probe(probe)
+            response = rechecked.get(probe)
+            if response is None:
+                response = transport.probe(probe)
             if response.failure is not None:
                 state = Liveness.DEAD
             elif profile.liveness_header is not None:

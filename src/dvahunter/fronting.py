@@ -1,7 +1,8 @@
 """
-Domain-fronting testing: harvest stable static URLs from CDN-hosted
-domains, generate bounded (front, target, url) tuples, execute the
-three-request protocol, and fold tuple verdicts into a provider verdict.
+Domain-fronting testing: pick bounded (front, target) pairs, harvest
+stable static URLs from the target domains only, as many as the pairs
+use, execute the three-request protocol, and fold tuple verdicts into a
+provider verdict.
 
 Budgets: at most 10 domains touched per provider, at most 10 tuples
 executed per provider, at most 10 URLs harvested per domain.
@@ -11,6 +12,7 @@ from __future__ import annotations
 
 import logging
 import re
+from collections import Counter
 from dataclasses import dataclass, replace
 from enum import Enum
 from html.parser import HTMLParser
@@ -130,11 +132,15 @@ def harvest_urls(
     ingress_ip: str,
     transport,
     seed: int = 0,
+    limit: int = MAX_URLS_PER_DOMAIN,
 ) -> list[HarvestedUrl]:
     """Fetch "/" through the CDN, collect same-domain static asset
-    references, fetch each twice (one https ``probe_batch``), and keep
-    the ones whose bodies hashed identically. Seeded-random truncation
-    caps the result at MAX_URLS_PER_DOMAIN."""
+    references, and keep at most ``limit`` of them whose two fetches
+    hashed identically. A page with ``limit`` or fewer candidates has
+    every one fetched twice in one https ``probe_batch`` and keeps them in
+    page order. A larger page is shuffled (seeded) and verified in batches
+    of the URLs still missing, stopping once ``limit`` are kept; those are
+    returned sorted by path."""
     root = transport.probe(HttpProbe.request(ingress_ip, Scheme.HTTPS, domain))
     if root.failure is not None or not root.ok:
         raise RootFetchFailed(f"{domain}: / answered {root.failure.value if root.failure else root.status}")
@@ -151,48 +157,66 @@ def harvest_urls(
             continue
         seen.add(path)
         candidates.append((path, kind))
-    # each path twice in a row, so a dynamic origin counts its fetches
-    # in the order that one probe per fetch would
-    answers = transport.probe_batch(ingress_ip, Scheme.HTTPS, [(domain, p) for p, _ in candidates for _ in (1, 2)])
+    shuffled = len(candidates) > limit
+    if shuffled:
+        derive_rng(seed, "harvest", str(domain)).shuffle(candidates)
     stable: list[HarvestedUrl] = []
-    for (path, kind), first, second in zip(candidates, answers[0::2], answers[1::2]):
-        if first.failure is not None or second.failure is not None:
-            continue
-        if not first.ok or first.body_hash != second.body_hash:
-            continue
-        stable.append(HarvestedUrl(domain=domain, path=path, kind=kind, stability_hash=first.body_hash))
-    if len(stable) > MAX_URLS_PER_DOMAIN:
-        rng = derive_rng(seed, "harvest", str(domain))
-        stable = sorted(rng.sample(stable, MAX_URLS_PER_DOMAIN), key=lambda u: u.path)
-    return stable
+    tried = 0
+    while len(stable) < limit and tried < len(candidates):
+        batch = candidates[tried:tried + limit - len(stable)]
+        tried += len(batch)
+        # each path twice in a row, so a dynamic origin counts its fetches
+        # in the order that one probe per fetch would
+        answers = transport.probe_batch(ingress_ip, Scheme.HTTPS, [(domain, p) for p, _ in batch for _ in (1, 2)])
+        for (path, kind), first, second in zip(batch, answers[0::2], answers[1::2]):
+            if first.failure is not None or second.failure is not None:
+                continue
+            if not first.ok or first.body_hash != second.body_hash:
+                continue
+            stable.append(HarvestedUrl(domain=domain, path=path, kind=kind, stability_hash=first.body_hash))
+    return sorted(stable, key=lambda u: u.path) if shuffled else stable
 
 
 def generate_tuples(
     provider: str,
-    urls_by_domain: dict[Fqdn, list[HarvestedUrl]],
+    domains: list[Fqdn],
     ingress_ip: str,
+    transport,
     seed: int = 0,
 ) -> list[FrontingTuple]:
-    """Pair distinct hosted domains of one provider into up to
-    MAX_TUPLES_PER_PROVIDER (front, target, url) tuples, seeded-random.
-    Targets need at least one harvested URL; fronts do not."""
-    domains = sorted(urls_by_domain, key=str)
+    """Up to MAX_TUPLES_PER_PROVIDER (front, target, url) tuples over the
+    ordered pairs of distinct ``domains``, in a seeded-random order.
+
+    Only target domains are harvested, each once and when first drawn,
+    for as many URLs as the first MAX_TUPLES_PER_PROVIDER pairs draw of
+    it (at least one). A pair whose target yields no URL is skipped for
+    the next one; a target drawn more often than it has URLs reuses them
+    in turn. A domain that is only ever a front gets no harvest fetch."""
     if len(domains) < 2:
         raise InsufficientDomains(f"{provider}: {len(domains)} usable domain(s)")
-    pairs = [
-        (fd, td)
-        for fd in domains
-        for td in domains
-        if fd != td and urls_by_domain[td]
-    ]
-    if not pairs:
-        raise InsufficientDomains(f"{provider}: no pair with a harvested URL")
-    rng = derive_rng(seed, "tuples", provider)
-    rng.shuffle(pairs)
+    ordered = sorted(domains, key=str)
+    pairs = [(fd, td) for fd in ordered for td in ordered if fd != td]
+    derive_rng(seed, "tuples", provider).shuffle(pairs)
+    wanted = Counter(td for _fd, td in pairs[:MAX_TUPLES_PER_PROVIDER])
+    urls: dict[Fqdn, list[HarvestedUrl]] = {}
+    drawn: Counter[Fqdn] = Counter()
     out = []
-    for fd, td in pairs[:MAX_TUPLES_PER_PROVIDER]:
-        ut = rng.choice(urls_by_domain[td])
+    for fd, td in pairs:
+        if len(out) == MAX_TUPLES_PER_PROVIDER:
+            break
+        if td not in urls:
+            try:
+                urls[td] = harvest_urls(td, ingress_ip, transport, seed=seed, limit=max(1, wanted[td]))
+            except RootFetchFailed as err:
+                logger.info("harvest failed: %s", err)
+                urls[td] = []
+        if not urls[td]:
+            continue
+        ut = urls[td][drawn[td] % len(urls[td])]
+        drawn[td] += 1
         out.append(FrontingTuple(fd=fd, td=td, ut=ut, ingress_ip=ingress_ip))
+    if not out:
+        raise InsufficientDomains(f"{provider}: no pair with a harvested URL")
     return out
 
 

@@ -289,17 +289,8 @@ def _fronting_direct(ctx: ScanContext, profile) -> Optional[Verdict]:
     domains = sorted(eligible, key=str)
     if len(domains) > fronting_mod.MAX_DOMAINS_PER_PROVIDER:
         domains = sorted(rng.sample(domains, fronting_mod.MAX_DOMAINS_PER_PROVIDER), key=str)
-    urls_by_domain: dict[Fqdn, list] = {}
-    for domain in domains:
-        try:
-            urls_by_domain[domain] = fronting_mod.harvest_urls(
-                domain, rep, ctx.transport, seed=ctx.config.seed
-            )
-        except fronting_mod.RootFetchFailed as err:
-            logger.info("harvest failed: %s", err)
-            urls_by_domain[domain] = []
     try:
-        tuples = fronting_mod.generate_tuples(name, urls_by_domain, rep, seed=ctx.config.seed)
+        tuples = fronting_mod.generate_tuples(name, domains, rep, ctx.transport, seed=ctx.config.seed)
     except fronting_mod.InsufficientDomains as err:
         return Verdict.inconclusive((Evidence("fronting", str(err)),))
     # the three steps inside one tuple stay strictly sequential

@@ -417,8 +417,12 @@ class LiveTransport:
     # -- HTTP --------------------------------------------------------------
 
     def probe(self, probe: HttpProbe) -> HttpResponseSummary:
+        """One request with one deadline, ``timeout`` s after the start:
+        the connect, the TLS handshake, the send and the response read
+        each get only what is left of it."""
         self.limiter.acquire()
         self.stats.http_probes += 1
+        deadline = time.monotonic() + self.config.timeout
         port = 443 if probe.scheme is Scheme.HTTPS else 80
         cert_name: Optional[str] = None
         try:
@@ -436,7 +440,7 @@ class LiveTransport:
                     context.check_hostname = False
                     context.verify_mode = ssl.CERT_NONE
                 try:
-                    sock = context.wrap_socket(sock, server_hostname=str(probe.sni))
+                    sock = context.wrap_socket(_until(sock, deadline), server_hostname=str(probe.sni))
                     cert_name = _peer_cert_name(sock)
                 except ssl.SSLError:
                     return HttpResponseSummary.failed(TransportFailure.TLS_ERROR)
@@ -447,8 +451,8 @@ class LiveTransport:
                 "Accept: */*\r\n"
                 "Connection: close\r\n\r\n"
             )
-            sock.sendall(request.encode("ascii"))
-            status, headers, body = _read_http_response(sock, self.config.timeout)
+            _until(sock, deadline).sendall(request.encode("ascii"))
+            status, headers, body = _read_http_response(sock, deadline - time.monotonic())
             # a status outside 100-599 raises ValueError, like a non-numeric one
             return HttpResponseSummary.from_body(status, body, headers, tls_cert_name=cert_name)
         except socket.timeout:

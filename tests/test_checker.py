@@ -128,20 +128,31 @@ class TestCollectIngress:
         assert run(3) != run(8) or True  # may coincide; stability is the contract
 
     def test_all_dead_nodes_leave_no_representatives(self, db):
+        # the names resolve, but no node answers over HTTP: the recheck
+        # and the liveness probes see the same dead edges
         net = city_world(db)
 
-        class AllDead:
+        class AllDead(MockTransport):
             def probe(self, probe):
                 from dvahunter.core import HttpResponseSummary, TransportFailure
                 return HttpResponseSummary.failed(TransportFailure.TIMEOUT)
-            def resolve(self, name, rrtype=None):
-                return MockTransport(net).resolve(name)
 
-        transport = MockTransport(net)
+        transport = AllDead(net)
         hosted = discover_hosted(crawl_records(fq("www.sixcity.com"), transport), db, transport)
-        nodes = collect_ingress(hosted, net.city_of, AllDead(), db)["Fastly"]
+        nodes = collect_ingress(hosted, net.city_of, transport, db)["Fastly"]
         assert nodes.nodes and all(state is Liveness.DEAD for _ip, _city, state in nodes.nodes)
         assert nodes.representatives == []
+
+    def test_liveness_reuses_the_recheck_answer(self, db):
+        # the recheck probed the first node with the same Host; only the
+        # other five get a liveness probe of their own
+        net = city_world(db)
+        transport = MockTransport(net, record=True)
+        hosted = discover_hosted(crawl_records(fq("www.sixcity.com"), transport), db, transport)
+        assert len(transport.probe_log) == 1
+        nodes = collect_ingress(hosted, net.city_of, transport, db)["Fastly"]
+        assert len(nodes.nodes) == 6 and all(state is Liveness.ALIVE for _ip, _city, state in nodes.nodes)
+        assert sorted(e.probe.target_ip for e in transport.probe_log[1:]) == [f"198.18.5.{i}" for i in range(2, 7)]
 
     def test_degraded_node_excluded_from_representatives(self, world, db, transport):
         observations = crawl_records(fq("www.cloudflare-site-a.com"), transport)

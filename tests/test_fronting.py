@@ -30,7 +30,10 @@ from dvahunter.simnet import (
     VerificationMode,
     ZoneRecord,
 )
+from dvahunter.scan import run_scan_with_context
 from dvahunter.transport import MockTransport
+from dvahunter.worlds import build_budget_world
+from tests.conftest import scan_config, write_world
 
 
 def fastly_world(db, n_assets_a=3, dynamic_asset=False, n_domains=2, page=None):
@@ -88,6 +91,44 @@ class TestHarvest:
         urls = harvest_urls(parse_fqdn(hosts[0]), ip, MockTransport(net))
         assert urls == []
 
+    def test_thirty_assets_stop_at_the_cap(self, db):
+        # the first batch of ten is all stable, so the other twenty assets
+        # are never fetched: 1 + 2 x 10 probes instead of 1 + 2 x 30
+        net, ip, hosts = fastly_world(db, n_assets_a=30)
+        transport = MockTransport(net, record=True)
+        urls = harvest_urls(parse_fqdn(hosts[0]), ip, transport, seed=5)
+        assert len(urls) == 10
+        assert [u.path for u in urls] == sorted(u.path for u in urls)
+        assert len(transport.probe_log) == 1 + 2 * 10
+
+    def test_dynamic_origin_tries_every_candidate(self, db):
+        # no candidate is stable, so the batches go on until none is left
+        net, ip, hosts = fastly_world(db, n_assets_a=30, dynamic_asset=True)
+        transport = MockTransport(net, record=True)
+        assert harvest_urls(parse_fqdn(hosts[0]), ip, transport, limit=3) == []
+        fetched = [entry.probe.path for entry in transport.probe_log[1:]]
+        assert len(fetched) == 2 * 31
+        assert len(set(fetched)) == 31
+
+    def test_unstable_candidates_are_replaced_until_the_cap(self, db):
+        # seven good assets and five that answer 404: the batches go on
+        # past the failures until ``limit`` good ones are kept
+        refs = [f"/img/good-{k}.png" for k in range(7)] + [f"/img/gone-{k}.png" for k in range(5)]
+        page = ("<html><body>" + "".join(f'<img src="{r}">' for r in refs) + "</body></html>").encode()
+        net, ip, hosts = fastly_world(db, page=page)
+
+        class GoneAssets(MockTransport):
+            def probe_batch(self, target_ip, scheme, requests):
+                answers = super().probe_batch(target_ip, scheme, requests)
+                return [HttpResponseSummary.from_body(404, b"gone") if "gone" in path else answer
+                        for (_host, path), answer in zip(requests, answers)]
+
+        for seed in range(5):
+            urls = harvest_urls(parse_fqdn(hosts[0]), ip, GoneAssets(net), seed=seed, limit=5)
+            assert len(urls) == 5
+            assert all("good" in u.path for u in urls)
+            assert [u.path for u in urls] == sorted(u.path for u in urls)
+
     def test_thirty_assets_truncate_to_ten_seeded(self, db):
         net, ip, hosts = fastly_world(db, n_assets_a=30)
         first = harvest_urls(parse_fqdn(hosts[0]), ip, MockTransport(net), seed=5)
@@ -137,22 +178,54 @@ def make_url(domain, path="/img/logo.png"):
 
 
 class TestGenerateTuples:
-    def test_two_domains_one_url_single_pair(self):
-        urls = {parse_fqdn("a.com"): [make_url("a.com")], parse_fqdn("b.com"): []}
-        tuples = generate_tuples("Fastly", urls, "198.18.7.1", seed=1)
-        assert len(tuples) == 1
-        assert str(tuples[0].fd) == "b.com" and str(tuples[0].td) == "a.com"
+    def test_two_domains_one_url_single_pair(self, db):
+        # the first site's page references no asset, so it can only front
+        net, ip, hosts = fastly_world(db, page=b"<html><body>no assets</body></html>")
+        tuples = generate_tuples("Fastly", [parse_fqdn(h) for h in hosts], ip, MockTransport(net), seed=1)
+        assert [(str(t.fd), str(t.td)) for t in tuples] == [(hosts[0], hosts[1])]
 
-    def test_fifteen_domains_at_most_ten_participate(self):
-        urls = {parse_fqdn(f"site-{i:02d}.com"): [make_url(f"site-{i:02d}.com")] for i in range(15)}
-        tuples = generate_tuples("Fastly", urls, "198.18.7.1", seed=1)
+    def test_fifteen_domains_at_most_ten_participate(self, db):
+        net, ip, hosts = fastly_world(db, n_domains=15)
+        tuples = generate_tuples("Fastly", [parse_fqdn(h) for h in hosts], ip, MockTransport(net), seed=1)
         assert len(tuples) == 10
-        touched = {str(t.fd) for t in tuples} | {str(t.td) for t in tuples}
-        assert len(touched) <= 15  # tuples bound; domain cap enforced upstream
+        assert len({(t.fd, t.td) for t in tuples}) == 10
 
     def test_single_domain_insufficient(self):
-        with pytest.raises(InsufficientDomains):
-            generate_tuples("Fastly", {parse_fqdn("a.com"): [make_url("a.com")]}, "1.2.3.4")
+        # refused before any harvest, so no transport is needed
+        with pytest.raises(InsufficientDomains, match="1 usable domain"):
+            generate_tuples("Fastly", [parse_fqdn("a.com")], "1.2.3.4", None)
+
+    def test_no_target_with_urls_insufficient(self, db):
+        net, ip, _hosts = fastly_world(db)
+        domains = [parse_fqdn("unknown-a.example.org"), parse_fqdn("unknown-b.example.org")]
+        with pytest.raises(InsufficientDomains, match="no pair with a harvested URL"):
+            generate_tuples("Fastly", domains, ip, MockTransport(net))
+
+    def test_only_targets_are_harvested_for_their_draws(self, db):
+        # at seed 4 the 30-asset site is a target three times and the
+        # fourth site only ever fronts
+        net, ip, hosts = fastly_world(db, n_assets_a=30, n_domains=5)
+        transport = MockTransport(net, record=True)
+        tuples = generate_tuples("Fastly", [parse_fqdn(h) for h in hosts], ip, transport, seed=4)
+        targets = [str(t.td) for t in tuples]
+        fronts_only = {str(t.fd) for t in tuples} - set(targets)
+        assert targets.count(hosts[0]) == 3 and fronts_only == {hosts[3]}
+        roots = [str(e.probe.host_header) for e in transport.probe_log if e.probe.path == "/"]
+        assert sorted(roots) == sorted(set(targets))
+        fetched = [e.probe.path for e in transport.probe_log if str(e.probe.host_header) == hosts[0]]
+        assert len(fetched) == 1 + 2 * 3
+        # each draw of the 30-asset site gets its own URL
+        assert len({t.ut.path for t in tuples if str(t.td) == hosts[0]}) == 3
+
+    def test_target_drawn_more_often_than_its_urls_reuses_them(self, db):
+        # three sites give six pairs; the one-asset sites are each drawn
+        # twice, the three-asset site twice with two different URLs
+        net, ip, hosts = fastly_world(db, n_assets_a=3, n_domains=3)
+        tuples = generate_tuples("Fastly", [parse_fqdn(h) for h in hosts], ip, MockTransport(net), seed=1)
+        assert len(tuples) == 6
+        paths = {h: [t.ut.path for t in tuples if str(t.td) == h] for h in hosts}
+        assert len(set(paths[hosts[0]])) == 2
+        assert paths[hosts[1]] == paths[hosts[2]] == ["/img/logo.png"] * 2
 
     def test_tuple_invariants(self):
         with pytest.raises(ValueError):
@@ -227,14 +300,26 @@ class TestEndToEnd:
     def test_vulnerable_provider_full_protocol(self, db):
         net, ip, hosts = fastly_world(db)
         transport = MockTransport(net)
-        urls = {parse_fqdn(h): harvest_urls(parse_fqdn(h), ip, transport) for h in hosts}
-        tuples = generate_tuples("Fastly", urls, ip, seed=2)
+        tuples = generate_tuples("Fastly", [parse_fqdn(h) for h in hosts], ip, transport, seed=2)
         verdicts = [judge_tuple(run_tuple(t, transport)) for t in tuples]
         assert judge_provider(verdicts).kind is VerdictKind.VULNERABLE
         ran = [t for t in (run_tuple(t, transport) for t in tuples)]
         for t in ran:
             assert t.rt.body_hash == t.rv.body_hash
             assert t.rf.body_hash != t.rt.body_hash
+
+    def test_scan_never_harvests_a_front_only_domain(self, db, tmp_path):
+        world = build_budget_world(db)
+        scenario_path, targets_path = write_world(tmp_path, world)
+        ctx = run_scan_with_context(scan_config(targets_path, scenario_path, mode="fronting", record_probes=True))
+        probes = [entry.probe for entry in ctx.transport.probe_log if entry.probe.sni is not None]
+        # the fronting attempt rv is the one probe whose SNI is not its Host
+        attempts = [(str(p.sni), str(p.host_header)) for p in probes if p.sni != p.host_header]
+        targets = {td for _fd, td in attempts}
+        fronts_only = {fd for fd, _td in attempts} - targets
+        roots = {str(p.host_header) for p in probes if p.path == "/"}
+        assert fronts_only and roots
+        assert roots <= targets
 
     def test_hash_comparison_decides_not_bytes(self, db):
         # structurally: judge only reads body_hash, so excerpts may disagree

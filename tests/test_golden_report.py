@@ -30,10 +30,10 @@ from dvahunter.scan import run_scan
 from dvahunter.simnet import scenario_to_json
 from tests.conftest import DATA, scan_config
 
-REFERENCE_REPORT_SHA1 = "d7f8cfe667b51f7f32ea9ee2ecb29efea52e0802"
+REFERENCE_REPORT_SHA1 = "208dd805d9cb9abb3b56975c823c8acd39db6c36"
 
 GENERATED_REPORT_SHA1 = {
-    "detect-wide": "6f457bee3d04cbbce2bf8f474f5ff30777992d76",
+    "detect-wide": "390d4d7d2fc672dfe874c0079791ef727329d19b",
     "takeover-churn": "b639c055d454c91c41a1cc34f864ceb744d2046b",
 }
 

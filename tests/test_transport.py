@@ -265,6 +265,9 @@ class TestLiveQueries:
 class TestLiveProbe:
     def test_out_of_range_status_is_connect_refused(self, monkeypatch):
         class FakeSocket:
+            def settimeout(self, timeout):
+                pass
+
             def sendall(self, data):
                 pass
 
@@ -294,6 +297,24 @@ class TestLiveProbe:
             assert response.failure is TransportFailure.TIMEOUT
             assert time.monotonic() - start < 0.3 + 0.2
 
+    def test_slow_connect_leaves_the_read_only_the_rest_of_the_timeout(self, monkeypatch):
+        # the connect takes most of the timeout, then the response drips:
+        # one deadline for the whole probe ends it at ``timeout``, where a
+        # fresh one for the read would let it run on for another
+        reply = b"HTTP/1.1 200 OK\r\nContent-Length: 40\r\n\r\n" + b"x" * 40
+        with dripping_peer(lambda request: reply) as near:
+            def connect(address, timeout):
+                time.sleep(0.3)
+                near.settimeout(timeout)
+                return near
+
+            monkeypatch.setattr(socket, "create_connection", connect)
+            transport = LiveTransport(TransportConfig(resolver="192.0.2.53", qps_limit=1e9, timeout=0.4))
+            start = time.monotonic()
+            response = transport.probe(HttpProbe.request("192.0.2.10", Scheme.HTTP, parse_fqdn("www.example.com")))
+            assert response.failure is TransportFailure.TIMEOUT
+            assert time.monotonic() - start < 0.4 + 0.2
+
     @pytest.mark.parametrize("scheme", [Scheme.HTTP, Scheme.HTTPS])
     def test_probe_batch_sends_what_probe_sends(self, monkeypatch, scheme):
         sent: list[tuple[tuple, Optional[str], bytes]] = []
@@ -302,6 +323,9 @@ class TestLiveProbe:
             def __init__(self, address):
                 self.address = address
                 self.sni: Optional[str] = None
+
+            def settimeout(self, timeout):
+                pass
 
             def sendall(self, data):
                 sent.append((self.address, self.sni, data))
