@@ -6,6 +6,26 @@ provider verdict.
 
 Budgets: at most 10 domains touched per provider, at most 10 tuples
 executed per provider, at most 10 URLs harvested per domain.
+
+The harvest reads only the root page's ``body_excerpt``, its first
+``BODY_EXCERPT_CAP`` (4,096) bytes: on a live site, an asset referenced
+past them is never seen. ``_asset_refs`` reads the page with one compiled
+pattern and gives what ``html.parser`` (Python 3.11.7 to 3.13.0) gives
+after ``feed`` without ``close``:
+- the ``src`` of ``img`` and ``script`` and the ``href`` of ``link``
+  start tags, in page order, duplicates included; tag and attribute
+  names in any case;
+- values double-quoted, single-quoted or unquoted, unescaped with
+  ``html.unescape``; a valueless or empty attribute is skipped;
+- nothing inside ``<!-- ... -->`` (which ends at "--", optional
+  whitespace and ">"), ``<!...>``, ``<?...>`` or a quoted value;
+- nothing in the raw text of a ``script`` or ``style`` element, up to
+  "</", optional whitespace, the name in any case, optional whitespace
+  and ">"; ``<script .../>`` opens no raw text;
+- nothing from a construct cut off before its end, or after it.
+``<![`` departs from html.parser 3.11.7, which reads a CDATA section to
+"]]>" and raises AssertionError on other keywords: it is read to the
+first ">", as any other ``<!``.
 """
 
 from __future__ import annotations
@@ -15,9 +35,9 @@ import re
 from collections import Counter
 from dataclasses import dataclass, replace
 from enum import Enum
-from html.parser import HTMLParser
+from html import unescape
 from typing import Optional
-from urllib.parse import urlparse
+from urllib.parse import urlsplit
 
 from .core import (
     Evidence,
@@ -44,13 +64,14 @@ class UrlKind(Enum):
     STYLESHEET = "stylesheet"
 
 
-_STATIC_KINDS = {
-    ".png": UrlKind.IMAGE, ".jpg": UrlKind.IMAGE, ".jpeg": UrlKind.IMAGE, ".gif": UrlKind.IMAGE,
-    ".svg": UrlKind.IMAGE, ".ico": UrlKind.IMAGE, ".webp": UrlKind.IMAGE,
-    ".js": UrlKind.SCRIPT,
-    ".css": UrlKind.STYLESHEET,
+_STATIC_KINDS = {  # by the lowered text after a path's last "."
+    "png": UrlKind.IMAGE, "jpg": UrlKind.IMAGE, "jpeg": UrlKind.IMAGE, "gif": UrlKind.IMAGE,
+    "svg": UrlKind.IMAGE, "ico": UrlKind.IMAGE, "webp": UrlKind.IMAGE,
+    "js": UrlKind.SCRIPT,
+    "css": UrlKind.STYLESHEET,
 }
-_REQUEST_PATH = re.compile(r'/[!-"$-~]*')  # visible ASCII ("!" to "~") without a fragment ("#")
+_REQUEST_CHARS = re.compile(r'[!-"$-~]+')  # visible ASCII ("!" to "~") without a fragment ("#")
+_REQUEST_PATH = re.compile(r'/[!-"$-~]*')
 
 
 class RootFetchFailed(Exception):
@@ -86,45 +107,125 @@ class FrontingTuple:
             raise ValueError("tuple URL must live on the target domain")
 
 
-class _AssetExtractor(HTMLParser):
-    def __init__(self) -> None:
-        super().__init__()
-        self.refs: list[str] = []
+# The markup at one "<". A start tag's name and attributes are matched
+# as html.parser's locatestarttagend_tolerant matches them (the last
+# alternative is empty, so the attributes never backtrack); what follows
+# them decides:
+#   ">" or "/>"                  a whole tag: ``end`` is set
+#   a letter, "=", "/", the end  cut off: the match runs to the end
+#   anything else                not a tag; text up to here
+# A comment runs to the first "--\s*>", "<!...>", "<?...>" and "</...>"
+# to the first ">"; without it, they too run to the end.
+_MARKUP = re.compile(r"""
+    <(?:
+        (?P<name>[a-zA-Z][^\t\n\r\f />\x00]*)
+        (?:[\s/]*
+          (?:(?<=['"\s/])[^\s/>][^\s/=>]*
+            (?:\s*=+\s*(?:'[^']*'|"[^"]*"|(?!['"])[^>\s]*)\s*)?
+            (?:\s|/(?!>))*
+          )*
+        )?\s*
+        (?:(?P<end>/?>)|(?=[a-zA-Z=/]|\Z)[\s\S]*|)
+      | !--[\s\S]*?--\s*>
+      | !(?!--)[^>]*>
+      | [?/][^>]*>
+      | [!?/][\s\S]*
+    )""", re.VERBOSE)
+# one attribute of a whole start tag: its name, then the value after "="
+# (single-quoted, double-quoted or unquoted) when it has one
+_ATTRIBUTE = re.compile(r"""
+    ((?<=['"\s/])[^\s/>][^\s/=>]*)
+    (?:\s*=+\s*(?:'([^']*)'|"([^"]*)"|(?!['"])([^>\s]*)))?
+    (?:\s|/(?!>))*""", re.VERBOSE)
+_ASSET_ATTRIBUTE = {"img": "src", "script": "src", "link": "href"}
+# the end of a raw-text element's body: "</", the name in any ASCII case, ">"
+_RAW_TEXT_END = {
+    name: re.compile(r"</\s*" + "".join(f"[{c}{c.upper()}]" for c in name) + r"\s*>")
+    for name in ("script", "style")
+}
 
-    def handle_starttag(self, tag: str, attrs) -> None:
-        wanted = {"img": "src", "script": "src", "link": "href"}
-        attr = wanted.get(tag)
-        if attr is None:
-            return
-        for name, value in attrs:
-            if name == attr and value:
-                self.refs.append(value)
+
+def _asset_refs(text: str) -> list[str]:
+    """The unescaped, non-empty ``src`` of each ``img`` and ``script``
+    start tag and ``href`` of each ``link`` start tag, duplicates
+    included, in page order."""
+    refs: list[str] = []
+    pos = 0
+    while (tag := _MARKUP.search(text, pos)) is not None:
+        pos = tag.end()
+        if tag["end"] is None:
+            continue
+        name = tag["name"].lower()
+        wanted = _ASSET_ATTRIBUTE.get(name)
+        raw_text_end = _RAW_TEXT_END.get(name)
+        if wanted is None and raw_text_end is None:
+            continue
+        attrs = _ATTRIBUTE.findall(text, tag.end("name"), tag.start("end"))
+        for attr, single, double, bare in attrs:
+            value = single or double or bare
+            if value and attr.lower() == wanted:
+                value = unescape(value)
+                if value:
+                    refs.append(value)
+        # "/>" ends the element, and so does a "/" before ">" in a tag
+        # without attributes; a "/" there after an attribute is the end
+        # of its unquoted value. Any other script or style tag opens raw text.
+        if raw_text_end is not None and tag["end"] == ">" and (attrs or text[pos - 2] != "/"):
+            close = raw_text_end.search(text, pos)
+            if close is None:
+                break
+            pos = close.end()
+    return refs
 
 
 def _classify(path: str) -> Optional[UrlKind]:
-    lowered = path.lower().split("?", 1)[0]
-    for ext, kind in _STATIC_KINDS.items():
-        if lowered.endswith(ext):
-            return kind
-    return None
+    _stem, dot, ext = path.split("?", 1)[0].rpartition(".")
+    return _STATIC_KINDS.get(ext.lower()) if dot else None
 
 
 def _same_domain_path(ref: str, domain: Fqdn) -> Optional[str]:
-    """The request path of a same-domain reference, or None for one unfit
-    for a request line (html.parser unescapes entities: CR LF can occur)."""
+    """The request path of a same-domain reference, resolved against "/"
+    with its dot segments removed (RFC 3986 section 5.2), or None for one
+    unfit for a request line. ``_asset_refs`` unescapes entities, so CR LF
+    can occur: the reference is checked whole, before ``urlsplit``, which
+    would drop a tab, CR or LF unseen. A reference that gives a port, even
+    443, is dropped: the harvest fetches from the default https port only."""
+    if not _REQUEST_CHARS.fullmatch(ref):
+        return None
     if ref.startswith("//"):
         ref = "https:" + ref
     if "://" in ref:
         try:
-            parsed = urlparse(ref)
-        except ValueError:  # such as an unclosed "[" in the authority
+            parsed = urlsplit(ref)
+            port = parsed.port
+        except ValueError:  # such as an unclosed "[" in the authority, or a port that is no number
             return None
-        if parsed.hostname != str(domain):
+        if parsed.hostname != str(domain) or port is not None:
             return None
-        path = (parsed.path or "/") + (f"?{parsed.query}" if parsed.query else "")
+        path = parsed.path or "/"
+        query = f"?{parsed.query}" if parsed.query else ""
     else:
-        path = ref if ref.startswith("/") else "/" + ref
+        path, mark, query = ref.partition("?")
+        path = path if path.startswith("/") else "/" + path
+        query = mark + query
+    path = _remove_dot_segments(path) + query
     return path if _REQUEST_PATH.fullmatch(path) else None
+
+
+def _remove_dot_segments(path: str) -> str:
+    """RFC 3986 section 5.2.4 on an absolute path: "." is dropped, ".."
+    drops the segment before it, and neither climbs above "/"."""
+    segments = path.split("/")
+    out: list[str] = []
+    for segment in segments[1:]:
+        if segment == "..":
+            if out:
+                out.pop()
+        elif segment != ".":
+            out.append(segment)
+    if segments[-1] in (".", ".."):
+        out.append("")  # "/a/." and "/a/b/.." both name "/a/"
+    return "/" + "/".join(out)
 
 
 def harvest_urls(
@@ -144,11 +245,9 @@ def harvest_urls(
     root = transport.probe(HttpProbe.request(ingress_ip, Scheme.HTTPS, domain))
     if root.failure is not None or not root.ok:
         raise RootFetchFailed(f"{domain}: / answered {root.failure.value if root.failure else root.status}")
-    extractor = _AssetExtractor()
-    extractor.feed(root.body_excerpt.decode("utf-8", "replace"))
     candidates: list[tuple[str, UrlKind]] = []
     seen: set[str] = set()
-    for ref in extractor.refs:
+    for ref in _asset_refs(root.body_excerpt.decode("utf-8", "replace")):
         path = _same_domain_path(ref, domain)
         if path is None or path in seen:
             continue

@@ -304,20 +304,22 @@ class LiveTransport:
         """Send one query and return the resolver's reply, or None when
         every try timed out. A datagram counts as the reply only when it
         comes from the resolver's address and echoes the query's id
-        (RFC 5452); any other datagram is dropped and reading goes
-        on within the same timeout. The TCP fallback must echo the id too."""
+        (RFC 5452); any other datagram is dropped and reading goes on.
+        Each try has one deadline, ``timeout`` after its start, shared by
+        the UDP wait and any TCP fallback's connect, send and reads. The
+        TCP fallback must echo the id too."""
         resolver = self._resolver
         qid = query[:2]
         for _ in range(self.config.retries + 1):
             self.limiter.acquire()
+            deadline = time.monotonic() + self.config.timeout
             try:
                 with socket.socket(socket.AF_INET, socket.SOCK_DGRAM) as sock:
                     sock.sendto(query, resolver)
-                    data = self._await_reply(sock, resolver, qid)
+                    data = self._await_reply(sock, resolver, qid, deadline)
                 if len(data) >= 4 and data[2] & 0x02:  # TC bit: retry over TCP
-                    with socket.create_connection(resolver, timeout=self.config.timeout) as tcp:
-                        tcp.sendall(struct.pack(">H", len(query)) + query)
-                        deadline = time.monotonic() + self.config.timeout
+                    with socket.create_connection(resolver, timeout=_time_left(deadline)) as tcp:
+                        _until(tcp, deadline).sendall(struct.pack(">H", len(query)) + query)
                         size = struct.unpack(">H", self._recv_exact(tcp, 2, deadline))[0]
                         data = self._recv_exact(tcp, size, deadline)
                     if data[:2] != qid:
@@ -327,8 +329,8 @@ class LiveTransport:
                 continue
         return None
 
-    def _await_reply(self, sock: socket.socket, resolver: tuple[str, int], qid: bytes) -> bytes:
-        deadline = time.monotonic() + self.config.timeout
+    @staticmethod
+    def _await_reply(sock: socket.socket, resolver: tuple[str, int], qid: bytes, deadline: float) -> bytes:
         while True:
             data, source = _until(sock, deadline).recvfrom(4096)
             if source[:2] == resolver and data[:2] == qid:
@@ -555,14 +557,19 @@ def _der_items(der: bytes) -> list[tuple[int, bytes]]:
     return items
 
 
-def _until(sock: socket.socket, deadline: float) -> socket.socket:
-    """``sock``, with its timeout set to the time left until ``deadline``
-    (``time.monotonic``), so a peer that drips its bytes gets no fresh
-    timeout per read. socket.timeout once the deadline has passed."""
+def _time_left(deadline: float) -> float:
+    """Seconds until ``deadline`` (``time.monotonic``); socket.timeout once
+    it has passed."""
     remaining = deadline - time.monotonic()
     if remaining <= 0:
         raise socket.timeout("deadline passed")
-    sock.settimeout(remaining)
+    return remaining
+
+
+def _until(sock: socket.socket, deadline: float) -> socket.socket:
+    """``sock``, with its timeout set to the time left until ``deadline``,
+    so a peer that drips its bytes gets no fresh timeout per read."""
+    sock.settimeout(_time_left(deadline))
     return sock
 
 

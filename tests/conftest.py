@@ -1,6 +1,8 @@
 from __future__ import annotations
 
+import importlib.util
 import json
+import sys
 from pathlib import Path
 
 import pytest
@@ -18,6 +20,8 @@ DATA = {name: default_data(name) for name in (
     "reference_world.json", "reference_world_targets.txt",
 )}
 
+WORLDGEN = Path(__file__).resolve().parents[1] / "perfbench" / "worldgen.py"
+
 
 @pytest.fixture(scope="session")
 def psl() -> PublicSuffixList:
@@ -27,6 +31,17 @@ def psl() -> PublicSuffixList:
 @pytest.fixture(scope="session")
 def db() -> ProviderDb:
     return load_provider_db(DATA["providers.json"])
+
+
+@pytest.fixture(scope="module")
+def worldgen():
+    """``perfbench/worldgen.py``, the benchmark's world builders."""
+    spec = importlib.util.spec_from_file_location("worldgen", WORLDGEN)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # its dataclasses look their module up here
+    spec.loader.exec_module(module)
+    yield module
+    sys.modules.pop(spec.name, None)
 
 
 @pytest.fixture()

@@ -143,13 +143,22 @@ class TestHarvest:
         "/\u00e9.png",
         "/b.png?v=2#top",
         "//[bad/c.png",
-    ], ids=["crlf", "space", "non-ascii", "fragment", "unparsable"])
+        "https://www.front-site-a.com/x&#13;&#10;.png",
+        "https://www.front-site-a.com/x&#9;.png",
+        "https://www.front-site-a.com/x.png#top",
+        "https://www.front-site-a.com:8443/x.png",
+        "//www.front-site-a.com:443/x.png",
+        "//www.front-site-a.com:bad/x.png",
+    ], ids=["crlf", "space", "non-ascii", "fragment", "unparsable", "absolute-crlf", "absolute-tab",
+            "absolute-fragment", "port", "default-port", "bad-port"])
     def test_paths_unfit_for_a_request_line_are_dropped(self, db, ref):
-        # html.parser unescapes entities, so a page can hand the harvest a
+        # the scanner unescapes entities, so a page can hand the harvest a
         # CR LF (a header line injected into the live request), a space (a
         # broken request line) or a non-ASCII character (a request the
         # live backend cannot encode); a fragment is never sent, and an
-        # unclosed "[" makes the URL unparsable
+        # unclosed "[" makes the URL unparsable. An absolute reference is
+        # checked before urlsplit, which drops a tab, CR or LF unseen, and
+        # one that gives a port names a URL the https harvest does not fetch
         page = f'<html><body><img src="{ref}"><img src="/img/logo.png"></body></html>'.encode()
         net, ip, hosts = fastly_world(db, page=page)
         transport = MockTransport(net, record=True)
@@ -166,6 +175,26 @@ class TestHarvest:
         urls = harvest_urls(parse_fqdn(hosts[0]), ip, transport)
         assert [u.path for u in urls] == ["/x.js?v=2"]
         assert [entry.probe.path for entry in transport.probe_log] == ["/", "/x.js?v=2", "/x.js?v=2"]
+
+    def test_dot_segments_are_removed(self, db):
+        # RFC 3986 section 5.2.4: all four name /img/logo.png, so it is
+        # fetched once as that path, and ".." never climbs above "/"
+        page = (b'<html><body><img src="../img/logo.png"><img src="./a/../img/logo.png">'
+                b'<img src="https://www.front-site-a.com/img/./x/../logo.png"><img src="/img/logo.png">'
+                b'</body></html>')
+        net, ip, hosts = fastly_world(db, page=page)
+        transport = MockTransport(net, record=True)
+        urls = harvest_urls(parse_fqdn(hosts[0]), ip, transport)
+        assert [u.path for u in urls] == ["/img/logo.png"]
+        assert [entry.probe.path for entry in transport.probe_log] == ["/", "/img/logo.png", "/img/logo.png"]
+
+    def test_markup_that_html_parser_refused_is_read(self, db):
+        # html.parser (Python 3.11.7) raised AssertionError on "<![" with an
+        # unknown keyword; the scanner reads it as a bogus comment to ">"
+        page = b'<html><body><![if-x <b>]><img src="/img/logo.png"></body></html>'
+        net, ip, hosts = fastly_world(db, page=page)
+        urls = harvest_urls(parse_fqdn(hosts[0]), ip, MockTransport(net))
+        assert [u.path for u in urls] == ["/img/logo.png"]
 
     def test_unreachable_root_raises(self, db):
         net, ip, hosts = fastly_world(db)

@@ -19,10 +19,7 @@ seed 1.
 """
 
 import hashlib
-import importlib.util
 import json
-import sys
-from pathlib import Path
 
 import pytest
 
@@ -37,23 +34,11 @@ GENERATED_REPORT_SHA1 = {
     "takeover-churn": "b639c055d454c91c41a1cc34f864ceb744d2046b",
 }
 
-WORLDGEN = Path(__file__).resolve().parents[1] / "perfbench" / "worldgen.py"
-
 
 def test_reference_report_is_byte_identical(tmp_path):
     out = tmp_path / "report.json"
     run_scan(scan_config(DATA["reference_world_targets.txt"], DATA["reference_world.json"], mode="all", seed=7, out=out))
     assert hashlib.sha1(out.read_bytes()).hexdigest() == REFERENCE_REPORT_SHA1
-
-
-@pytest.fixture(scope="module")
-def worldgen():
-    spec = importlib.util.spec_from_file_location("worldgen", WORLDGEN)
-    module = importlib.util.module_from_spec(spec)
-    sys.modules[spec.name] = module  # its dataclasses look their module up here
-    spec.loader.exec_module(module)
-    yield module
-    sys.modules.pop(spec.name, None)
 
 
 @pytest.mark.parametrize("workload", sorted(GENERATED_REPORT_SHA1))

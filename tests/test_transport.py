@@ -399,11 +399,13 @@ def echo(ip: str, flags: bytes = b"\x81\x80", qid_offset: int = 0):
 
 class FakeUdpSocket:
     """Stands in for socket.socket: hands out queued (data, source)
-    datagrams, then times out. ``data`` may be a function of the query
-    last sent, such as ``echo(...)``."""
+    datagrams, each ``delay`` seconds after it is asked for, then times
+    out. ``data`` may be a function of the query last sent, such as
+    ``echo(...)``."""
 
-    def __init__(self, datagrams):
+    def __init__(self, datagrams, delay=0.0):
         self.datagrams = list(datagrams)
+        self.delay = delay
         self.sent = []
 
     def __enter__(self):
@@ -421,6 +423,7 @@ class FakeUdpSocket:
     def recvfrom(self, size):
         if not self.datagrams:
             raise socket.timeout("timed out")
+        time.sleep(self.delay)
         data, source = self.datagrams.pop(0)
         if callable(data):
             data = data(self.sent[-1][0])
@@ -538,6 +541,32 @@ class TestLiveExchange:
             start = time.monotonic()
             assert transport._query("www.example.com", "a") is None
             assert time.monotonic() - start < 0.3 + 0.2
+
+    def test_tcp_fallback_gets_only_what_is_left_of_the_try(self, monkeypatch):
+        # the truncated UDP reply comes after 0.2 s, then the TCP peer drips:
+        # the connect and the reads get the rest of the try's one deadline,
+        # not a fresh timeout each
+        def length_prefixed(request):
+            body = echo("192.0.2.11")(request[2:])
+            return len(body).to_bytes(2, "big") + body
+
+        with dripping_peer(length_prefixed) as near:
+            truncated = echo("192.0.2.10", flags=b"\x83\x80")  # TC bit set
+            monkeypatch.setattr(socket, "socket",
+                                lambda *a, **kw: FakeUdpSocket([(truncated, self.RESOLVER)], delay=0.2))
+            connect_timeouts = []
+
+            def connect(address, timeout):
+                connect_timeouts.append(timeout)
+                near.settimeout(timeout)
+                return near
+
+            monkeypatch.setattr(socket, "create_connection", connect)
+            transport = LiveTransport(TransportConfig(resolver="192.0.2.53", qps_limit=1e9, retries=0, timeout=0.4))
+            start = time.monotonic()
+            assert transport._query("www.example.com", "a") is None
+            assert time.monotonic() - start < 0.4 + 0.2
+            assert len(connect_timeouts) == 1 and connect_timeouts[0] <= 0.4 - 0.2
 
     def test_resolver_given_by_name_is_matched_by_address(self, monkeypatch):
         monkeypatch.setattr(socket, "gethostbyname", {"dns.example": "192.0.2.53"}.__getitem__)
