@@ -72,6 +72,7 @@ _STATIC_KINDS = {  # by the lowered text after a path's last "."
 }
 _REQUEST_CHARS = re.compile(r'[!-"$-~]+')  # visible ASCII ("!" to "~") without a fragment ("#")
 _REQUEST_PATH = re.compile(r'/[!-"$-~]*')
+_SCHEME = re.compile(r"[A-Za-z][A-Za-z0-9+.-]*:")  # RFC 3986 section 3.1
 
 
 class RootFetchFailed(Exception):
@@ -188,13 +189,19 @@ def _same_domain_path(ref: str, domain: Fqdn) -> Optional[str]:
     with its dot segments removed (RFC 3986 section 5.2), or None for one
     unfit for a request line. ``_asset_refs`` unescapes entities, so CR LF
     can occur: the reference is checked whole, before ``urlsplit``, which
-    would drop a tab, CR or LF unseen. A reference that gives a port, even
-    443, is dropped: the harvest fetches from the default https port only."""
+    would drop a tab, CR or LF unseen. Any "scheme:" prefix makes a
+    reference absolute (RFC 3986 section 4.3): only an https one, or a
+    scheme-relative "//" one, can name a URL of the https harvest. A
+    reference that gives a port, even 443, is dropped: the harvest fetches
+    from the default https port only."""
     if not _REQUEST_CHARS.fullmatch(ref):
         return None
     if ref.startswith("//"):
         ref = "https:" + ref
-    if "://" in ref:
+    scheme = _SCHEME.match(ref)
+    if scheme is not None:
+        if scheme.group().lower() != "https:":
+            return None
         try:
             parsed = urlsplit(ref)
             port = parsed.port

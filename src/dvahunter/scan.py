@@ -37,7 +37,7 @@ from .crawler import PrefixDictionary, enumerate_subdomains
 from .providers import DnsSignalKind, ProviderDb, identify_cdn, load_provider_db
 from .psl import PublicSuffixList
 from .report import ScanReport
-from .simnet import SimulatedInternet, load_scenario, validate_scenario
+from .simnet import ScenarioError, SimulatedInternet, load_scenario, validate_scenario
 from .transport import Backend, LiveTransport, MockTransport, TransportConfig
 
 logger = logging.getLogger(__name__)
@@ -142,7 +142,10 @@ def prepare(config: ScanConfig) -> ScanContext:
         problems = validate_scenario(scenario, db)
         if problems:
             raise ConfigError("scenario failed validation: " + "; ".join(problems))
-        simnet = SimulatedInternet(scenario, db)
+        try:
+            simnet = SimulatedInternet(scenario, db)
+        except ScenarioError as err:  # a conflict validate_scenario does not look for
+            raise ConfigError(str(err))
         geo = simnet.city_of
         transport = MockTransport(simnet, record=config.record_probes)
         started = 0.0  # the mock world has no wall clock, so its reports are reproducible

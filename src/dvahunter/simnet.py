@@ -17,6 +17,8 @@ Design notes:
     call sequence on a fresh session reproduces identical responses.
     Registrations made inside ``registration_scope()`` are undone when it
     exits, so a scan's takeover validation leaves the world as it found it.
+    The scope journals each write it sees and replays its own journal
+    backwards on exit, so it costs O(writes), not O(world).
 """
 
 from __future__ import annotations
@@ -26,6 +28,7 @@ import json
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import cached_property
 from pathlib import Path
 from typing import Any, Iterator, Optional, Sequence, Union
 
@@ -39,7 +42,7 @@ from .core import (
     TransportFailure,
     parse_fqdn,
 )
-from .providers import Fingerprint, ProviderDb
+from .providers import DnsSignalKind, Fingerprint, ProviderDb
 
 MAX_CHAIN = 16
 MISMATCH_STATUS = 421  # Misdirected Request: the standards-defined SNI/Host mismatch answer
@@ -111,7 +114,7 @@ class ScenarioProvider:
             # template rules model Multi-CDN namespaces instead
             raise ScenarioError(f"{self.name}: flawed_shared_random uses the random rule")
 
-    @property
+    @cached_property
     def ips(self) -> tuple[str, ...]:
         return tuple(ip for ip, _ in self.ingress_ips)
 
@@ -200,6 +203,8 @@ def verification_record_name(domain: str) -> str:
 
 _GENERIC_404 = b"<html><body>no such site here</body></html>"
 
+_ABSENT = object()  # a journaled key that had no value before the write
+
 
 class SimulatedInternet:
     """One session over a scenario: answers DNS and HTTP, accepts attacker
@@ -209,6 +214,10 @@ class SimulatedInternet:
     def __init__(self, scenario: Scenario, db: ProviderDb):
         self.scenario = scenario
         self.db = db
+        # with a duplicated name the first provider wins, as in Scenario.provider
+        self._providers: dict[str, ScenarioProvider] = {}
+        for prov in scenario.providers:
+            self._providers.setdefault(prov.name, prov)
         self._ip_owner: dict[str, ScenarioProvider] = {}
         for prov in scenario.providers:
             for ip in prov.ips:
@@ -225,6 +234,11 @@ class SimulatedInternet:
         # a fingerprint answer depends only on these four inputs and is frozen
         self._fp_responses: dict[tuple[Fingerprint, str, str, Optional[str]], HttpResponseSummary] = {}
         self._zone_overrides: dict[str, ZoneRecord] = {}
+        # one journal per open registration_scope, innermost last:
+        # (table, key, value before the write or _ABSENT)
+        self._journals: list[list[tuple[dict, str, Any]]] = []
+        # zone text -> its parse: the chain and NS names of a world repeat
+        self._fqdns: dict[str, Fqdn] = {}
         self._fetch_counts: dict[tuple[str, str, str], int] = {}
         self._dangling_targets = self._index_dangling_targets()
         # only the scenario's zones hold wildcards, and none are added later
@@ -265,7 +279,7 @@ class SimulatedInternet:
         synthesized from the behavior provider's discontinued fingerprint."""
         profile = self.db.by_name.get(provider_name)
         fp = profile.discontinued_fp if profile is not None else None
-        prov = self.scenario.provider(provider_name)
+        prov = self._providers[provider_name]
         if fp is not None and fp.dns_signal is not None:
             kind = fp.dns_signal.kind.value
             if kind == "nxdomain":
@@ -311,12 +325,18 @@ class SimulatedInternet:
             cursor = nxt
         return DnsObservation(
             fqdn=fqdn,
-            cname_chain=tuple(parse_fqdn(c) for c in chain),
-            ns=tuple(parse_fqdn(n) for n in ns),
+            cname_chain=tuple(self._fqdn(c) for c in chain),
+            ns=tuple(self._fqdn(n) for n in ns),
             a_records=a_records,
             rcode=Rcode.NOERROR,
             cname_loop=loop,
         )
+
+    def _fqdn(self, text: str) -> Fqdn:
+        fqdn = self._fqdns.get(text)
+        if fqdn is None:
+            fqdn = self._fqdns[text] = parse_fqdn(text)
+        return fqdn
 
     def serve_dns_existing(self, names: Sequence[str]) -> dict[str, DnsObservation]:
         """The answers of the names that exist with records, keyed by the
@@ -538,14 +558,25 @@ class SimulatedInternet:
     def registration_scope(self) -> Iterator[None]:
         """Undo on exit every attacker registration made inside the block:
         the registered hosts and the zone overrides go back to what they
-        were on entry. ``attacker_register`` outside a scope stays in force."""
-        registrations = {name: dict(hosts) for name, hosts in self._registrations.items()}
-        overrides = dict(self._zone_overrides)
+        were on entry. ``attacker_register`` outside a scope stays in force.
+        Each scope journals its own writes and undoes them last first, so a
+        nested scope undoes only what was written while it was innermost."""
+        journal: list[tuple[dict, str, Any]] = []
+        self._journals.append(journal)
         try:
             yield
         finally:
-            self._registrations = registrations
-            self._zone_overrides = overrides
+            self._journals.pop()
+            for table, key, previous in reversed(journal):
+                if previous is _ABSENT:
+                    del table[key]
+                else:
+                    table[key] = previous
+
+    def _write(self, table: dict, key: str, value: Any) -> None:
+        if self._journals:
+            self._journals[-1].append((table, key, table.get(key, _ABSENT)))
+        table[key] = value
 
     def attacker_register(
         self,
@@ -562,7 +593,7 @@ class SimulatedInternet:
         provider's ingresses, and a previously dangling assigned name
         resolves again.
         """
-        prov = self.scenario.provider(provider_name)
+        prov = self._providers[provider_name]
         mode = prov.verification_mode
         if mode is VerificationMode.DNS_TOKEN_CHECKED:
             record = self.scenario.zones.get(verification_record_name(custom_domain))
@@ -573,20 +604,20 @@ class SimulatedInternet:
         target_origin = origin_ip or self.scenario.attacker_origin_ip
         if target_origin is None:
             raise ScenarioError("scenario has no attacker origin")
-        self._registrations[provider_name][custom_domain] = HostEntry(
+        self._write(self._registrations[provider_name], custom_domain, HostEntry(
             host=custom_domain,
             origin_ip=target_origin,
             registered_by=RegisteredBy.ATTACKER,
             dns_points_here=True,
-        )
+        ))
         # the assigned name now serves traffic again
-        self._zone_overrides[assigned] = ZoneRecord(a=prov.ips)
+        self._write(self._zone_overrides, assigned, ZoneRecord(a=prov.ips))
         old = self.scenario.zones.get(custom_domain)
         if custom_domain in self.scenario.discontinued and old is not None and old.cname:
             # W1 misconnection: the victim's old assigned name routes to
             # the edge via the fixed subdomain even though the attacker
             # was handed a different name
-            self._zone_overrides[old.cname] = ZoneRecord(a=prov.ips)
+            self._write(self._zone_overrides, old.cname, ZoneRecord(a=prov.ips))
         return assigned
 
 
@@ -780,10 +811,17 @@ def validate_scenario(scenario: Scenario, db: ProviderDb) -> list[str]:
     """Cross-checks beyond what construction enforces; returns problems."""
     problems: list[str] = []
     seen_names = set()
+    ip_owner: dict[str, str] = {}
     for prov in scenario.providers:
         if prov.name in seen_names:
             problems.append(f"duplicate scenario provider {prov.name}")
         seen_names.add(prov.name)
+        for ip in prov.ips:
+            if ip in ip_owner:
+                problems.append(f"ingress IP {ip} held twice: by {ip_owner[ip]} and by {prov.name}")
+            elif ip in scenario.origins:
+                problems.append(f"ingress IP {ip} of {prov.name} is also an origin IP")
+            ip_owner.setdefault(ip, prov.name)
         if prov.name not in db.by_name:
             problems.append(f"scenario provider {prov.name} missing from provider DB")
         for entry in prov.host_table:
@@ -791,10 +829,20 @@ def validate_scenario(scenario: Scenario, db: ProviderDb) -> list[str]:
                 problems.append(f"{prov.name}: {entry.host} is both active and discontinued")
             if entry.origin_ip not in scenario.origins:
                 problems.append(f"{prov.name}: host {entry.host} origin {entry.origin_ip} not in origins")
+    # a dangling name of these resolves to the host's residual origin_ip
+    single_a = {
+        profile.name for profile in db.providers
+        if profile.discontinued_fp is not None and profile.discontinued_fp.dns_signal is not None
+        and profile.discontinued_fp.dns_signal.kind is DnsSignalKind.SINGLE_A_RECORD
+    }
     dangling_targets = set()
     for host, svc in scenario.discontinued.items():
         if svc.provider not in seen_names:
             problems.append(f"discontinued host {host}: unknown provider {svc.provider}")
+        if svc.origin_ip is None and svc.provider in single_a:
+            problems.append(
+                f"discontinued host {host}: {svc.provider}'s single_a_record fingerprint needs an origin_ip"
+            )
         record = scenario.zones.get(host)
         if record is not None and record.cname:
             dangling_targets.add(record.cname)

@@ -15,7 +15,7 @@ once per record and kept on the finding.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import Enum
 from typing import Optional
 
@@ -202,11 +202,16 @@ def enumerate_takeover_paths(
     An empty list means dangling-only: the fingerprint matched but no
     automated path is known."""
     hosting = db.by_name[finding.provider]
+
+    def path(kind: TakeoverKind, via_provider: str, rationale: str) -> TakeoverPath:
+        validated = None if simnet is None else _validate_path(kind, via_provider, finding, simnet, transport)
+        return TakeoverPath(kind, via_provider, rationale, validated)
+
     paths: list[TakeoverPath] = []
     effective = hosting.effective_verification
     if effective == "none":
         paths.append(
-            TakeoverPath(
+            path(
                 TakeoverKind.NO_VERIFICATION,
                 hosting.name,
                 "provider performs no effective domain verification",
@@ -214,7 +219,7 @@ def enumerate_takeover_paths(
         )
     elif effective == "w1_misconnection":
         paths.append(
-            TakeoverPath(
+            path(
                 TakeoverKind.FLAWED_W1,
                 hosting.name,
                 "misconnection: the custom domain binds via the fixed subdomain "
@@ -223,7 +228,7 @@ def enumerate_takeover_paths(
         )
     elif effective == "w2_shared_random":
         paths.append(
-            TakeoverPath(
+            path(
                 TakeoverKind.FLAWED_W2,
                 hosting.name,
                 "assigned subdomain is a deterministic function of the custom domain: "
@@ -234,31 +239,31 @@ def enumerate_takeover_paths(
         expanded = edge.expand(str(finding.fqdn))
         if expanded is not None and expanded == finding.matched_cname:
             paths.append(
-                TakeoverPath(
+                path(
                     TakeoverKind.MULTI_CDN_SHARED_CNAME,
                     other.name,
                     f"{other.name} regenerates {expanded} for this custom domain, "
                     f"bypassing {finding.provider}'s verification",
                 )
             )
-    if simnet is not None:
-        paths = [replace(path, validated=_validate_path(path, finding, simnet, transport)) for path in paths]
     return paths
 
 
-def _validate_path(path: TakeoverPath, finding: DanglingFinding, simnet: SimulatedInternet, transport) -> bool:
+def _validate_path(
+    kind: TakeoverKind, via_provider: str, finding: DanglingFinding, simnet: SimulatedInternet, transport
+) -> bool:
     domain = str(finding.fqdn)
     with simnet.registration_scope():
         try:
-            assigned = simnet.attacker_register(path.via_provider, domain, "attacker-account-1")
+            assigned = simnet.attacker_register(via_provider, domain, "attacker-account-1")
         except VerificationFailed as blocked:
             logger.info("registration blocked: %s", blocked)
             return False
-        if path.kind is TakeoverKind.FLAWED_W2:
-            second = simnet.attacker_register(path.via_provider, domain, "attacker-account-2")
+        if kind is TakeoverKind.FLAWED_W2:
+            second = simnet.attacker_register(via_provider, domain, "attacker-account-2")
             if second != assigned:
                 return False
-        if path.kind is TakeoverKind.MULTI_CDN_SHARED_CNAME and assigned != finding.matched_cname:
+        if kind is TakeoverKind.MULTI_CDN_SHARED_CNAME and assigned != finding.matched_cname:
             return False
         obs = transport.resolve(finding.fqdn, RRType.A)
         if not obs.a_records:

@@ -13,6 +13,7 @@ from dvahunter.fronting import (
     InsufficientDomains,
     RootFetchFailed,
     UrlKind,
+    _same_domain_path,
     generate_tuples,
     harvest_urls,
     judge_provider,
@@ -175,6 +176,43 @@ class TestHarvest:
         urls = harvest_urls(parse_fqdn(hosts[0]), ip, transport)
         assert [u.path for u in urls] == ["/x.js?v=2"]
         assert [entry.probe.path for entry in transport.probe_log] == ["/", "/x.js?v=2", "/x.js?v=2"]
+
+    @pytest.mark.parametrize("ref, path", [
+        ("/img/logo.png", "/img/logo.png"),
+        ("img/logo.png", "/img/logo.png"),
+        ("./img:logo.png", "/img:logo.png"),
+        ("https://www.front-site-a.com/img/logo.png", "/img/logo.png"),
+        ("HTTPS://WWW.Front-Site-A.com/img/logo.png", "/img/logo.png"),
+        ("//www.front-site-a.com/img/logo.png", "/img/logo.png"),
+        ("http://www.front-site-a.com/x.png", None),
+        ("ftp://www.front-site-a.com/x.png", None),
+        ("data:image/png;base64,AAAA.png", None),
+        ("mailto:x@y.png", None),
+        ("javascript:void(0).png", None),
+        ("img:logo.png", None),
+        ("https:/x.png", None),
+        ("https:x.png", None),
+        ("https://www.other-site.com/x.png", None),
+    ], ids=["absolute-path", "relative-path", "colon-after-dot-segment", "https", "https-any-case",
+            "scheme-relative", "http", "ftp", "data", "mailto", "javascript", "scheme-like-segment",
+            "https-no-authority", "https-relative", "other-host"])
+    def test_any_scheme_makes_a_reference_absolute(self, ref, path):
+        # RFC 3986 section 4.3: a "scheme:" prefix makes the reference
+        # absolute; only https (or scheme-relative) URLs on the domain are
+        # what the https harvest fetches. At one time a reference counted
+        # as absolute only with "://", so http://…/x.png was fetched over
+        # https as /x.png and data: or mailto: became relative paths
+        assert _same_domain_path(ref, parse_fqdn("www.front-site-a.com")) == path
+
+    def test_references_of_other_schemes_are_not_fetched(self, db):
+        page = (b'<html><body><img src="http://www.front-site-a.com/x.png">'
+                b'<img src="data:image/png;base64,AAAA.png"><img src="mailto:x@y.png">'
+                b'<img src="/img/logo.png"></body></html>')
+        net, ip, hosts = fastly_world(db, page=page)
+        transport = MockTransport(net, record=True)
+        urls = harvest_urls(parse_fqdn(hosts[0]), ip, transport)
+        assert [u.path for u in urls] == ["/img/logo.png"]
+        assert [entry.probe.path for entry in transport.probe_log] == ["/", "/img/logo.png", "/img/logo.png"]
 
     def test_dot_segments_are_removed(self, db):
         # RFC 3986 section 5.2.4: all four name /img/logo.png, so it is

@@ -352,6 +352,45 @@ class TestCli:
         assert main(["scan", "--targets", str(targets), "--scenario", str(path)]) == 2
         assert capsys.readouterr().err.count(message) == 2
 
+    @pytest.mark.parametrize("breakage, message", [
+        ("residual-origin-missing",
+         "discontinued host legacy.edgenext-retired.net: EdgeNext's single_a_record fingerprint needs an origin_ip"),
+        ("ingress-held-twice", "ingress IP 10.1.0.1 held twice: by Akamai and by Alibaba"),
+        ("ingress-is-origin", "ingress IP 10.1.0.1 of Akamai is also an origin IP"),
+    ], ids=["residual-origin-missing", "ingress-held-twice", "ingress-is-origin"])
+    def test_scenario_that_would_abort_the_scan_is_config_error(self, tmp_path, capsys, breakage, message):
+        # each once passed validate-scenario ("ok") and then aborted the
+        # scan: a ScenarioError traceback mid-crawl, or exit 1 from the
+        # SimulatedInternet constructor, which reads as "findings present"
+        doc = json.loads(DATA["reference_world.json"].read_text(encoding="utf-8"))
+        if breakage == "residual-origin-missing":
+            del doc["discontinued_hosts"]["legacy.edgenext-retired.net"]["origin_ip"]
+        elif breakage == "ingress-held-twice":
+            doc["providers"][1]["ingress_ips"].append(["10.1.0.1", "frankfurt"])
+        else:
+            doc["origins"]["10.1.0.1"] = {"body": "an origin at an edge address"}
+        path = tmp_path / "scenario.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        assert main(["validate-scenario", str(path)]) == 2
+        targets = DATA["reference_world_targets.txt"]
+        assert main(["scan", "--targets", str(targets), "--scenario", str(path), "--seed", "7"]) == 2
+        err = capsys.readouterr().err
+        assert err.count(message) == 2
+        assert len(err.splitlines()) == 2  # one line from each command
+
+    def test_scenario_the_simulated_internet_refuses_is_config_error(self, small_paths, tmp_path, capsys, monkeypatch):
+        # a world that validation let through but SimulatedInternet refuses
+        # still exits 2, never 1 with a traceback
+        import dvahunter.scan as scan_mod
+
+        doc = json.loads(small_paths[0].read_text(encoding="utf-8"))
+        doc["providers"][1]["ingress_ips"].append(doc["providers"][0]["ingress_ips"][0])
+        path = tmp_path / "scenario.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        monkeypatch.setattr(scan_mod, "validate_scenario", lambda scenario, db: [])
+        assert main(["scan", "--targets", str(small_paths[1]), "--scenario", str(path)]) == 2
+        assert "config error: ingress IP" in capsys.readouterr().err
+
     def test_scenario_that_is_not_utf8_is_config_error(self, small_paths, tmp_path, capsys):
         _, targets = small_paths
         path = tmp_path / "scenario.json"

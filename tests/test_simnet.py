@@ -2,6 +2,7 @@ import dataclasses
 import json
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from dvahunter.core import HttpProbe, Rcode, Scheme, TransportFailure, parse_fqdn
 from dvahunter.simnet import (
@@ -332,6 +333,134 @@ class TestAttackerRegister:
         assert answers() == before
         served = net.serve_http(probe(ingress_of(world, "Fastly"), kept, scheme=Scheme.HTTP))
         assert b"staging bucket" in served.body_excerpt
+
+
+class Boom(Exception):
+    pass
+
+
+# registrations the journal tests draw from: no-verification, W1 and W2
+# providers, a token-checked one that refuses, a dangling host of each kind
+# and fresh names; the zone cnames of the dangling hosts are W1 targets
+SCOPE_PROVIDERS = ("Fastly", "EdgeNext", "Cachefly", "Edgio", "KuoCai", "Baidu")
+SCOPE_DOMAINS = ("legacy.fastly-retired.net", "legacy.cachefly-retired.net", "legacy.edgenext-retired.net",
+                 "legacy.kuocai-retired.net", "victim.domain.com", "other.domain.com")
+SCOPE_ACCOUNTS = ("acct-1", "acct-2")
+OTHER_ORIGIN = "172.16.19.9"  # an origin of the reference world that is not the attacker's
+
+
+def scope_answers(world, net, extra_names=()):
+    """Every DNS and HTTP answer a registration among SCOPE_* can change."""
+    names = set(SCOPE_DOMAINS) | set(extra_names)
+    names |= {world.scenario.zones[d].cname for d in SCOPE_DOMAINS if d in world.scenario.zones}
+    dns = {name: net.serve_dns(name) for name in sorted(names)}
+    http = {
+        (provider, domain, sni): net.serve_http(probe(ingress_of(world, provider), domain, sni=sni,
+                                                      scheme=Scheme.HTTPS if sni else Scheme.HTTP))
+        for provider in SCOPE_PROVIDERS for domain in SCOPE_DOMAINS for sni in (None, domain)
+    }
+    return dns, http
+
+
+def session_with(world, db, registrations):
+    net = SimulatedInternet(world.scenario, db)
+    for provider, domain, account, origin_ip in registrations:
+        net.attacker_register(provider, domain, account, origin_ip)
+    return net
+
+
+class TestRegistrationScope:
+    """The scope journals each write it sees and undoes its own journal,
+    last write first, on exit."""
+
+    def test_overwrite_of_an_outside_registration_restores_it(self, world, net):
+        host = "legacy.fastly-retired.net"
+        net.attacker_register("Fastly", host, "attacker")
+        before = scope_answers(world, net)
+        with net.registration_scope():
+            # the same custom domain, bound to another origin
+            net.attacker_register("Fastly", host, "attacker", origin_ip=OTHER_ORIGIN)
+            assert scope_answers(world, net) != before
+        assert scope_answers(world, net) == before
+
+    def test_nested_scopes_each_undo_only_their_own_writes(self, world, net):
+        initial = scope_answers(world, net)
+        with net.registration_scope():
+            net.attacker_register("EdgeNext", "legacy.edgenext-retired.net", "attacker")
+            outer = scope_answers(world, net)
+            with net.registration_scope():
+                net.attacker_register("Fastly", "legacy.fastly-retired.net", "attacker")
+                net.attacker_register("EdgeNext", "legacy.edgenext-retired.net", "attacker", origin_ip=OTHER_ORIGIN)
+                assert scope_answers(world, net) != outer
+            assert scope_answers(world, net) == outer
+        assert scope_answers(world, net) == initial
+
+    def test_an_exception_inside_the_scope_still_restores_the_world(self, world, net):
+        before = scope_answers(world, net)
+        with pytest.raises(Boom):
+            with net.registration_scope():
+                net.attacker_register("Cachefly", "legacy.cachefly-retired.net", "attacker")
+                raise Boom
+        assert scope_answers(world, net) == before
+
+    def test_w1_overwrite_of_a_zone_override_restores_it(self, world, net):
+        # a W1 registration points the victim's old cname at the registering
+        # provider's edge: outside the scope Cachefly's, inside EdgeNext's
+        host = "legacy.cachefly-retired.net"
+        old_cname = world.scenario.zones[host].cname
+        net.attacker_register("Cachefly", host, "attacker")
+        assert net.serve_dns(old_cname).a_records == world.scenario.provider("Cachefly").ips
+        with net.registration_scope():
+            net.attacker_register("EdgeNext", host, "attacker")
+            assert net.serve_dns(old_cname).a_records == world.scenario.provider("EdgeNext").ips
+        assert net.serve_dns(old_cname).a_records == world.scenario.provider("Cachefly").ips
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_any_nesting_leaves_the_answers_of_a_fresh_session(self, world, db, data):
+        # a program of registrations and nested scopes, some left by an
+        # exception; after each scope the session answers as a fresh one
+        # given only the registrations still in force
+        registration = st.tuples(
+            st.sampled_from(SCOPE_PROVIDERS), st.sampled_from(SCOPE_DOMAINS),
+            st.sampled_from(SCOPE_ACCOUNTS), st.sampled_from((None, OTHER_ORIGIN)),
+        )
+        program = st.recursive(
+            st.lists(registration, max_size=3).map(lambda regs: [("register", r) for r in regs]),
+            lambda inner: st.lists(
+                st.one_of(registration.map(lambda r: ("register", r)), st.tuples(st.just("scope"), inner, st.booleans())),
+                max_size=3,
+            ),
+            max_leaves=8,
+        )
+        net = SimulatedInternet(world.scenario, db)
+        assigned: set[str] = set()
+
+        def run(steps, in_force):
+            for kind, *rest in steps:
+                if kind == "register":
+                    try:
+                        assigned.add(net.attacker_register(*rest[0]))
+                    except VerificationFailed:
+                        continue
+                    in_force.append(rest[0])
+                    continue
+                inner, fail = rest
+                kept = len(in_force)
+                try:
+                    with net.registration_scope():
+                        run(inner, in_force)
+                        if fail:
+                            raise Boom
+                except Boom:
+                    pass
+                del in_force[kept:]
+                got = scope_answers(world, net, assigned)
+                assert got == scope_answers(world, session_with(world, db, in_force), assigned)
+
+        in_force: list = []
+        run(data.draw(program), in_force)
+        assert not net._journals
 
 
 class TestScenarioIo:
