@@ -152,6 +152,8 @@ def prepare(config: ScanConfig) -> ScanContext:
     else:
         if config.resolver is None:
             raise ConfigError("live backend needs --resolver")
+        if config.record_probes:
+            raise ConfigError("record_probes needs the mock backend")
         geo = _load_geo(config.geoip)
         try:
             transport = LiveTransport(TransportConfig(
@@ -444,12 +446,10 @@ def _phase_takeover(ctx: ScanContext) -> None:
             vulnerable_via.setdefault(path.via_provider, []).append(str(finding.fqdn))
         # residual single-A fingerprints route straight into the
         # origin-exposure check (the leaked address is the old origin)
-        fp_owner = finding.matched_fp.split(":", 1)[0]
-        owner_fp = ctx.db.by_name[fp_owner].discontinued_fp
+        signal = finding.fingerprint.dns_signal
         if (
-            owner_fp is not None
-            and owner_fp.dns_signal is not None
-            and owner_fp.dns_signal.kind is DnsSignalKind.SINGLE_A_RECORD
+            signal is not None
+            and signal.kind is DnsSignalKind.SINGLE_A_RECORD
             and finding.terminal is not None
         ):
             try:

@@ -502,9 +502,11 @@ class SimulatedInternet:
         self, ip: str, scheme: Scheme, requests: Sequence[tuple[Fqdn, str]]
     ) -> list[HttpResponseSummary]:
         """``serve_http`` of one probe per (Host, path) request at ``ip``,
-        SNI = Host over https, in order. Only a dynamic origin's counter
-        depends on the path: a host with an entry is looked at once, and one
-        with none that is not discontinued shares its certificate's
+        SNI = Host over https, in order. A host the edge knows (registered,
+        in the host table or discontinued) gets ``serve_http``'s answer to
+        its first request, shared with its later ones unless its active
+        entry leads to a dynamic origin, whose answer depends on the path
+        and the fetch count. Every other host shares its certificate's
         unknown-host answer with the batch's other such hosts."""
         prov = self._ip_owner.get(ip)
         if prov is None:
@@ -512,45 +514,31 @@ class SimulatedInternet:
         https = scheme is Scheme.HTTPS
         registered, indexed = self._registrations[prov.name], self._host_index[prov.name]
         discontinued = self.scenario.discontinued
-        shared: dict[str, Optional[HttpResponseSummary]] = {}
+        shared: dict[str, HttpResponseSummary] = {}
         # by certificate; over https a host without one gets a TLS error
         unknown = {None: HttpResponseSummary.failed(TransportFailure.TLS_ERROR)} if https else {}
         out = []
         for host, path in requests:
             name = host.name
-            if name in shared:
-                answer = shared[name]
-            elif name in registered or name in indexed or name in discontinued:
-                answer = shared[name] = self._host_answer(prov, ip, https, name)
-            else:
-                cert = self._select_cert(prov, name) if https else None
-                if cert not in unknown:
-                    unknown[cert] = self._unknown_host(prov, ip, cert)
-                answer = unknown[cert]
+            answer = shared.get(name)
             if answer is None:
-                answer = self.serve_http(HttpProbe.request(ip, scheme, host, path))
+                if name in registered or name in indexed or name in discontinued:
+                    answer = self.serve_http(HttpProbe.request(ip, scheme, host, path))
+                    if not self._counts_fetches(prov, name):
+                        shared[name] = answer
+                else:
+                    cert = self._select_cert(prov, name) if https else None
+                    if cert not in unknown:
+                        unknown[cert] = self._unknown_host(prov, ip, cert)
+                    answer = unknown[cert]
             out.append(answer)
         return out
 
-    def _host_answer(self, prov: ScenarioProvider, ip: str, https: bool, host: str) -> Optional[HttpResponseSummary]:
-        """``serve_http``'s answer to every request for ``host`` at ``ip``:
-        a TLS error, or a missing or static origin. None for a dynamic
-        origin, an unproven entry or a discontinued host, whose rules stay
-        in ``serve_http`` alone."""
-        cert = self._select_cert(prov, host) if https else None
-        if https and cert is None:
-            return HttpResponseSummary.failed(TransportFailure.TLS_ERROR)
+    def _counts_fetches(self, prov: ScenarioProvider, host: str) -> bool:
+        """Whether ``host``'s active entry at ``prov`` leads to a dynamic origin."""
         entry = self._active_entry(prov, host)
-        if entry is None or self._proof_blocked(prov, entry):
-            return None
-        origin = self.scenario.origins.get(entry.origin_ip)
-        if origin is None:
-            return HttpResponseSummary.failed(TransportFailure.CONNECT_REFUSED)
-        if origin.dynamic:
-            return None
-        body = (origin.per_host or {}).get(host, origin.body)
-        headers = self._headers(prov, ip, (("Content-Type", origin.content_type),))
-        return HttpResponseSummary.from_body(200, body, headers, tls_cert_name=cert)
+        origin = self.scenario.origins.get(entry.origin_ip) if entry is not None else None
+        return origin is not None and origin.dynamic
 
     # -- registration -------------------------------------------------------
 

@@ -77,13 +77,17 @@ class TakeoverPath:
 class DanglingFinding:
     fqdn: Fqdn
     provider: str
-    matched_fp: str
+    fingerprint: Fingerprint  # the service-discontinued fingerprint that matched
     stage: DanglingStage
     matched_cname: str
     # the DNS stage's resolution of the last chain element; None when no
     # fingerprint source has a DNS signal
     terminal: Optional[DnsObservation] = None
     evidence: tuple[Evidence, ...] = ()
+
+    @property
+    def matched_fp(self) -> str:
+        return self.fingerprint.id
 
 
 def _http_stage_probe(record: HostedDomainRecord, transport):
@@ -144,7 +148,7 @@ def detect_dangling(
             return DanglingFinding(
                 fqdn=record.fqdn,
                 provider=record.provider,
-                matched_fp=fp.id,
+                fingerprint=fp,
                 stage=DanglingStage.DNS_STAGE,
                 matched_cname=record.matched_cname,
                 terminal=terminal,
@@ -171,7 +175,7 @@ def detect_dangling(
             return DanglingFinding(
                 fqdn=record.fqdn,
                 provider=record.provider,
-                matched_fp=fp.id,
+                fingerprint=fp,
                 stage=DanglingStage.HTTP_STAGE,
                 matched_cname=record.matched_cname,
                 terminal=terminal,

@@ -348,7 +348,6 @@ class LiveTransport:
 
     def _query(self, name: str, rrtype: str) -> Optional[tuple[int, list[tuple[str, int, str]]]]:
         # an unpredictable id (RFC 5452), kept across the retries
-        self.stats.dns_queries += 1
         data = self._exchange(build_dns_query(name, _DNS_TYPE[rrtype], secrets.randbits(16)))
         if data is None:
             return None
@@ -358,6 +357,10 @@ class LiveTransport:
             return None
 
     def resolve(self, name: Fqdn, rrtype: RRType = RRType.ALL) -> DnsObservation:
+        """One counted query, as the mock counts it. On the wire a name
+        costs up to three queries (A, CNAME, NS; A alone for ``RRType.A``),
+        each tried ``retries + 1`` times."""
+        self.stats.dns_queries += 1
         wanted = ["a"] if rrtype is RRType.A else ["a", "cname", "ns"]
         chain: list[str] = []
         a_records: list[str] = []

@@ -11,8 +11,8 @@ from dvahunter.cli import default_data
 from dvahunter.providers import ProviderDb, load_provider_db
 from dvahunter.psl import PublicSuffixList
 from dvahunter.scan import ScanConfig
-from dvahunter.simnet import SimulatedInternet, scenario_to_json
-from dvahunter.transport import Backend, MockTransport
+from dvahunter.simnet import scenario_to_json
+from dvahunter.transport import Backend
 from dvahunter.worlds import BuiltWorld
 
 DATA = {name: default_data(name) for name in (
@@ -42,22 +42,6 @@ def worldgen():
     spec.loader.exec_module(module)
     yield module
     sys.modules.pop(spec.name, None)
-
-
-@pytest.fixture()
-def mock_net(db):
-    """Factory: SimulatedInternet session over a scenario."""
-    def make(scenario) -> SimulatedInternet:
-        return SimulatedInternet(scenario, db)
-    return make
-
-
-@pytest.fixture()
-def mock_transport(mock_net):
-    """Factory: recording MockTransport over a scenario."""
-    def make(scenario, record: bool = False) -> MockTransport:
-        return MockTransport(mock_net(scenario), record=record)
-    return make
 
 
 def write_world(tmp_path: Path, world: BuiltWorld, tag: str = "world") -> tuple[Path, Path]:

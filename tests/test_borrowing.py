@@ -85,6 +85,16 @@ class FailingEdge:
         return [HttpResponseSummary(failure=TransportFailure.TIMEOUT) for _ in requests]
 
 
+class OneCertEdge:
+    """A transport whose edge answers every probe 200 under one certificate."""
+
+    def __init__(self, cert):
+        self.cert = cert
+
+    def probe(self, probe):
+        return HttpResponseSummary.from_body(200, b"<html>served</html>", tls_cert_name=self.cert)
+
+
 def hit_domains(verdict):
     return [str(e.probe.host_header) for e in verdict.evidence]
 
@@ -131,6 +141,15 @@ class TestFindBorrowing:
         verdict = find_borrowing(domains, db.by_name["Fastly"], rep(world, "Fastly"), transport)
         assert verdict == Verdict.inconclusive(
             (Evidence("borrowing", "no candidate produced a definitive answer"),)
+        )
+
+    def test_silent_provider_whose_candidates_all_time_out_is_not_vulnerable(self, db, world):
+        # silence is what a no_response fingerprint expects, so a timeout matches it
+        profile = db.by_name["CDN77"]
+        assert profile.nonhosted_fp.no_response
+        verdict = find_borrowing([parse_fqdn(c) for c in CANDIDATES], profile, rep(world, "CDN77"), FailingEdge())
+        assert verdict == Verdict.not_vulnerable(
+            (Evidence("borrowing", "2 candidate(s) all matched the non-hosted fingerprint"),)
         )
 
     def test_require_dns_proof_provider_all_clean(self, db, world, transport):
@@ -180,3 +199,14 @@ class TestClassifyTls:
         probes = transport.stats.http_probes
         assert classify_borrowing_tls(hit, transport) is BorrowingTls.HTTP_ONLY
         assert transport.stats.http_probes == probes + 1  # the TLS probe alone, no plain-http retry
+
+    @pytest.mark.parametrize("cert, domain, kind", [
+        ("*.press.org", "pages.press.org", BorrowingTls.WILDCARD_CERTIFICATE),
+        ("*.other.org", "pages.press.org", BorrowingTls.SHARED_CERTIFICATE),
+        # RFC 6125 §6.4.3: the wildcard stands for one label only
+        ("*.press.org", "a.pages.press.org", BorrowingTls.SHARED_CERTIFICATE),
+    ])
+    def test_a_wildcard_counts_only_where_it_covers_the_name(self, cert, domain, kind):
+        probe = HttpProbe(target_ip="192.0.2.1", scheme=Scheme.HTTP, host_header=parse_fqdn(domain))
+        hit = Evidence("borrowing-probe", f"host={domain}", probe=probe)
+        assert classify_borrowing_tls(hit, OneCertEdge(cert)) is kind

@@ -340,6 +340,12 @@ class TestJudgeTuple:
         verdict = judge_tuple(executed_tuple(response(200, b"A"), response(200, b"A"), response(200, b"A")))
         assert verdict.kind is VerdictKind.INCONCLUSIVE
 
+    def test_empty_front_body_is_a_control_even_when_rt_is_empty(self):
+        empty = response(200, b"")
+        verdict = judge_tuple(executed_tuple(empty, empty, empty))
+        assert verdict.kind is VerdictKind.VULNERABLE
+        assert verdict.evidence[-1].detail == "rf body empty"
+
 
 class TestJudgeProvider:
     def test_vulnerable_with_inconclusive_noise(self):

@@ -1,6 +1,10 @@
+import json
+from types import SimpleNamespace
+
 import pytest
 
 from dvahunter.checker import crawl_records, discover_hosted
+from dvahunter.cli import main
 from dvahunter.core import VerdictKind, parse_fqdn
 from dvahunter.scan import run_scan_with_context
 from dvahunter.simnet import SimulatedInternet, VerificationFailed, load_scenario
@@ -180,6 +184,26 @@ class TestTakeoverScan:
         ]
 
 
+    def test_provider_name_with_a_colon_keeps_its_fingerprint(self, tmp_path):
+        # the scan reads the matched fingerprint itself; its id, which
+        # joins the provider name and the kind with ":", is never parsed
+        paths = {}
+        for name in ("providers.json", "reference_world.json"):
+            paths[name] = tmp_path / name
+            paths[name].write_text(
+                DATA[name].read_text(encoding="utf-8").replace('"Fastly"', '"Fast:ly"'), encoding="utf-8"
+            )
+        out = tmp_path / "report.json"
+        code = main([
+            "scan", "--mode", "takeover", "--seed", "7", "--out", str(out),
+            "--targets", str(DATA["reference_world_targets.txt"]),
+            "--providers", str(paths["providers.json"]), "--scenario", str(paths["reference_world.json"]),
+        ])
+        assert code in (0, 1)
+        entry = json.loads(out.read_text(encoding="utf-8"))["domains"]["legacy.fastly-retired.net"]
+        assert entry["dangling"]["matched_fp"] == "Fast:ly:discontinued"
+
+
 class TestOriginExposure:
     def test_exposed_origin_flagged(self, db, transport):
         obs = transport.resolve(parse_fqdn("static.plain-directsite.net"))
@@ -201,3 +225,15 @@ class TestOriginExposure:
         ghost = DnsObservation(fqdn=parse_fqdn("ghost.example.net"), a_records=("192.0.2.200",))
         verdict = check_origin_exposure(ghost.fqdn, ghost, transport)
         assert verdict.kind is VerdictKind.INCONCLUSIVE
+
+    def test_literal_404_with_the_same_body_is_not_exposed(self):
+        from dvahunter.core import DnsObservation, HttpResponseSummary
+        body = b"<html><body>not here</body></html>"
+        answers = {
+            "www.example.net": HttpResponseSummary.from_body(200, body),
+            "192.0.2.9": HttpResponseSummary.from_body(404, body),
+        }
+        edge = SimpleNamespace(probe=lambda probe: answers[str(probe.host_header)])
+        obs = DnsObservation(fqdn=parse_fqdn("www.example.net"), a_records=("192.0.2.9",))
+        verdict = check_origin_exposure(obs.fqdn, obs, edge)
+        assert verdict.kind is VerdictKind.NOT_VULNERABLE

@@ -11,7 +11,7 @@ import pytest
 
 from dvahunter import transport as transport_mod
 from dvahunter.core import HttpProbe, Rcode, Scheme, TransportFailure, parse_fqdn
-from dvahunter.scan import ConfigError, run_scan
+from dvahunter.scan import ConfigError, prepare, run_scan
 from dvahunter.simnet import Origin, Scenario, SimulatedInternet, ZoneRecord
 from dvahunter.transport import (
     Backend,
@@ -260,6 +260,31 @@ class TestLiveQueries:
         assert batch_sent == sent
         assert [answers[name].rcode for name in names[1:4]] == [Rcode.NXDOMAIN, Rcode.SERVFAIL, Rcode.TIMEOUT]
         assert found == {name: answers[name] for name in ("www.example.com", "api.example.com")}
+
+    def test_one_query_counted_per_name(self, monkeypatch):
+        # one query per name, as the mock counts it, however many of the
+        # up to three wire queries go out for it
+        exchanged = []
+
+        def fake_exchange(self, query):
+            exchanged.append(query)
+            return query[:2] + b"\x81\x80" + query[4:]  # NOERROR, no answer
+
+        monkeypatch.setattr(LiveTransport, "_exchange", fake_exchange)
+        one = live_transport()
+        one.resolve(parse_fqdn("www.example.com"))
+        assert (len(exchanged), one.stats.dns_queries) == (3, 1)
+        two = live_transport()
+        assert two.resolve_existing(["a.example.com", "b.example.com"]) == {}
+        assert (len(exchanged), two.stats.dns_queries) == (9, 2)
+
+    def test_record_probes_needs_the_mock_backend(self):
+        # live keeps no probe_log or query_log, so asking for them is an
+        # error before the scan, not an empty log after it
+        config = replace(scan_config(DATA["reference_world_targets.txt"], None),
+                         backend=Backend.LIVE, resolver="192.0.2.53", record_probes=True)
+        with pytest.raises(ConfigError, match="record_probes"):
+            prepare(config)
 
 
 class TestLiveProbe:
