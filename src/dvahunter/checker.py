@@ -73,47 +73,24 @@ def discover_hosted(
 
 
 def _recheck(obs: DnsObservation, match: CdnMatch, db: ProviderDb, transport) -> HostedDomainRecord:
-    profile = db.by_name[match.provider]
-    fp = profile.nonhosted_fp
+    fp = db.by_name[match.provider].nonhosted_fp
+    state, probe, response, fp_id = Recheck.UNCHECKED, None, None, None
     if fp is None:
-        return HostedDomainRecord(
-            fqdn=obs.fqdn,
-            provider=match.provider,
-            matched_suffix=match.matched_suffix,
-            matched_cname=match.matched_cname,
-            observation=obs,
-            recheck=Recheck.UNCHECKED,
-            evidence=(Evidence("recheck", "provider has no non-hosted fingerprint"),),
-        )
-    if not obs.a_records:
-        return HostedDomainRecord(
-            fqdn=obs.fqdn,
-            provider=match.provider,
-            matched_suffix=match.matched_suffix,
-            matched_cname=match.matched_cname,
-            observation=obs,
-            recheck=Recheck.UNCHECKED,
-            evidence=(Evidence("recheck", "no address to probe"),),
-        )
-    probe = HttpProbe(target_ip=obs.a_records[0], scheme=Scheme.HTTP, host_header=obs.fqdn)
-    response = transport.probe(probe)
-    if response.failure is not None:
-        state = Recheck.UNCHECKED
-        detail = f"recheck probe failed: {response.failure.value}"
-        fp_id = None
-    elif fp.no_response:
-        # a concrete answer from a silent-by-default edge cannot refute
-        state = Recheck.CONFIRMED
-        detail = "edge answered; silent-edge fingerprint not matched"
-        fp_id = None
-    elif match_fingerprint(fp, http=response):
-        state = Recheck.REFUTED_BY_FINGERPRINT
-        detail = "response matches the non-hosted fingerprint"
-        fp_id = fp.id
+        detail = "provider has no non-hosted fingerprint"
+    elif not obs.a_records:
+        detail = "no address to probe"
     else:
-        state = Recheck.CONFIRMED
-        detail = "response does not match the non-hosted fingerprint"
-        fp_id = None
+        probe = HttpProbe(target_ip=obs.a_records[0], scheme=Scheme.HTTP, host_header=obs.fqdn)
+        response = transport.probe(probe)
+        if response.failure is not None:
+            detail = f"recheck probe failed: {response.failure.value}"
+        elif fp.no_response:
+            # a concrete answer from a silent-by-default edge cannot refute
+            state, detail = Recheck.CONFIRMED, "edge answered; silent-edge fingerprint not matched"
+        elif match_fingerprint(fp, http=response):
+            state, detail, fp_id = Recheck.REFUTED_BY_FINGERPRINT, "response matches the non-hosted fingerprint", fp.id
+        else:
+            state, detail = Recheck.CONFIRMED, "response does not match the non-hosted fingerprint"
     return HostedDomainRecord(
         fqdn=obs.fqdn,
         provider=match.provider,

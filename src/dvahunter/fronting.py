@@ -2,10 +2,12 @@
 Domain-fronting testing: pick bounded (front, target) pairs, harvest
 stable static URLs from the target domains only, as many as the pairs
 use, execute the three-request protocol, and fold tuple verdicts into a
-provider verdict.
+provider verdict; a provider with no pairing of its own takes its
+verdict from the providers whose infrastructure it shares.
 
-Budgets: at most 10 domains touched per provider, at most 10 tuples
-executed per provider, at most 10 URLs harvested per domain.
+Budgets, all kept by ``generate_tuples``: at most 10 domains touched per
+provider, at most 10 tuples executed per provider, at most 10 URLs
+harvested per domain.
 
 The harvest reads only the root page's ``body_excerpt``, its first
 ``BODY_EXCERPT_CAP`` (4,096) bytes: on a live site, an asset referenced
@@ -293,6 +295,10 @@ def generate_tuples(
     """Up to MAX_TUPLES_PER_PROVIDER (front, target, url) tuples over the
     ordered pairs of distinct ``domains``, in a seeded-random order.
 
+    More than MAX_DOMAINS_PER_PROVIDER domains are first cut to a seeded
+    draw of that many (rng scope ``("fronting-domains", provider)``, over
+    the domains sorted by name); the others are never touched.
+
     Only target domains are harvested, each once and when first drawn,
     for as many URLs as the first MAX_TUPLES_PER_PROVIDER pairs draw of
     it (at least one). A pair whose target yields no URL is skipped for
@@ -301,6 +307,9 @@ def generate_tuples(
     if len(domains) < 2:
         raise InsufficientDomains(f"{provider}: {len(domains)} usable domain(s)")
     ordered = sorted(domains, key=str)
+    if len(ordered) > MAX_DOMAINS_PER_PROVIDER:
+        drawn_domains = derive_rng(seed, "fronting-domains", provider).sample(ordered, MAX_DOMAINS_PER_PROVIDER)
+        ordered = sorted(drawn_domains, key=str)
     pairs = [(fd, td) for fd in ordered for td in ordered if fd != td]
     derive_rng(seed, "tuples", provider).shuffle(pairs)
     wanted = Counter(td for _fd, td in pairs[:MAX_TUPLES_PER_PROVIDER])
@@ -403,3 +412,20 @@ def judge_provider(verdicts: list[Verdict]) -> Verdict:
             (Evidence("mixed-results", "tuple verdicts disagree across domain pairs; refusing to guess"), summary)
         )
     return Verdict.inconclusive((summary,))
+
+
+def judge_via_edges(carriers: list[tuple[str, Verdict]]) -> Verdict:
+    """The verdict of a provider with no pairing of its own (a Multi-CDN)
+    from the direct verdicts of the providers whose infrastructure it
+    shares, as (carrier name, verdict) pairs: vulnerable when any carrier
+    is, not vulnerable when it has carriers and all of them are,
+    inconclusive otherwise."""
+    kinds = [verdict.kind for _name, verdict in carriers]
+    if VerdictKind.VULNERABLE in kinds:
+        carried = ", ".join(f"{name}:{verdict.kind.value}" for name, verdict in carriers)
+        return Verdict.vulnerable(
+            (Evidence("fronting-via-edge", "vulnerable through shared infrastructure: " + carried),)
+        )
+    if kinds and all(kind is VerdictKind.NOT_VULNERABLE for kind in kinds):
+        return Verdict.not_vulnerable((Evidence("fronting-via-edge", "all shared infrastructure rejects mismatches"),))
+    return Verdict.inconclusive((Evidence("fronting-via-edge", "shared-infrastructure verdicts undetermined"),))

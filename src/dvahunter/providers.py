@@ -52,11 +52,6 @@ class DnsSignal:
     kind: DnsSignalKind
     ip: Optional[str] = None  # RESOLVES_TO only
 
-    def to_json(self) -> Any:
-        if self.kind is DnsSignalKind.RESOLVES_TO:
-            return {"resolves_to": self.ip}
-        return self.kind.value
-
 
 @dataclass(frozen=True)
 class Fingerprint:
@@ -65,7 +60,8 @@ class Fingerprint:
 
     ``no_response`` marks providers that answer unknown hosts with
     silence: the expected "response" is a transport failure. It cannot be
-    combined with the other HTTP fields.
+    combined with the other HTTP fields. A body phrase may not be empty:
+    every answer, a failed one included, contains the empty phrase.
     """
 
     id: str
@@ -84,22 +80,10 @@ class Fingerprint:
             raise SchemaError(f"fingerprint {self.id}: no matchable field")
         if self.no_response and http_fields:
             raise SchemaError(f"fingerprint {self.id}: no_response excludes other HTTP fields")
+        if self.body_contains == b"":
+            raise SchemaError(f"fingerprint {self.id}: an empty body_contains matches every answer")
         object.__setattr__(self, "needs_http", self.no_response or http_fields)
         object.__setattr__(self, "needs_dns", self.dns_signal is not None)
-
-    def to_json(self) -> dict[str, Any]:
-        out: dict[str, Any] = {}
-        if self.no_response:
-            out["no_response"] = True
-        if self.status is not None:
-            out["status"] = self.status
-        if self.header is not None:
-            out["header"] = {"name": self.header[0], "contains": self.header[1]}
-        if self.body_contains is not None:
-            out["body_contains"] = self.body_contains.decode("utf-8")
-        if self.dns_signal is not None:
-            out["dns_signal"] = self.dns_signal.to_json()
-        return out
 
 
 @dataclass(frozen=True)
@@ -118,9 +102,6 @@ class ShareEdge:
         if self.template is None:
             return None
         return self.template.replace("{domain}", domain)
-
-    def to_json(self) -> dict[str, Any]:
-        return {"provider": self.provider, "template": self.template, "note": self.note}
 
 
 @dataclass(frozen=True)

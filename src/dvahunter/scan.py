@@ -4,6 +4,13 @@ ingress -> per-mode detection -> report. Partial failures degrade to
 Inconclusive entries; nothing aborts the run after configuration checks
 pass.
 
+The phases orchestrate and the detector modules decide. A phase picks
+the representatives, marks a provider it cannot test at all (no
+representative, no fingerprint) Inconclusive, and writes into the report
+what the module that owns each rule returns: tuple and provider folds,
+budgets and dangling checks live in ``fronting``, ``borrowing`` and
+``takeover``, never here.
+
 Mode phases run in the order fronting, borrowing, exposure, takeover,
 which is also the order of their keys in the report. Mock-mode takeover
 validation registers attacker services, each inside its own
@@ -16,6 +23,7 @@ import hashlib
 import logging
 import math
 import time
+from collections import Counter
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from pathlib import Path
@@ -34,7 +42,7 @@ from .checker import (
 )
 from .core import DomainSyntaxError, Evidence, Fqdn, Rcode, Verdict, VerdictKind, derive_rng, parse_fqdn
 from .crawler import PrefixDictionary, enumerate_subdomains
-from .providers import DnsSignalKind, ProviderDb, identify_cdn, load_provider_db
+from .providers import DnsSignalKind, ProviderDb, load_provider_db
 from .psl import PublicSuffixList
 from .report import ScanReport
 from .simnet import ScenarioError, SimulatedInternet, load_scenario, validate_scenario
@@ -240,10 +248,10 @@ def _phase_crawl(ctx: ScanContext, targets: list[Fqdn]) -> None:
                 "recheck": record.recheck.value,
             }
         )
+    # discover_hosted keeps a record for every name identify_cdn matches,
+    # so every other name with records is non-hosted
     for obs in observations:
-        if str(obs.fqdn) in hosted_names:
-            continue
-        if obs.exists_with_records and identify_cdn(obs, ctx.db) is None:
+        if str(obs.fqdn) not in hosted_names and obs.exists_with_records:
             ctx.nonhosted.append(obs.fqdn)
     ctx.nonhosted.sort(key=str)
 
@@ -290,12 +298,8 @@ def _fronting_direct(ctx: ScanContext, profile) -> Optional[Verdict]:
         return Verdict.inconclusive(
             (Evidence("fronting", f"{len(eligible)} usable hosted domain(s), no pairing possible"),)
         )
-    rng = derive_rng(ctx.config.seed, "fronting-domains", name)
-    domains = sorted(eligible, key=str)
-    if len(domains) > fronting_mod.MAX_DOMAINS_PER_PROVIDER:
-        domains = sorted(rng.sample(domains, fronting_mod.MAX_DOMAINS_PER_PROVIDER), key=str)
     try:
-        tuples = fronting_mod.generate_tuples(name, domains, rep, ctx.transport, seed=ctx.config.seed)
+        tuples = fronting_mod.generate_tuples(name, list(eligible), rep, ctx.transport, seed=ctx.config.seed)
     except fronting_mod.InsufficientDomains as err:
         return Verdict.inconclusive((Evidence("fronting", str(err)),))
     # the three steps inside one tuple stay strictly sequential
@@ -312,46 +316,27 @@ def _phase_fronting(ctx: ScanContext) -> None:
         _provider_section(ctx, profile.name)["fronting"] = verdict.to_json()
         direct[profile.name] = verdict
 
-    # providers with no hosted surface of their own inherit through the
-    # infrastructure they share (a Multi-CDN fronts whatever its carriers front)
+    # a directly tested provider notes the infrastructure it shares; any
+    # other inherits through it (a Multi-CDN fronts whatever its carriers front)
     for profile in ctx.db.providers:
-        name = profile.name
-        if name in direct or not profile.shares_infra_of:
+        if not profile.shares_infra_of:
             continue
-        section = _provider_section(ctx, name)
-        kinds = []
-        notes = []
-        for edge in profile.shares_infra_of:
-            target = direct.get(edge.provider)
-            if target is None:
-                continue
-            kinds.append(target.kind)
-            notes.append(f"{edge.provider}:{target.kind.value}")
-        if VerdictKind.VULNERABLE in kinds:
-            verdict = Verdict.vulnerable(
-                (Evidence("fronting-via-edge", "vulnerable through shared infrastructure: " + ", ".join(notes)),)
-            )
-        elif kinds and all(k is VerdictKind.NOT_VULNERABLE for k in kinds):
-            verdict = Verdict.not_vulnerable(
-                (Evidence("fronting-via-edge", "all shared infrastructure rejects mismatches"),)
-            )
+        section = _provider_section(ctx, profile.name)
+        if profile.name in direct:
+            notes = [
+                f"shares infrastructure of {edge.provider}" + (f" ({edge.note})" if edge.note else "")
+                for edge in profile.shares_infra_of
+            ]
         else:
-            verdict = Verdict.inconclusive(
-                (Evidence("fronting-via-edge", "shared-infrastructure verdicts undetermined"),)
-            )
-        section["fronting"] = verdict.to_json()
-        section.setdefault("notes", []).append(
-            "fronting verdict derived via infrastructure-sharing edges: " + ", ".join(notes)
-        )
-
-    # annotate certificate-level sharing edges on directly-tested providers
-    for profile in ctx.db.providers:
-        if profile.name in direct and profile.shares_infra_of:
-            section = _provider_section(ctx, profile.name)
-            for edge in profile.shares_infra_of:
-                section.setdefault("notes", []).append(
-                    f"shares infrastructure of {edge.provider}" + (f" ({edge.note})" if edge.note else "")
-                )
+            carriers = [
+                (edge.provider, direct[edge.provider]) for edge in profile.shares_infra_of if edge.provider in direct
+            ]
+            section["fronting"] = fronting_mod.judge_via_edges(carriers).to_json()
+            notes = [
+                "fronting verdict derived via infrastructure-sharing edges: "
+                + ", ".join(f"{carrier}:{verdict.kind.value}" for carrier, verdict in carriers)
+            ]
+        section.setdefault("notes", []).extend(notes)
 
 
 # -- borrowing ----------------------------------------------------------------
@@ -410,12 +395,12 @@ def _phase_exposure(ctx: ScanContext) -> None:
 
 
 def _phase_takeover(ctx: ScanContext) -> None:
-    vulnerable_via: dict[str, list[str]] = {}
-    scanned: dict[str, int] = {}
-    inconclusive_records: dict[str, int] = {}
+    taken: dict[str, list[str]] = {}
+    scanned: Counter[str] = Counter()
+    undecided_records: Counter[str] = Counter()
 
     for record in sorted(ctx.hosted, key=lambda r: str(r.fqdn)):
-        scanned[record.provider] = scanned.get(record.provider, 0) + 1
+        scanned[record.provider] += 1
         entry = ctx.report.domains[str(record.fqdn)]
         undecided = None
         try:
@@ -426,7 +411,7 @@ def _phase_takeover(ctx: ScanContext) -> None:
             undecided = str(err)
         if undecided is not None:
             entry["dangling_check"] = f"inconclusive: {undecided}"
-            inconclusive_records[record.provider] = inconclusive_records.get(record.provider, 0) + 1
+            undecided_records[record.provider] += 1
             continue
         if finding is None:
             entry["dangling_check"] = "healthy"
@@ -443,7 +428,7 @@ def _phase_takeover(ctx: ScanContext) -> None:
         for path in paths:
             if path.validated is False:
                 continue
-            vulnerable_via.setdefault(path.via_provider, []).append(str(finding.fqdn))
+            taken.setdefault(path.via_provider, []).append(str(finding.fqdn))
         # residual single-A fingerprints route straight into the
         # origin-exposure check (the leaked address is the old origin)
         signal = finding.fingerprint.dns_signal
@@ -460,27 +445,8 @@ def _phase_takeover(ctx: ScanContext) -> None:
 
     for profile in ctx.db.providers:
         name = profile.name
-        section = _provider_section(ctx, name)
-        if name in vulnerable_via:
-            domains = sorted(set(vulnerable_via[name]))
-            verdict = Verdict.vulnerable(
-                (Evidence("takeover", f"validated takeover path(s) for: {', '.join(domains)}"),)
-            )
-        elif profile.discontinued_fp is None:
-            verdict = Verdict.inconclusive(
-                (Evidence("takeover", "no service-discontinued fingerprint for this provider"),)
-            )
-        elif scanned.get(name, 0) == 0:
-            verdict = Verdict.inconclusive((Evidence("takeover", "no hosted domains observed"),))
-        elif inconclusive_records.get(name, 0) == scanned[name]:
-            verdict = Verdict.inconclusive(
-                (Evidence("takeover", "every hosted record left the dangling check undecided"),)
-            )
-        else:
-            verdict = Verdict.not_vulnerable(
-                (Evidence("takeover", "no dangling domain with a feasible takeover path"),)
-            )
-        section["takeover"] = verdict.to_json()
+        verdict = takeover_mod.judge_provider(profile, scanned[name], undecided_records[name], taken.get(name, []))
+        _provider_section(ctx, name)["takeover"] = verdict.to_json()
 
 
 def run_scan_with_context(config: ScanConfig) -> ScanContext:

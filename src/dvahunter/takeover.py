@@ -4,7 +4,8 @@ service-discontinued fingerprints (DNS stage first, HTTP stage only on a
 DNS miss), enumerate feasible takeover paths including the
 misconnection (W1), shared-random-subdomain (W2) and Multi-CDN
 shared-CNAME routes, and run the origin-IP-exposure check for
-residual-resolution providers.
+residual-resolution providers. ``judge_provider`` folds the checks of a
+provider's records into its verdict.
 
 DNS-stage fingerprints describe the assigned subdomain's behavior after
 service termination, so they are evaluated against the terminal
@@ -30,7 +31,7 @@ from .core import (
     Verdict,
     parse_fqdn,
 )
-from .providers import Fingerprint, ProviderDb, match_dns, match_http
+from .providers import Fingerprint, ProviderDb, ProviderProfile, match_dns, match_http
 from .simnet import SimulatedInternet, VerificationFailed
 from .transport import RRType
 
@@ -137,6 +138,18 @@ def detect_dangling(
         raise LookupError(f"{record.provider}: no service-discontinued fingerprint")
 
     terminal: Optional[DnsObservation] = None
+
+    def found(stage: DanglingStage, fp: Fingerprint, evidence: Evidence) -> DanglingFinding:
+        return DanglingFinding(
+            fqdn=record.fqdn,
+            provider=record.provider,
+            fingerprint=fp,
+            stage=stage,
+            matched_cname=record.matched_cname,
+            terminal=terminal,
+            evidence=(evidence,),
+        )
+
     for owner, fp in sources:
         if fp.dns_signal is None:
             continue
@@ -145,22 +158,12 @@ def detect_dangling(
             # discontinuation signals live
             terminal = transport.resolve(record.observation.cname_chain[-1], RRType.A)
         if match_dns(fp, terminal):
-            return DanglingFinding(
-                fqdn=record.fqdn,
-                provider=record.provider,
-                fingerprint=fp,
-                stage=DanglingStage.DNS_STAGE,
-                matched_cname=record.matched_cname,
-                terminal=terminal,
-                evidence=(
-                    Evidence(
-                        "dns-stage",
-                        f"terminal resolution of {record.matched_cname} matches {fp.id} ({owner})",
-                        observation=terminal,
-                        fingerprint_id=fp.id,
-                    ),
-                ),
-            )
+            return found(DanglingStage.DNS_STAGE, fp, Evidence(
+                "dns-stage",
+                f"terminal resolution of {record.matched_cname} matches {fp.id} ({owner})",
+                observation=terminal,
+                fingerprint_id=fp.id,
+            ))
 
     http_sources = [(owner, fp) for owner, fp in sources if fp.needs_http]
     if not http_sources:
@@ -172,24 +175,35 @@ def detect_dangling(
         raise DanglingProbeFailure(f"{record.fqdn}: HTTP-stage probe failed ({response.failure.value})")
     for owner, fp in http_sources:
         if match_http(fp, response):
-            return DanglingFinding(
-                fqdn=record.fqdn,
-                provider=record.provider,
-                fingerprint=fp,
-                stage=DanglingStage.HTTP_STAGE,
-                matched_cname=record.matched_cname,
-                terminal=terminal,
-                evidence=(
-                    Evidence(
-                        "http-stage",
-                        f"edge response matches {fp.id} ({owner})",
-                        probe=probe,
-                        response=response,
-                        fingerprint_id=fp.id,
-                    ),
-                ),
-            )
+            return found(DanglingStage.HTTP_STAGE, fp, Evidence(
+                "http-stage",
+                f"edge response matches {fp.id} ({owner})",
+                probe=probe,
+                response=response,
+                fingerprint_id=fp.id,
+            ))
     return None
+
+
+def judge_provider(profile: ProviderProfile, scanned: int, undecided: int, taken: list[str]) -> Verdict:
+    """A provider's takeover verdict from the dangling checks of its
+    ``scanned`` hosted records, ``undecided`` of which stayed Inconclusive,
+    and ``taken``, the dangling domains with a validated (or, in live
+    mode, unvalidated) takeover path through this provider. A Multi-CDN
+    path credits the provider whose edge regenerates the CNAME, not the
+    record's host. Vulnerable on any such domain; otherwise not
+    vulnerable when the provider has a service-discontinued fingerprint
+    and at least one record was decided, and inconclusive when not."""
+    if taken:
+        domains = ", ".join(sorted(set(taken)))
+        return Verdict.vulnerable((Evidence("takeover", f"validated takeover path(s) for: {domains}"),))
+    if profile.discontinued_fp is None:
+        return Verdict.inconclusive((Evidence("takeover", "no service-discontinued fingerprint for this provider"),))
+    if scanned == 0:
+        return Verdict.inconclusive((Evidence("takeover", "no hosted domains observed"),))
+    if undecided == scanned:
+        return Verdict.inconclusive((Evidence("takeover", "every hosted record left the dangling check undecided"),))
+    return Verdict.not_vulnerable((Evidence("takeover", "no dangling domain with a feasible takeover path"),))
 
 
 def enumerate_takeover_paths(

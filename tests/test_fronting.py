@@ -1,9 +1,12 @@
 import pytest
 
 from dvahunter.core import (
+    Evidence,
     HttpResponseSummary,
     TransportFailure,
+    Verdict,
     VerdictKind,
+    derive_rng,
     parse_fqdn,
     sha1_body,
 )
@@ -18,6 +21,7 @@ from dvahunter.fronting import (
     harvest_urls,
     judge_provider,
     judge_tuple,
+    judge_via_edges,
     run_tuple,
 )
 from dvahunter.simnet import (
@@ -253,9 +257,15 @@ class TestGenerateTuples:
 
     def test_fifteen_domains_at_most_ten_participate(self, db):
         net, ip, hosts = fastly_world(db, n_domains=15)
-        tuples = generate_tuples("Fastly", [parse_fqdn(h) for h in hosts], ip, MockTransport(net), seed=1)
+        domains = [parse_fqdn(h) for h in hosts]
+        transport = MockTransport(net, record=True)
+        tuples = generate_tuples("Fastly", list(reversed(domains)), ip, transport, seed=1)
         assert len(tuples) == 10
         assert len({(t.fd, t.td) for t in tuples}) == 10
+        # the ten are a seeded draw over the domains in name order, whatever their order given
+        drawn = set(derive_rng(1, "fronting-domains", "Fastly").sample(sorted(domains, key=str), 10))
+        assert {t.fd for t in tuples} | {t.td for t in tuples} <= drawn
+        assert {e.probe.host_header for e in transport.probe_log} <= drawn
 
     def test_single_domain_insufficient(self):
         # refused before any harvest, so no transport is needed
@@ -367,6 +377,30 @@ class TestJudgeProvider:
 
     def test_empty_is_inconclusive(self):
         assert judge_provider([]).kind is VerdictKind.INCONCLUSIVE
+
+
+class TestJudgeViaEdges:
+    @staticmethod
+    def direct(kind):
+        return Verdict(kind, (Evidence("fronting", "direct"),))
+
+    def test_one_vulnerable_carrier_is_enough(self):
+        verdict = judge_via_edges([("A", self.direct(VerdictKind.NOT_VULNERABLE)),
+                                   ("B", self.direct(VerdictKind.VULNERABLE))])
+        assert verdict.kind is VerdictKind.VULNERABLE
+        assert verdict.evidence[0].detail == (
+            "vulnerable through shared infrastructure: A:not_vulnerable, B:vulnerable"
+        )
+
+    def test_not_vulnerable_needs_every_carrier_not_vulnerable(self):
+        clean = self.direct(VerdictKind.NOT_VULNERABLE)
+        assert judge_via_edges([("A", clean), ("B", clean)]).kind is VerdictKind.NOT_VULNERABLE
+        undecided = judge_via_edges([("A", clean), ("B", self.direct(VerdictKind.INCONCLUSIVE))])
+        assert undecided.kind is VerdictKind.INCONCLUSIVE
+        assert undecided.evidence[0].detail == "shared-infrastructure verdicts undetermined"
+
+    def test_no_carrier_is_inconclusive(self):
+        assert judge_via_edges([]).kind is VerdictKind.INCONCLUSIVE
 
 
 class TestEndToEnd:

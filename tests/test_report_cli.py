@@ -319,6 +319,17 @@ class TestCli:
                      "--providers", str(providers)]) == 2
         assert capsys.readouterr().err.count("Fastly: nonhosted_fp cannot carry a dns_signal") == 2
 
+    def test_empty_body_phrase_is_a_config_error(self, small_paths, tmp_path, capsys):
+        # every answer contains the empty phrase, a timeout included; this
+        # DB once passed validate-db, and a reference scan then refuted both
+        # live Fastly sites and left fronting and borrowing inconclusive
+        providers = self._edited_db(tmp_path, "Fastly", "nonhosted_fp", body_contains="")
+        scenario, targets = small_paths
+        assert main(["validate-db", str(providers)]) == 2
+        assert main(["scan", "--targets", str(targets), "--scenario", str(scenario),
+                     "--providers", str(providers)]) == 2
+        assert capsys.readouterr().err.count("an empty body_contains matches every answer") == 2
+
     def test_validate_scenario(self, capsys, small_paths):
         scenario, _ = small_paths
         assert main(["validate-scenario", str(scenario)]) == 0

@@ -6,6 +6,7 @@ import pytest
 from dvahunter.checker import crawl_records, discover_hosted
 from dvahunter.cli import main
 from dvahunter.core import VerdictKind, parse_fqdn
+from dvahunter.providers import Fingerprint, ProviderProfile
 from dvahunter.scan import run_scan_with_context
 from dvahunter.simnet import SimulatedInternet, VerificationFailed, load_scenario
 from dvahunter.takeover import (
@@ -15,6 +16,7 @@ from dvahunter.takeover import (
     check_origin_exposure,
     detect_dangling,
     enumerate_takeover_paths,
+    judge_provider,
 )
 from dvahunter.transport import MockTransport
 from dvahunter.worlds import build_reference_world
@@ -153,6 +155,35 @@ def reference_takeover_scan():
     return run_scan_with_context(
         scan_config(DATA["reference_world_targets.txt"], DATA["reference_world.json"], mode="takeover")
     )
+
+
+class TestJudgeProvider:
+    retiring = ProviderProfile(
+        name="Retiring", assigned_suffixes=(".retiring.net",),
+        discontinued_fp=Fingerprint(id="Retiring:discontinued", status=404),
+    )
+
+    def test_one_decided_record_of_two_is_not_vulnerable(self):
+        verdict = judge_provider(self.retiring, scanned=2, undecided=1, taken=[])
+        assert verdict.kind is VerdictKind.NOT_VULNERABLE
+
+    def test_every_record_undecided_is_inconclusive(self):
+        verdict = judge_provider(self.retiring, scanned=2, undecided=2, taken=[])
+        assert verdict.kind is VerdictKind.INCONCLUSIVE
+        assert verdict.evidence[0].detail == "every hosted record left the dangling check undecided"
+
+    def test_no_record_or_no_fingerprint_is_inconclusive(self):
+        assert judge_provider(self.retiring, scanned=0, undecided=0, taken=[]).kind is VerdictKind.INCONCLUSIVE
+        silent = ProviderProfile(name="Silent", assigned_suffixes=(".silent.net",))
+        assert judge_provider(silent, scanned=3, undecided=0, taken=[]).kind is VerdictKind.INCONCLUSIVE
+
+    def test_a_taken_domain_is_vulnerable_even_without_records(self):
+        # a Multi-CDN path credits the provider whose edge regenerates the
+        # CNAME, which hosts no record and may have no fingerprint of its own
+        bare = ProviderProfile(name="Multi", assigned_suffixes=(".multi.net",))
+        verdict = judge_provider(bare, scanned=0, undecided=0, taken=["b.shop.com", "a.shop.com", "b.shop.com"])
+        assert verdict.kind is VerdictKind.VULNERABLE
+        assert verdict.evidence[0].detail == "validated takeover path(s) for: a.shop.com, b.shop.com"
 
 
 class TestTakeoverScan:
