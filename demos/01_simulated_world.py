@@ -21,7 +21,7 @@ net = SimulatedInternet(world.scenario, db)
 # www.fastly-site-a.com CNAMEs to its assigned subdomain, which resolves
 # to the provider's ingress nodes.
 obs = net.serve_dns(parse_fqdn("www.fastly-site-a.com"))
-print("chain:", [str(c) for c in obs.cname_chain])
+print("chain:", list(obs.cname_chain))
 print("ingress:", obs.a_records)
 
 ip = obs.a_records[0]
@@ -42,7 +42,7 @@ print("\nunknown host ->", answer.status, answer.body_excerpt.decode())
 # the service behind it is gone: the name SERVFAILs.
 dangling = net.serve_dns(parse_fqdn("legacy.gcore-retired.net"))
 target = dangling.cname_chain[-1]
-print("\ndangling chain:", [str(c) for c in dangling.cname_chain])
+print("\ndangling chain:", list(dangling.cname_chain))
 print("terminal resolution of", target, "->", net.serve_dns(target).rcode.value)
 
 # -- the Multi-CDN namespace collision ------------------------------------------
@@ -50,4 +50,4 @@ print("terminal resolution of", target, "->", net.serve_dns(target).rcode.value)
 # names inside another provider's namespace; terminated, it resolves to
 # the loopback marker the provider uses for dead services.
 kk = net.serve_dns(parse_fqdn("promo.kkshift-shop.com"))
-print("\nshared-namespace dangling:", [str(c) for c in kk.cname_chain], "->", kk.a_records)
+print("\nshared-namespace dangling:", list(kk.cname_chain), "->", kk.a_records)

@@ -10,7 +10,7 @@ from __future__ import annotations
 import hashlib
 import random
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from typing import Any, Iterable, Optional
 
@@ -54,17 +54,11 @@ class VerdictKind(Enum):
 
 @dataclass(frozen=True, order=True, slots=True)
 class Fqdn:
-    """A normalized, lowercase fully qualified domain name.
+    """A normalized, lowercase fully qualified domain name: its dotted
+    text, made by ``parse_fqdn``. Equality, ordering and hashing follow
+    the text."""
 
-    ``name`` is the dotted text, joined once at construction; equality,
-    ordering and hashing use ``labels`` only.
-    """
-
-    labels: tuple[str, ...]
-    name: str = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "name", ".".join(self.labels))
+    name: str
 
     def __str__(self) -> str:
         return self.name
@@ -72,8 +66,9 @@ class Fqdn:
     def __repr__(self) -> str:
         return f"Fqdn({self.name!r})"
 
-    def endswith(self, suffix: str) -> bool:
-        return self.name.endswith(suffix)
+    @property
+    def labels(self) -> tuple[str, ...]:
+        return tuple(self.name.split("."))
 
 
 def parse_fqdn(text: str) -> Fqdn:
@@ -90,15 +85,14 @@ def parse_fqdn(text: str) -> Fqdn:
         raise DomainSyntaxError(f"no labels in {text!r}")
     if len(name) > MAX_NAME_LENGTH:
         raise DomainTooLongError(f"{len(name)} chars exceeds {MAX_NAME_LENGTH}: {text[:60]!r}...")
-    labels = tuple(name.split("."))
-    for label in labels:
+    for label in name.split("."):
         if not label:
             raise DomainSyntaxError(f"empty label in {text!r}")
         if len(label) > 63:
             raise DomainSyntaxError(f"label over 63 chars in {text!r}")
         if not _LABEL_RE.match(label):
             raise DomainSyntaxError(f"illegal label {label!r} in {text!r}")
-    return Fqdn(labels=labels)
+    return Fqdn(name)
 
 
 @dataclass(frozen=True, slots=True)
@@ -111,11 +105,15 @@ class DnsObservation:
     the terminal addresses (empty when the chain dead-ends). A dangling
     name therefore shows up as NOERROR + chain + no addresses, and its
     chain target can be resolved separately to observe the terminal rcode.
+
+    The chain and ``ns`` hold the answer's names as text (lowercase, no
+    trailing dot), unchecked: a CNAME or NS target may be any DNS name
+    (RFC 2181 §11), such as ``_acme-challenge.example.com``.
     """
 
     fqdn: Fqdn
-    cname_chain: tuple[Fqdn, ...] = ()
-    ns: tuple[Fqdn, ...] = ()
+    cname_chain: tuple[str, ...] = ()
+    ns: tuple[str, ...] = ()
     a_records: tuple[str, ...] = ()
     rcode: Rcode = Rcode.NOERROR
     cname_loop: bool = False
@@ -136,8 +134,8 @@ class DnsObservation:
     def to_json(self) -> dict[str, Any]:
         return {
             "fqdn": str(self.fqdn),
-            "cname_chain": [str(c) for c in self.cname_chain],
-            "ns": [str(n) for n in self.ns],
+            "cname_chain": list(self.cname_chain),
+            "ns": list(self.ns),
             "a_records": list(self.a_records),
             "rcode": self.rcode.value,
             "cname_loop": self.cname_loop,

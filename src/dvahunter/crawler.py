@@ -79,7 +79,7 @@ class WildcardSignature:
     @classmethod
     def of(cls, obs: DnsObservation) -> "WildcardSignature":
         return cls(
-            cname_chain=tuple(str(c) for c in obs.cname_chain),
+            cname_chain=obs.cname_chain,
             a_records=frozenset(obs.a_records),
             ns=frozenset(obs.ns),
         )

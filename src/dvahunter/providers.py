@@ -40,6 +40,11 @@ class MissingEvidenceError(ValueError):
     """A fingerprint needs HTTP or DNS evidence that was not supplied."""
 
 
+# what registration experiments established about a provider's domain
+# verification: metadata.verification_effective takes one of these
+EFFECTIVE_VERIFICATIONS = ("none", "checked", "unknown", "w1_misconnection", "w2_shared_random")
+
+
 class DnsSignalKind(Enum):
     NXDOMAIN = "nxdomain"
     SERVFAIL = "servfail"
@@ -124,8 +129,7 @@ class ProviderProfile:
     @property
     def effective_verification(self) -> str:
         """What registration experiments established about this provider's
-        domain verification: none / checked / w1_misconnection /
-        w2_shared_random / unknown."""
+        domain verification: one of EFFECTIVE_VERIFICATIONS."""
         return str(self.metadata.get("verification_effective", "unknown"))
 
 
@@ -241,14 +245,22 @@ def _parse_provider(raw: Any) -> ProviderProfile:
     metadata = raw.get("metadata", {})
     if not isinstance(metadata, dict):
         raise SchemaError(f"{name}: metadata must be an object")
+    if metadata.get("verification_effective", "unknown") not in EFFECTIVE_VERIFICATIONS:
+        raise SchemaError(f"{name}: verification_effective {metadata['verification_effective']!r} is not one of "
+                          f"{', '.join(EFFECTIVE_VERIFICATIONS)}")
     nonhosted_fp = _parse_fingerprint(nonhosted, f"{name}:nonhosted") if nonhosted else None
     if nonhosted_fp is not None and nonhosted_fp.dns_signal is not None:
         raise SchemaError(f"{name}: nonhosted_fp cannot carry a dns_signal")
+    gone = _parse_fingerprint(discontinued, f"{name}:discontinued") if discontinued else None
+    if gone is not None and gone.needs_dns and gone.needs_http and not gone.no_response:
+        # the DNS stage decides the signal alone, and a DNS miss would let
+        # the HTTP stage decide the HTTP fields alone
+        raise SchemaError(f"{name}: discontinued_fp cannot carry both a dns_signal and status, header or body_contains")
     return ProviderProfile(
         name=name,
         assigned_suffixes=tuple(suffixes),
         nonhosted_fp=nonhosted_fp,
-        discontinued_fp=_parse_fingerprint(discontinued, f"{name}:discontinued") if discontinued else None,
+        discontinued_fp=gone,
         shares_infra_of=tuple(edges),
         liveness_header=liveness,
         metadata=dict(metadata),
@@ -263,7 +275,10 @@ def load_provider_db(path: str | Path) -> ProviderDb:
     liveness_header, metadata. Fingerprint keys: status, header
     {name, contains}, body_contains, dns_signal ("nxdomain" | "servfail" |
     {"resolves_to": ip} | "single_a_record"), no_response. A nonhosted_fp
-    is matched against HTTP answers only, so it may not carry dns_signal.
+    is matched against HTTP answers only, so it may not carry dns_signal;
+    a discontinued_fp with a dns_signal is decided by DNS alone, so it may
+    not carry status, header or body_contains. metadata's
+    verification_effective is one of EFFECTIVE_VERIFICATIONS.
     """
     try:
         data = json.loads(Path(path).read_text(encoding="utf-8"))
@@ -286,8 +301,7 @@ def identify_cdn(obs: DnsObservation, db: ProviderDb) -> Optional[CdnMatch]:
     to right finds the longest one first.
     """
     index = db.suffix_index
-    for cname in obs.cname_chain:
-        name = str(cname)
+    for name in obs.cname_chain:
         dot = name.find(".")
         while dot != -1:
             suffix = name[dot:]

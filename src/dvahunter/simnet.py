@@ -19,6 +19,9 @@ Design notes:
     exits, so a scan's takeover validation leaves the world as it found it.
     The scope journals each write it sees and replays its own journal
     backwards on exit, so it costs O(writes), not O(world).
+  * DNS answers carry the zone's CNAME and NS text, normalized once at
+    load as a resolver's answer is (lowercase, no trailing dot) and never
+    parsed: a CNAME target need not be a host name.
 """
 
 from __future__ import annotations
@@ -224,8 +227,8 @@ class SimulatedInternet:
                 if ip in self._ip_owner or ip in scenario.origins:
                     raise ScenarioError(f"ingress IP {ip} assigned twice")
                 self._ip_owner[ip] = prov
-        self._registrations: dict[str, dict[str, HostEntry]] = {p.name: {} for p in scenario.providers}
-        # provider -> host -> entry; with a duplicated host the first entry wins
+        # provider -> host -> entry, the hosts each edge serves: with a duplicated
+        # host the first entry wins; attacker registrations are journaled writes
         self._host_index: dict[str, dict[str, HostEntry]] = {}
         for prov in scenario.providers:
             index = self._host_index[prov.name] = {}
@@ -237,8 +240,6 @@ class SimulatedInternet:
         # one journal per open registration_scope, innermost last:
         # (table, key, value before the write or _ABSENT)
         self._journals: list[list[tuple[dict, str, Any]]] = []
-        # zone text -> its parse: the chain and NS names of a world repeat
-        self._fqdns: dict[str, Fqdn] = {}
         self._fetch_counts: dict[tuple[str, str, str], int] = {}
         self._dangling_targets = self._index_dangling_targets()
         # only the scenario's zones hold wildcards, and none are added later
@@ -308,7 +309,6 @@ class SimulatedInternet:
         seen = {text}
         loop = False
         a_records: tuple[str, ...] = record.a
-        ns = record.ns
         cursor = record
         while cursor.cname is not None and len(chain) < MAX_CHAIN:
             target = cursor.cname
@@ -325,18 +325,12 @@ class SimulatedInternet:
             cursor = nxt
         return DnsObservation(
             fqdn=fqdn,
-            cname_chain=tuple(self._fqdn(c) for c in chain),
-            ns=tuple(self._fqdn(n) for n in ns),
+            cname_chain=tuple(chain),
+            ns=record.ns,
             a_records=a_records,
             rcode=Rcode.NOERROR,
             cname_loop=loop,
         )
-
-    def _fqdn(self, text: str) -> Fqdn:
-        fqdn = self._fqdns.get(text)
-        if fqdn is None:
-            fqdn = self._fqdns[text] = parse_fqdn(text)
-        return fqdn
 
     def serve_dns_existing(self, names: Sequence[str]) -> dict[str, DnsObservation]:
         """The answers of the names that exist with records, keyed by the
@@ -365,14 +359,8 @@ class SimulatedInternet:
 
     # -- HTTP ---------------------------------------------------------------
 
-    def _active_entry(self, prov: ScenarioProvider, host: str) -> Optional[HostEntry]:
-        entry = self._registrations[prov.name].get(host)
-        if entry is not None:
-            return entry
-        return self._host_index[prov.name].get(host)
-
     def _select_cert(self, prov: ScenarioProvider, sni: str) -> Optional[str]:
-        entry = self._active_entry(prov, sni)
+        entry = self._host_index[prov.name].get(sni)
         if entry is not None and entry.registered_by is RegisteredBy.LEGIT_OWNER:
             return sni
         for pattern in prov.wildcard_certs:
@@ -452,7 +440,7 @@ class SimulatedInternet:
                 return HttpResponseSummary.failed(TransportFailure.TLS_ERROR)
 
         host = str(probe.host_header)
-        entry = self._active_entry(prov, host)
+        entry = self._host_index[prov.name].get(host)
         if entry is not None:
             if not self._proof_blocked(prov, entry):
                 if (
@@ -512,7 +500,7 @@ class SimulatedInternet:
         if prov is None:
             return [self.serve_http(HttpProbe.request(ip, scheme, host, path)) for host, path in requests]
         https = scheme is Scheme.HTTPS
-        registered, indexed = self._registrations[prov.name], self._host_index[prov.name]
+        served = self._host_index[prov.name]
         discontinued = self.scenario.discontinued
         shared: dict[str, HttpResponseSummary] = {}
         # by certificate; over https a host without one gets a TLS error
@@ -522,7 +510,7 @@ class SimulatedInternet:
             name = host.name
             answer = shared.get(name)
             if answer is None:
-                if name in registered or name in indexed or name in discontinued:
+                if name in served or name in discontinued:
                     answer = self.serve_http(HttpProbe.request(ip, scheme, host, path))
                     if not self._counts_fetches(prov, name):
                         shared[name] = answer
@@ -536,7 +524,7 @@ class SimulatedInternet:
 
     def _counts_fetches(self, prov: ScenarioProvider, host: str) -> bool:
         """Whether ``host``'s active entry at ``prov`` leads to a dynamic origin."""
-        entry = self._active_entry(prov, host)
+        entry = self._host_index[prov.name].get(host)
         origin = self.scenario.origins.get(entry.origin_ip) if entry is not None else None
         return origin is not None and origin.dynamic
 
@@ -576,12 +564,15 @@ class SimulatedInternet:
         """Create a CDN service for ``custom_domain`` under ``account``.
 
         Returns the assigned subdomain, or raises VerificationFailed when
-        the provider's verification mode blocks the registration. On
-        success the custom domain binds to the attacker origin at this
-        provider's ingresses, and a previously dangling assigned name
-        resolves again.
+        the provider's verification mode blocks the registration, and
+        ScenarioError when the world cannot attempt it: it has no such
+        provider or no attacker origin. On success the custom domain binds
+        to the attacker origin at this provider's ingresses, and a
+        previously dangling assigned name resolves again.
         """
-        prov = self._providers[provider_name]
+        prov = self._providers.get(provider_name)
+        if prov is None:
+            raise ScenarioError(f"scenario has no provider {provider_name}")
         mode = prov.verification_mode
         if mode is VerificationMode.DNS_TOKEN_CHECKED:
             record = self.scenario.zones.get(verification_record_name(custom_domain))
@@ -592,7 +583,7 @@ class SimulatedInternet:
         target_origin = origin_ip or self.scenario.attacker_origin_ip
         if target_origin is None:
             raise ScenarioError("scenario has no attacker origin")
-        self._write(self._registrations[provider_name], custom_domain, HostEntry(
+        self._write(self._host_index[provider_name], custom_domain, HostEntry(
             host=custom_domain,
             origin_ip=target_origin,
             registered_by=RegisteredBy.ATTACKER,
@@ -716,9 +707,9 @@ def scenario_from_json(data: dict[str, Any]) -> Scenario:
             )
         zones = {
             name: ZoneRecord(
-                cname=rec.get("cname"),
+                cname=None if rec.get("cname") is None else _answer_name(rec["cname"]),
                 a=tuple(rec.get("a", [])),
-                ns=tuple(rec.get("ns", [])),
+                ns=tuple(map(_answer_name, rec.get("ns", ()))),
                 servfail=bool(rec.get("servfail", False)),
                 external=bool(rec.get("external", False)),
             )
@@ -785,6 +776,13 @@ def _utf8(value: Any, label: str, *args: Any) -> bytes:
     if not isinstance(value, str):
         raise ScenarioError(f"{label.format(*args)} must be a string, not {type(value).__name__}")
     return value.encode("utf-8")
+
+
+def _answer_name(value: Any) -> str:
+    """A zone's CNAME or NS name as an answer gives it: lowercase, no trailing dot."""
+    if not isinstance(value, str):
+        raise TypeError(f"a cname or ns value must be a string, not {type(value).__name__}")
+    return value.strip().rstrip(".").lower()
 
 
 def load_scenario(path: str | Path) -> Scenario:

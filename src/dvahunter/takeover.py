@@ -23,6 +23,7 @@ from typing import Optional
 from .checker import HostedDomainRecord
 from .core import (
     DnsObservation,
+    DomainSyntaxError,
     Evidence,
     Fqdn,
     HttpProbe,
@@ -32,7 +33,7 @@ from .core import (
     parse_fqdn,
 )
 from .providers import Fingerprint, ProviderDb, ProviderProfile, match_dns, match_http
-from .simnet import SimulatedInternet, VerificationFailed
+from .simnet import ScenarioError, SimulatedInternet, VerificationFailed
 from .transport import RRType
 
 logger = logging.getLogger(__name__)
@@ -55,15 +56,20 @@ class ExposurePrecondition(Exception):
 
 
 class DanglingProbeFailure(Exception):
-    """Transport failure at the HTTP stage: the record stays Inconclusive."""
+    """The HTTP-stage probe failed, or the terminal name is no host name to
+    query: the record stays Inconclusive."""
 
 
 @dataclass(frozen=True)
 class TakeoverPath:
+    """A takeover route. ``validated``: the simulated world's registration
+    outcome; None in live mode, or when the world cannot attempt it (no
+    attacker origin, or no such provider)."""
+
     kind: TakeoverKind
     via_provider: str
     rationale: str
-    validated: Optional[bool] = None  # mock-mode registration outcome; None in live mode
+    validated: Optional[bool] = None
 
     def to_json(self) -> dict:
         return {
@@ -156,7 +162,11 @@ def detect_dangling(
         if terminal is None:
             # the records "behind" the assigned subdomain, where
             # discontinuation signals live
-            terminal = transport.resolve(record.observation.cname_chain[-1], RRType.A)
+            last = record.observation.cname_chain[-1]
+            try:
+                terminal = transport.resolve(parse_fqdn(last), RRType.A)
+            except DomainSyntaxError as err:
+                raise DanglingProbeFailure(f"{record.fqdn}: terminal {last} is not a host name ({err})") from None
         if match_dns(fp, terminal):
             return found(DanglingStage.DNS_STAGE, fp, Evidence(
                 "dns-stage",
@@ -206,6 +216,22 @@ def judge_provider(profile: ProviderProfile, scanned: int, undecided: int, taken
     return Verdict.not_vulnerable((Evidence("takeover", "no dangling domain with a feasible takeover path"),))
 
 
+# the path through the hosting provider itself, by its effective verification
+_OWN_PATHS = {
+    "none": (TakeoverKind.NO_VERIFICATION, "provider performs no effective domain verification"),
+    "w1_misconnection": (
+        TakeoverKind.FLAWED_W1,
+        "misconnection: the custom domain binds via the fixed subdomain "
+        "even though the attacker is assigned a fresh name",
+    ),
+    "w2_shared_random": (
+        TakeoverKind.FLAWED_W2,
+        "assigned subdomain is a deterministic function of the custom domain: "
+        "any account regenerates the victim's name",
+    ),
+}
+
+
 def enumerate_takeover_paths(
     finding: DanglingFinding,
     db: ProviderDb,
@@ -226,50 +252,22 @@ def enumerate_takeover_paths(
         return TakeoverPath(kind, via_provider, rationale, validated)
 
     paths: list[TakeoverPath] = []
-    effective = hosting.effective_verification
-    if effective == "none":
-        paths.append(
-            path(
-                TakeoverKind.NO_VERIFICATION,
-                hosting.name,
-                "provider performs no effective domain verification",
-            )
-        )
-    elif effective == "w1_misconnection":
-        paths.append(
-            path(
-                TakeoverKind.FLAWED_W1,
-                hosting.name,
-                "misconnection: the custom domain binds via the fixed subdomain "
-                "even though the attacker is assigned a fresh name",
-            )
-        )
-    elif effective == "w2_shared_random":
-        paths.append(
-            path(
-                TakeoverKind.FLAWED_W2,
-                hosting.name,
-                "assigned subdomain is a deterministic function of the custom domain: "
-                "any account regenerates the victim's name",
-            )
-        )
+    own = _OWN_PATHS.get(hosting.effective_verification)
+    if own is not None:
+        paths.append(path(own[0], hosting.name, own[1]))
     for other, edge in db.edges_into(finding.provider):
         expanded = edge.expand(str(finding.fqdn))
         if expanded is not None and expanded == finding.matched_cname:
-            paths.append(
-                path(
-                    TakeoverKind.MULTI_CDN_SHARED_CNAME,
-                    other.name,
-                    f"{other.name} regenerates {expanded} for this custom domain, "
-                    f"bypassing {finding.provider}'s verification",
-                )
-            )
+            paths.append(path(TakeoverKind.MULTI_CDN_SHARED_CNAME, other.name, (
+                f"{other.name} regenerates {expanded} for this custom domain, "
+                f"bypassing {finding.provider}'s verification"
+            )))
     return paths
 
 
 def _validate_path(
     kind: TakeoverKind, via_provider: str, finding: DanglingFinding, simnet: SimulatedInternet, transport
-) -> bool:
+) -> Optional[bool]:
     domain = str(finding.fqdn)
     with simnet.registration_scope():
         try:
@@ -277,6 +275,9 @@ def _validate_path(
         except VerificationFailed as blocked:
             logger.info("registration blocked: %s", blocked)
             return False
+        except ScenarioError as unattempted:
+            logger.info("registration not attempted: %s", unattempted)
+            return None
         if kind is TakeoverKind.FLAWED_W2:
             second = simnet.attacker_register(via_provider, domain, "attacker-account-2")
             if second != assigned:

@@ -297,6 +297,7 @@ class LiveTransport:
         self.config = config
         self.limiter = RateLimiter(config.qps_limit)
         self.stats = TransportStats()
+        self._tls: Optional[ssl.SSLContext] = None  # the https probes' client context, made by the first
 
     # -- DNS ---------------------------------------------------------------
 
@@ -402,8 +403,8 @@ class LiveTransport:
             return DnsObservation(fqdn=name, rcode=rcode)
         return DnsObservation(
             fqdn=name,
-            cname_chain=tuple(parse_fqdn(c) for c in chain),
-            ns=tuple(parse_fqdn(n) for n in ns),
+            cname_chain=tuple(chain),
+            ns=tuple(ns),
             a_records=tuple(a_records),
             rcode=Rcode.NOERROR,
         )
@@ -440,12 +441,13 @@ class LiveTransport:
             if probe.scheme is Scheme.HTTPS:
                 import ssl
 
-                context = ssl.create_default_context()
-                if not self.config.verify_tls:
-                    context.check_hostname = False
-                    context.verify_mode = ssl.CERT_NONE
+                if self._tls is None:  # building it loads the CA store, even unverified
+                    self._tls = ssl.create_default_context()
+                    if not self.config.verify_tls:
+                        self._tls.check_hostname = False
+                        self._tls.verify_mode = ssl.CERT_NONE
                 try:
-                    sock = context.wrap_socket(_until(sock, deadline), server_hostname=str(probe.sni))
+                    sock = self._tls.wrap_socket(_until(sock, deadline), server_hostname=str(probe.sni))
                     cert_name = _peer_cert_name(sock)
                 except ssl.SSLError:
                     return HttpResponseSummary.failed(TransportFailure.TLS_ERROR)
@@ -479,27 +481,15 @@ class LiveTransport:
 
 
 def _peer_cert_name(sock: ssl.SSLSocket) -> Optional[str]:
-    """Best-effort leaf certificate name: the first SAN dNSName, else the
-    subject CN. With verification disabled the parsed dict is empty, so
-    the same name is read from the DER bytes."""
+    """Best-effort leaf certificate name, read from the DER bytes: the
+    first SAN dNSName, else the subject CN."""
     import ssl
 
     try:
-        parsed = sock.getpeercert()
-        if parsed:
-            for field in parsed.get("subjectAltName", ()):  # type: ignore[union-attr]
-                if field[0] == "DNS":
-                    return field[1]
-            for rdn in parsed.get("subject", ()):  # type: ignore[union-attr]
-                for key, value in rdn:
-                    if key == "commonName":
-                        return value
         der = sock.getpeercert(binary_form=True)
-        if der:
-            return _der_cert_name(der)
     except (ssl.SSLError, ValueError):
-        pass
-    return None
+        return None
+    return _der_cert_name(der) if der else None
 
 
 _SAN_OID = bytes.fromhex("551d11")  # 2.5.29.17 subjectAltName

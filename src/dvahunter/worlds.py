@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .providers import ProviderDb
+from .providers import EFFECTIVE_VERIFICATIONS, ProviderDb
 from .simnet import (
     BorrowingPolicy,
     DiscontinuedService,
@@ -64,13 +64,11 @@ SHARED_CERT_PROVIDERS = frozenset({
 })
 WILDCARD_CERT_PROVIDERS = frozenset({"Cachefly", "CDN77", "Netlify", "StackPath"})
 
-_VERIFICATION_FOR = {
-    "none": VerificationMode.NONE,
-    "checked": VerificationMode.DNS_TOKEN_CHECKED,
-    "unknown": VerificationMode.DNS_TOKEN_CHECKED,
-    "w1_misconnection": VerificationMode.FLAWED_MISCONNECTION,
-    "w2_shared_random": VerificationMode.FLAWED_SHARED_RANDOM,
-}
+# the simulated mode of each of EFFECTIVE_VERIFICATIONS, in its order
+_VERIFICATION_FOR = dict(zip(EFFECTIVE_VERIFICATIONS, (
+    VerificationMode.NONE, VerificationMode.DNS_TOKEN_CHECKED, VerificationMode.DNS_TOKEN_CHECKED,
+    VerificationMode.FLAWED_MISCONNECTION, VerificationMode.FLAWED_SHARED_RANDOM,
+), strict=True))
 
 
 @dataclass(frozen=True)

@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from dvahunter.cli import default_data
+from dvahunter.cli import default_data, main
 from dvahunter.providers import ProviderDb, load_provider_db
 from dvahunter.psl import PublicSuffixList
 from dvahunter.scan import ScanConfig
@@ -65,3 +65,35 @@ def scan_config(targets: Path, scenario: Path, mode: str = "all", seed: int = 7,
         seed=seed,
         **kw,
     )
+
+
+def edited_reference_scan(tmp_path, targets: str, *edits, mode: str = "takeover") -> tuple[int, dict]:
+    """The exit code and report of a scan of ``targets`` over a copy of
+    the reference world changed by each of ``edits`` in turn; the copy
+    must pass validate-scenario first."""
+    doc = json.loads(DATA["reference_world.json"].read_text(encoding="utf-8"))
+    for edit in edits:
+        edit(doc)
+    scenario = tmp_path / "world.json"
+    scenario.write_text(json.dumps(doc), encoding="utf-8")
+    assert main(["validate-scenario", str(scenario)]) == 0
+    targets_path = tmp_path / "targets.txt"
+    targets_path.write_text(targets, encoding="utf-8")
+    out = tmp_path / "report.json"
+    code = main(["scan", "--mode", mode, "--seed", "7", "--out", str(out),
+                 "--targets", str(targets_path), "--scenario", str(scenario)])
+    return code, json.loads(out.read_text(encoding="utf-8"))
+
+
+def set_zone(name: str, **record):
+    """An ``edited_reference_scan`` edit: the zone record of ``name``."""
+    def edit(doc):
+        doc["zones"][name] = record
+    return edit
+
+
+def set_provider(name: str, **fields):
+    """An ``edited_reference_scan`` edit: fields of one scenario provider."""
+    def edit(doc):
+        next(prov for prov in doc["providers"] if prov["name"] == name).update(fields)
+    return edit

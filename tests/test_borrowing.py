@@ -22,6 +22,7 @@ from dvahunter.providers import identify_cdn
 from dvahunter.simnet import SimulatedInternet, scenario_from_json, scenario_to_json
 from dvahunter.transport import MockTransport
 from dvahunter.worlds import build_reference_world
+from tests.conftest import edited_reference_scan, set_provider
 
 
 @pytest.fixture(scope="module")
@@ -210,3 +211,31 @@ class TestClassifyTls:
         probe = HttpProbe(target_ip="192.0.2.1", scheme=Scheme.HTTP, host_header=parse_fqdn(domain))
         hit = Evidence("borrowing-probe", f"host={domain}", probe=probe)
         assert classify_borrowing_tls(hit, OneCertEdge(cert)) is kind
+
+
+class TestBorrowingScan:
+    TARGETS = "www.fastly-site-a.com\npages.shared-press-kit.org\n"
+
+    def test_baseline_mismatch_excludes_the_provider(self, tmp_path):
+        # the edge answers unknown hosts with a page the DB does not know
+        code, report = edited_reference_scan(
+            tmp_path, self.TARGETS, set_provider("Fastly", nonhosted_override={"status": 200, "body": "welcome"}),
+            mode="borrowing",
+        )
+        assert code in (0, 1)
+        section = report["providers"]["Fastly"]
+        assert section["borrowing"]["kind"] == "inconclusive"
+        assert [ev["kind"] for ev in section["borrowing"]["evidence"]] == ["baseline-mismatch"]
+        assert any(note.startswith("BASELINE MISMATCH, provider excluded: Fastly:") for note in section["notes"])
+        assert "borrowing_baseline" not in section
+
+    def test_provider_that_serves_no_candidate_lists_no_hits(self, tmp_path):
+        # an edge that asks for DNS proof does not serve the victim
+        code, report = edited_reference_scan(
+            tmp_path, self.TARGETS, set_provider("Fastly", borrowing_policy="require_dns_proof"), mode="borrowing"
+        )
+        assert code in (0, 1)
+        section = report["providers"]["Fastly"]
+        assert section["borrowing"]["kind"] == "not_vulnerable"
+        assert "borrowing_hits" not in section
+        assert "Fastly" not in report["domains"]["pages.shared-press-kit.org"].get("borrowed_at", [])

@@ -1,3 +1,5 @@
+import dataclasses
+
 import pytest
 
 from dvahunter.core import DnsObservation, DomainSyntaxError, Fqdn, Rcode, parse_fqdn
@@ -10,6 +12,7 @@ from dvahunter.crawler import (
 )
 from dvahunter.simnet import Scenario, SimulatedInternet, ZoneRecord
 from dvahunter.transport import MockTransport, RRType
+from tests.conftest import edited_reference_scan, set_zone
 
 
 class TestPrefixDictionary:
@@ -199,17 +202,26 @@ class TestCandidateFastPath:
         assert result.unconfirmed == asked + overlong  # dictionary order
 
 
-class TestFqdnCachedText:
-    def test_equality_and_ordering_ignore_cached_text(self):
-        a = Fqdn(("www", "example", "com"))
-        b = Fqdn(("www", "example", "com"))
-        object.__setattr__(b, "name", "something-else")
+class TestFqdnText:
+    def test_equality_ordering_and_hash_follow_the_text(self):
+        a, b = Fqdn("www.example.com"), parse_fqdn("WWW.Example.com.")
         assert a == b and hash(a) == hash(b)
-        assert not a < b and not b < a
-        assert sorted([Fqdn(("b", "com")), Fqdn(("a", "com"))]) == [Fqdn(("a", "com")), Fqdn(("b", "com"))]
+        assert [field.name for field in dataclasses.fields(Fqdn)] == ["name"]
+        # the order of every key=str sort: "-" sorts before "."
+        names = [parse_fqdn("a.b.com"), parse_fqdn("a-b.com")]
+        assert sorted(names) == sorted(names, key=str) == [Fqdn("a-b.com"), Fqdn("a.b.com")]
 
-    def test_text_joined_at_construction(self):
-        f = Fqdn(("api", "example", "com"))
+    def test_labels_split_the_text(self):
+        f = parse_fqdn("api.example.com")
         assert f.name == str(f) == "api.example.com"
-        assert f.endswith(".example.com")
+        assert f.labels == ("api", "example", "com")
         assert repr(f) == "Fqdn('api.example.com')"
+
+
+class TestEnumerationScan:
+    def test_wildcard_sld_is_listed_in_meta(self, tmp_path):
+        code, report = edited_reference_scan(
+            tmp_path, "wild-shop.com\n", set_zone("*.wild-shop.com", a=["198.51.100.10"]), mode="exposure"
+        )
+        assert code in (0, 1)
+        assert report["meta"]["wildcard_slds"] == ["wild-shop.com"]

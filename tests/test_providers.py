@@ -26,8 +26,8 @@ from dvahunter.providers import (
 def obs(name="x.example.com", chain=(), a=(), rcode=Rcode.NOERROR, ns=()):
     return DnsObservation(
         fqdn=parse_fqdn(name),
-        cname_chain=tuple(parse_fqdn(c) for c in chain),
-        ns=tuple(parse_fqdn(n) for n in ns),
+        cname_chain=tuple(chain),
+        ns=tuple(ns),
         a_records=tuple(a),
         rcode=rcode,
     )

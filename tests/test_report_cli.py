@@ -319,6 +319,29 @@ class TestCli:
                      "--providers", str(providers)]) == 2
         assert capsys.readouterr().err.count("Fastly: nonhosted_fp cannot carry a dns_signal") == 2
 
+    def test_unknown_effective_verification_is_a_config_error(self, small_paths, tmp_path, capsys):
+        # this DB once passed validate-db; no takeover branch knows "No", so
+        # Azure's dangling domain lost its path and Azure read not vulnerable
+        providers = self._edited_db(tmp_path, "Azure", "metadata", verification_effective="No")
+        scenario, targets = small_paths
+        assert main(["validate-db", str(providers)]) == 2
+        assert main(["scan", "--targets", str(targets), "--scenario", str(scenario),
+                     "--providers", str(providers)]) == 2
+        assert capsys.readouterr().err.count("Azure: verification_effective 'No' is not one of") == 2
+
+    def test_discontinued_fingerprint_with_dns_signal_and_http_field_is_a_config_error(
+        self, small_paths, tmp_path, capsys
+    ):
+        # this DB once passed validate-db; the DNS stage matched the signal
+        # alone, so Azure read dangling and vulnerable whatever its edge
+        # answered, against the conjunction the fields promise
+        providers = self._edited_db(tmp_path, "Azure", "discontinued_fp", status=418)
+        scenario, targets = small_paths
+        assert main(["validate-db", str(providers)]) == 2
+        assert main(["scan", "--targets", str(targets), "--scenario", str(scenario),
+                     "--providers", str(providers)]) == 2
+        assert capsys.readouterr().err.count("Azure: discontinued_fp cannot carry both a dns_signal and") == 2
+
     def test_empty_body_phrase_is_a_config_error(self, small_paths, tmp_path, capsys):
         # every answer contains the empty phrase, a timeout included; this
         # DB once passed validate-db, and a reference scan then refuted both

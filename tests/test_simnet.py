@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from dvahunter.core import HttpProbe, Rcode, Scheme, TransportFailure, parse_fqdn
+from dvahunter.providers import identify_cdn
 from dvahunter.simnet import (
     BorrowingPolicy,
     DiscontinuedService,
@@ -13,6 +14,7 @@ from dvahunter.simnet import (
     Origin,
     RegisteredBy,
     Scenario,
+    ScenarioError,
     ScenarioProvider,
     SimulatedInternet,
     VerificationFailed,
@@ -496,3 +498,33 @@ class TestScenarioIo:
         scenario = load_scenario(DATA["reference_world.json"])
         assert not validate_scenario(scenario, db)
         assert len(scenario.providers) == 45
+
+    def test_answer_names_are_normalized_once_at_load(self, db):
+        # a resolver answers in lowercase without the trailing dot; the
+        # mock answers with the zone's text as loaded
+        doc = {"providers": [], "zones": {
+            "shop.example.com": {"cname": "X.Fastly.Net.", "external": True, "ns": ["NS1.Example.COM."]},
+        }}
+        scenario = scenario_from_json(doc)
+        assert scenario.zones["shop.example.com"].cname == "x.fastly.net"
+        obs = SimulatedInternet(scenario, db).serve_dns(parse_fqdn("shop.example.com"))
+        assert list(obs.cname_chain) == ["x.fastly.net"] and list(obs.ns) == ["ns1.example.com"]
+        match = identify_cdn(obs, db)
+        assert (match.provider, match.matched_cname) == ("Fastly", "x.fastly.net")
+
+    def test_a_cname_that_is_no_host_name_is_answered_as_text(self, db):
+        # RFC 2181 §11: a CNAME target may be any name
+        scenario = scenario_from_json({"providers": [], "zones": {
+            "shop.example.com": {"cname": "cdn_x.fastly.net"},
+        }})
+        obs = SimulatedInternet(scenario, db).serve_dns(parse_fqdn("shop.example.com"))
+        assert obs.rcode is Rcode.NOERROR and obs.cname_chain == ("cdn_x.fastly.net",)
+        assert identify_cdn(obs, db).provider == "Fastly"
+
+    @pytest.mark.parametrize("zone, message", [
+        ({"cname": 5}, "a cname or ns value must be a string, not int"),
+        ({"ns": [None]}, "a cname or ns value must be a string, not NoneType"),
+    ])
+    def test_a_cname_or_ns_that_is_no_string_is_a_scenario_error(self, zone, message):
+        with pytest.raises(ScenarioError, match=message):
+            scenario_from_json({"providers": [], "zones": {"a.example.com": zone}})

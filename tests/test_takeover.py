@@ -1,3 +1,4 @@
+import dataclasses
 import json
 from types import SimpleNamespace
 
@@ -8,7 +9,7 @@ from dvahunter.cli import main
 from dvahunter.core import VerdictKind, parse_fqdn
 from dvahunter.providers import Fingerprint, ProviderProfile
 from dvahunter.scan import run_scan_with_context
-from dvahunter.simnet import SimulatedInternet, VerificationFailed, load_scenario
+from dvahunter.simnet import SimulatedInternet, VerificationFailed, VerificationMode, ZoneRecord, load_scenario
 from dvahunter.takeover import (
     DanglingStage,
     ExposurePrecondition,
@@ -20,7 +21,7 @@ from dvahunter.takeover import (
 )
 from dvahunter.transport import MockTransport
 from dvahunter.worlds import build_reference_world
-from tests.conftest import DATA, scan_config
+from tests.conftest import DATA, edited_reference_scan, scan_config, set_provider, set_zone
 
 
 @pytest.fixture()
@@ -150,6 +151,51 @@ class TestTakeoverPaths:
             net.attacker_register("Baidu", "promo.kkshift-shop.com", "attacker")
 
 
+def one_path(world, db, host, provider, zones=(), **changes):
+    """The takeover paths of ``host`` over the reference world with one
+    scenario provider changed and ``zones`` added."""
+    scenario = dataclasses.replace(
+        world.scenario,
+        providers=[dataclasses.replace(p, **changes) if p.name == provider else p for p in world.scenario.providers],
+        zones={**world.scenario.zones, **dict(zones)},
+    )
+    net = SimulatedInternet(scenario, db)
+    transport = MockTransport(net)
+    finding = detect_dangling(hosted_record(db, transport, host), transport, db)
+    return enumerate_takeover_paths(finding, db, simnet=net, transport=transport)
+
+
+class TestFailedValidation:
+    """Each way a takeover path's registration in the simulated world can
+    fail: the path stays listed with ``validated`` False."""
+
+    def test_registration_blocked_by_dns_token(self, db, world):
+        paths = one_path(world, db, "legacy.azure-retired.net", "Azure",
+                         verification_mode=VerificationMode.DNS_TOKEN_CHECKED)
+        assert [(p.kind, p.validated) for p in paths] == [(TakeoverKind.NO_VERIFICATION, False)]
+
+    def test_w2_second_account_named_differently(self, db, world):
+        # the DB calls KuoCai's names domain-deterministic; this edge
+        # names each account's service afresh
+        paths = one_path(world, db, "legacy.kuocai-retired.net", "KuoCai", verification_mode=VerificationMode.NONE)
+        assert [(p.kind, p.validated) for p in paths] == [(TakeoverKind.FLAWED_W2, False)]
+
+    def test_multi_cdn_name_that_differs(self, db, world):
+        # the DB's sharing edge regenerates the CNAME; this edge hands out
+        # a random name instead
+        paths = one_path(world, db, "promo.kkshift-shop.com", "KuaikuaiCloud", assigned_subdomain_rule="random")
+        assert [(p.kind, p.via_provider, p.validated) for p in paths] == [
+            (TakeoverKind.MULTI_CDN_SHARED_CNAME, "KuaikuaiCloud", False)
+        ]
+
+    def test_no_address_after_registration(self, db, world):
+        # a wildcard CNAME: the registration revives the attacker's new
+        # name, but the host still resolves to the dead one
+        paths = one_path(world, db, "shop.wild-retired.net", "Azure",
+                         zones={"*.wild-retired.net": ZoneRecord(cname="cdn-0123456789.azureedge.net")})
+        assert [(p.kind, p.validated) for p in paths] == [(TakeoverKind.NO_VERIFICATION, False)]
+
+
 @pytest.fixture(scope="module")
 def reference_takeover_scan():
     return run_scan_with_context(
@@ -233,6 +279,81 @@ class TestTakeoverScan:
         assert code in (0, 1)
         entry = json.loads(out.read_text(encoding="utf-8"))["domains"]["legacy.fastly-retired.net"]
         assert entry["dangling"]["matched_fp"] == "Fast:ly:discontinued"
+
+
+class TestScansOfValidatedWorlds:
+    """Worlds that pass validate-scenario once aborted the scan."""
+
+    def test_cname_that_is_no_host_name_is_attributed(self, tmp_path):
+        code, report = edited_reference_scan(
+            tmp_path, "shop.badname-store.com\n", set_zone("shop.badname-store.com", cname="cdn_x.fastly.net"),
+            mode="all",
+        )
+        assert code in (0, 1)
+        entry = report["domains"]["shop.badname-store.com"]
+        assert (entry["provider"], entry["matched_cname"]) == ("Fastly", "cdn_x.fastly.net")
+
+    def test_terminal_that_is_no_host_name_leaves_the_record_inconclusive(self, tmp_path):
+        # Azure's discontinued fingerprint is a DNS signal: the DNS stage
+        # would query the chain's last name, which is no host name
+        code, report = edited_reference_scan(
+            tmp_path, "shop.badname-store.com\n", set_zone("shop.badname-store.com", cname="cdn_x.azureedge.net")
+        )
+        assert code in (0, 1)
+        check = report["domains"]["shop.badname-store.com"]["dangling_check"]
+        assert check.startswith("inconclusive: ") and "cdn_x.azureedge.net is not a host name" in check
+        assert report["providers"]["Azure"]["takeover"]["kind"] == "inconclusive"
+
+    def test_world_without_attacker_origin_leaves_paths_unvalidated(self, tmp_path):
+        def no_attacker(doc):
+            doc["attacker_origin_ip"] = None
+        code, report = edited_reference_scan(tmp_path, "legacy.azure-retired.net\n", no_attacker)
+        assert code in (0, 1)
+        paths = report["domains"]["legacy.azure-retired.net"]["takeover_paths"]
+        assert [(p["kind"], p["via_provider"], p["validated"]) for p in paths] == [("no_verification", "Azure", None)]
+
+    def test_provider_missing_from_the_world_leaves_paths_unvalidated(self, tmp_path):
+        def no_azure(doc):
+            doc["providers"] = [p for p in doc["providers"] if p["name"] != "Azure"]
+            doc["discontinued_hosts"] = {
+                host: svc for host, svc in doc["discontinued_hosts"].items() if svc["provider"] != "Azure"
+            }
+        code, report = edited_reference_scan(
+            tmp_path, "gone.orphan-shop.com\n", no_azure,
+            set_zone("gone.orphan-shop.com", cname="cdn-deadbeef.azureedge.net"),
+        )
+        assert code in (0, 1)
+        entry = report["domains"]["gone.orphan-shop.com"]
+        assert entry["dangling"]["stage"] == "dns_stage"
+        assert [(p["kind"], p["via_provider"], p["validated"]) for p in entry["takeover_paths"]] == [
+            ("no_verification", "Azure", None)
+        ]
+
+
+class TestTakeoverScanVerdicts:
+    def test_failed_path_is_not_credited(self, tmp_path):
+        # a token-checked Azure edge blocks the registration the DB's "none"
+        # promises: the dangling domain is listed, the provider not vulnerable
+        code, report = edited_reference_scan(
+            tmp_path, "legacy.azure-retired.net\n",
+            set_provider("Azure", verification_mode="dns_token_checked"),
+        )
+        assert code in (0, 1)
+        paths = report["domains"]["legacy.azure-retired.net"]["takeover_paths"]
+        assert [(p["kind"], p["validated"]) for p in paths] == [("no_verification", False)]
+        assert report["providers"]["Azure"]["takeover"]["kind"] == "not_vulnerable"
+
+    def test_http_stage_probe_failure_leaves_the_record_inconclusive(self, tmp_path):
+        code, report = edited_reference_scan(
+            tmp_path, "shop.deadip-store.com\n",
+            set_zone("shop.deadip-store.com", cname="cdn-deadip.fastly.net"),
+            set_zone("cdn-deadip.fastly.net", a=["192.0.2.250"]),
+        )
+        assert code in (0, 1)
+        assert report["domains"]["shop.deadip-store.com"]["dangling_check"] == (
+            "inconclusive: shop.deadip-store.com: HTTP-stage probe failed (connect_refused)"
+        )
+        assert report["providers"]["Fastly"]["takeover"]["kind"] == "inconclusive"
 
 
 class TestOriginExposure:

@@ -233,6 +233,25 @@ class TestLiveQueries:
         assert [str(c) for c in obs.cname_chain] == ["gone.cdn.example.net"]
         assert sent == ["a", "cname", "ns"]
 
+    def test_cname_target_that_is_no_host_name_is_kept_as_text(self, monkeypatch):
+        # RFC 2181 §11: a CNAME target may be any name; this answer once
+        # raised DomainSyntaxError out of resolve and ended the scan
+        def wire(name):
+            return b"".join(bytes([len(label)]) + label.encode() for label in name.split(".")) + b"\x00"
+
+        def fake_exchange(self, query):
+            header = query[:2] + b"\x81\x80\x00\x01\x00\x02\x00\x00\x00\x00"
+            target = wire("_CDN.edge.example.net")
+            cname = b"\xc0\x0c\x00\x05\x00\x01\x00\x00\x00\x3c" + len(target).to_bytes(2, "big") + target
+            a = wire("_cdn.edge.example.net") + b"\x00\x01\x00\x01\x00\x00\x00\x3c\x00\x04\xc0\x00\x02\x0a"
+            return header + query[12:] + cname + a
+
+        monkeypatch.setattr(LiveTransport, "_exchange", fake_exchange)
+        obs = live_transport().resolve(parse_fqdn("www.example.com"), RRType.ALL)
+        assert obs.rcode is Rcode.NOERROR
+        assert obs.cname_chain == ("_cdn.edge.example.net",)
+        assert obs.a_records == ("192.0.2.10",)
+
     def test_resolve_existing_sends_what_resolve_sends(self, monkeypatch):
         sent: list[tuple[str, str]] = []
 
@@ -339,6 +358,41 @@ class TestLiveProbe:
             response = transport.probe(HttpProbe.request("192.0.2.10", Scheme.HTTP, parse_fqdn("www.example.com")))
             assert response.failure is TransportFailure.TIMEOUT
             assert time.monotonic() - start < 0.4 + 0.2
+
+    def test_one_tls_context_per_transport(self, monkeypatch):
+        # building a context loads the CA store (about 50 ms of CPU), even
+        # with verification off: once per transport, not once per probe
+        made = []
+
+        class FakeSocket:
+            def settimeout(self, timeout):
+                pass
+
+            def sendall(self, data):
+                pass
+
+            def close(self):
+                pass
+
+        class FakeContext:
+            check_hostname = True
+            verify_mode = None
+
+            def __init__(self):
+                made.append(self)
+
+            def wrap_socket(self, sock, server_hostname):
+                return sock
+
+        monkeypatch.setattr(socket, "create_connection", lambda address, **kw: FakeSocket())
+        monkeypatch.setattr(ssl, "create_default_context", FakeContext)
+        monkeypatch.setattr(transport_mod, "_peer_cert_name", lambda sock: None)
+        monkeypatch.setattr(transport_mod, "_read_http_response", lambda sock, timeout: (200, [], b"ok"))
+        transport = live_transport()
+        for host in ("a.example.com", "b.example.com"):
+            assert transport.probe(HttpProbe.request("192.0.2.10", Scheme.HTTPS, parse_fqdn(host))).status == 200
+        assert len(made) == 1
+        assert made[0].check_hostname is False and made[0].verify_mode is ssl.CERT_NONE
 
     @pytest.mark.parametrize("scheme", [Scheme.HTTP, Scheme.HTTPS])
     def test_probe_batch_sends_what_probe_sends(self, monkeypatch, scheme):
