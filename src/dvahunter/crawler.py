@@ -6,10 +6,12 @@ explicitly defined hosts under a wildcard survive.
 
 Dictionary labels are syntax-checked once, when the dictionary is loaded;
 each candidate is then the text ``prefix + "." + sld``, so only the total
-name length is left to check per candidate. The candidates of one SLD go
-to the transport in one ``resolve_existing`` call, which answers only the
-names that exist: nearly every candidate is NXDOMAIN, and such a name
-stays a string, with no Fqdn or DnsObservation built for it.
+name length is left to check per candidate. Enumeration builds no
+candidate itself: it hands the SLD and the dictionary to the transport's
+``resolve_existing``, which asks every candidate that fits in 253
+characters and answers only the names that exist. Nearly every candidate
+is NXDOMAIN; the mock finds the few that exist through an index of the
+names its world holds, and the live backend sends every query.
 
 The observation that confirmed a name is handed on with the result, so
 the record crawl does not resolve the name a second time.
@@ -19,6 +21,7 @@ from __future__ import annotations
 
 import logging
 import string
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Optional
@@ -39,13 +42,18 @@ class WildcardInconclusive(Exception):
 @dataclass(frozen=True)
 class PrefixDictionary:
     """Ordered, deduplicated, lowercase label prefixes. A prefix may span
-    several labels (e.g. "dev.api")."""
+    several labels (e.g. "dev.api"). ``positions`` maps each prefix to its
+    index in ``prefixes``."""
 
     prefixes: tuple[str, ...]
+    positions: dict[str, int] = field(init=False, repr=False, compare=False)
+    _lengths: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         for label in dict.fromkeys(label for prefix in self.prefixes for label in prefix.split(".")):
             parse_fqdn(f"{label}.example.com")  # syntax check, raises DomainSyntaxError
+        object.__setattr__(self, "positions", {prefix: i for i, prefix in enumerate(self.prefixes)})
+        object.__setattr__(self, "_lengths", tuple(sorted(map(len, self.prefixes))))
 
     @classmethod
     def from_lines(cls, lines: list[str]) -> "PrefixDictionary":
@@ -67,6 +75,16 @@ class PrefixDictionary:
     def __len__(self) -> int:
         return len(self.prefixes)
 
+    def names_under(self, parent: str) -> list[str]:
+        """``prefix.parent`` for each prefix whose name fits in 253
+        characters, in dictionary order: the names enumeration asks."""
+        room = MAX_NAME_LENGTH - len(parent) - 1
+        return [f"{prefix}.{parent}" for prefix in self.prefixes if len(prefix) <= room]
+
+    def count_under(self, parent: str) -> int:
+        """``len(self.names_under(parent))``, without building the names."""
+        return bisect_right(self._lengths, MAX_NAME_LENGTH - len(parent) - 1)
+
 
 @dataclass(frozen=True)
 class WildcardSignature:
@@ -87,16 +105,29 @@ class WildcardSignature:
 
 @dataclass
 class EnumerationResult:
-    """``observations`` holds the answer that confirmed each name in
+    """The enumeration of ``dictionary`` under ``parent``.
+
+    ``observations`` holds the answer that confirmed each name in
     ``confirmed``, keyed by the name's text; callers reuse it instead of
     resolving the name again."""
 
+    parent: str
+    dictionary: PrefixDictionary
     confirmed: list[Fqdn] = field(default_factory=list)
     observations: dict[str, DnsObservation] = field(default_factory=dict)
-    unconfirmed: list[str] = field(default_factory=list)
     wildcard: Optional[WildcardSignature] = None
     wildcard_inconclusive: bool = False
     excluded_by_wildcard: list[str] = field(default_factory=list)
+
+    @property
+    def unconfirmed(self) -> list[str]:
+        """Every candidate that did not resolve with records, in dictionary
+        order: NXDOMAIN names, failed queries (SERVFAIL, timeouts) and
+        names over 253 characters, which were never asked. Derived when
+        read; a scan never reads it."""
+        found = self.observations.keys() | set(self.excluded_by_wildcard)
+        suffix = "." + self.parent
+        return [name for prefix in self.dictionary.prefixes if (name := prefix + suffix) not in found]
 
 
 def _random_label(rng) -> str:
@@ -131,24 +162,19 @@ def enumerate_subdomains(
     transport,
     seed: int = 0,
 ) -> EnumerationResult:
-    """Join every prefix with the SLD, resolve the candidates in one batch,
-    in dictionary order, keep the ones whose DNS answer carries records, and
-    drop the ones indistinguishable from the wildcard signature. Output is
-    sorted and deduplicated, and carries the observation of every
-    confirmed name; per-candidate timeouts land in ``unconfirmed``."""
-    result = EnumerationResult()
+    """Resolve every prefix under the SLD in one ``resolve_existing`` call,
+    in dictionary order, keep the names whose DNS answer carries records,
+    and drop the ones indistinguishable from the wildcard signature. Output
+    is sorted and deduplicated, and carries the observation of every
+    confirmed name; every other candidate is read from ``unconfirmed``."""
+    result = EnumerationResult(parent=sld.name, dictionary=dictionary)
     try:
         result.wildcard = detect_wildcard(sld, transport, seed=seed)
     except WildcardInconclusive:
         result.wildcard_inconclusive = True
         logger.warning("wildcard check inconclusive for %s; enumeration proceeds without exclusion", sld)
 
-    suffix = "." + sld.name
-    candidates = [prefix + suffix for prefix in dictionary.prefixes]
-    # dictionary labels and the SLD are both validated already: only the
-    # total length can still make a candidate illegal
-    found = transport.resolve_existing([text for text in candidates if len(text) <= MAX_NAME_LENGTH])
-    result.unconfirmed = [text for text in candidates if text not in found]
+    found = transport.resolve_existing(sld.name, dictionary)
     confirmed: dict[str, DnsObservation] = {}
     for text, obs in found.items():
         if result.wildcard is not None and WildcardSignature.of(obs) == result.wildcard:

@@ -256,6 +256,10 @@ def _parse_provider(raw: Any) -> ProviderProfile:
         # the DNS stage decides the signal alone, and a DNS miss would let
         # the HTTP stage decide the HTTP fields alone
         raise SchemaError(f"{name}: discontinued_fp cannot carry both a dns_signal and status, header or body_contains")
+    if gone is not None and gone.no_response and not gone.needs_dns:
+        # the HTTP stage reads a failed answer as inconclusive before it
+        # matches any fingerprint, so silence alone could never match
+        raise SchemaError(f"{name}: discontinued_fp with no_response needs a dns_signal")
     return ProviderProfile(
         name=name,
         assigned_suffixes=tuple(suffixes),
@@ -277,7 +281,9 @@ def load_provider_db(path: str | Path) -> ProviderDb:
     {"resolves_to": ip} | "single_a_record"), no_response. A nonhosted_fp
     is matched against HTTP answers only, so it may not carry dns_signal;
     a discontinued_fp with a dns_signal is decided by DNS alone, so it may
-    not carry status, header or body_contains. metadata's
+    not carry status, header or body_contains, and one with no_response
+    needs a dns_signal, since a silent edge leaves the HTTP stage
+    inconclusive. metadata's
     verification_effective is one of EFFECTIVE_VERIFICATIONS.
     """
     try:

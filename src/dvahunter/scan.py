@@ -192,8 +192,9 @@ def prepare(config: ScanConfig) -> ScanContext:
 
 def _load_targets(ctx: ScanContext) -> tuple[list[Fqdn], list[Fqdn]]:
     """Split the targets file into registrable domains (to enumerate) and
-    direct FQDNs."""
-    slds, direct = [], []
+    direct FQDNs, each listed once, in the order first given."""
+    slds: dict[Fqdn, None] = {}
+    direct: dict[Fqdn, None] = {}
     for raw in Path(ctx.config.targets).read_text(encoding="utf-8").splitlines():
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -204,10 +205,10 @@ def _load_targets(ctx: ScanContext) -> tuple[list[Fqdn], list[Fqdn]]:
             logger.warning("skipping malformed target %r: %s", line, err)
             continue
         if ctx.psl.registrable_domain(fqdn.name) == fqdn.name:
-            slds.append(fqdn)
+            slds[fqdn] = None
         else:
-            direct.append(fqdn)
-    return slds, direct
+            direct[fqdn] = None
+    return list(slds), list(direct)
 
 
 def _phase_enumerate(ctx: ScanContext) -> list[Fqdn]:

@@ -22,20 +22,27 @@ Design notes:
   * DNS answers carry the zone's CNAME and NS text, normalized once at
     load as a resolver's answer is (lowercase, no trailing dot) and never
     parsed: a CNAME target need not be a host name.
+  * Enumeration asks a whole prefix dictionary under one parent at once
+    (``serve_dns_existing``). Without a wildcard zone only a name the
+    world holds can exist, so the session intersects the dictionary with
+    an index of the held names under each parent, built on the first such
+    call; a world with a wildcard zone answers every name in turn.
 """
 
 from __future__ import annotations
 
 import hashlib
+import itertools
 import json
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property
 from pathlib import Path
-from typing import Any, Iterator, Optional, Sequence, Union
+from typing import TYPE_CHECKING, Any, Iterator, Optional, Sequence, Union
 
 from .core import (
+    MAX_NAME_LENGTH,
     DnsObservation,
     Fqdn,
     HttpProbe,
@@ -46,6 +53,9 @@ from .core import (
     parse_fqdn,
 )
 from .providers import DnsSignalKind, Fingerprint, ProviderDb
+
+if TYPE_CHECKING:
+    from .crawler import PrefixDictionary
 
 MAX_CHAIN = 16
 MISMATCH_STATUS = 421  # Misdirected Request: the standards-defined SNI/Host mismatch answer
@@ -244,6 +254,9 @@ class SimulatedInternet:
         self._dangling_targets = self._index_dangling_targets()
         # only the scenario's zones hold wildcards, and none are added later
         self._has_wildcards = any(name.startswith("*.") for name in scenario.zones)
+        # parent -> the prefixes of the zone and dangling-target names under
+        # it, built by the first serve_dns_existing call
+        self._held_under: Optional[dict[str, list[str]]] = None
 
     # -- DNS ----------------------------------------------------------------
 
@@ -332,12 +345,16 @@ class SimulatedInternet:
             cname_loop=loop,
         )
 
-    def serve_dns_existing(self, names: Sequence[str]) -> dict[str, DnsObservation]:
-        """The answers of the names that exist with records, keyed by the
-        given text, in the given order; every other name is left out.
-        A name the zone lookup finds nothing for is NXDOMAIN, so it is
-        skipped without building its answer; the rest go through
-        serve_dns, as a single ``serve_dns`` call would."""
+    def serve_dns_existing(self, parent: str, dictionary: PrefixDictionary) -> dict[str, DnsObservation]:
+        """The answers of the names ``prefix.parent`` of ``dictionary`` that
+        fit in 253 characters and exist with records, keyed by the name's
+        text, in dictionary order: what a ``serve_dns`` call per name would
+        say of them. A name the zone lookup finds nothing for is NXDOMAIN,
+        so it is skipped without building its answer."""
+        if self._has_wildcards:
+            names = dictionary.names_under(parent)
+        else:
+            names = self._held_names_under(parent, dictionary)
         lookup = self._lookup
         found: dict[str, DnsObservation] = {}
         for name in names:
@@ -347,6 +364,29 @@ class SimulatedInternet:
             if obs.exists_with_records:
                 found[name] = obs
         return found
+
+    def _held_names_under(self, parent: str, dictionary: PrefixDictionary) -> list[str]:
+        """The names ``prefix.parent`` of ``dictionary`` that fit in 253
+        characters and that a zone, a dangling target or a zone override
+        holds, in dictionary order. Without wildcard zones no other name
+        has a lookup. Overrides come and go with registrations, so they are
+        read on every call."""
+        if self._held_under is None:
+            self._held_under = held = {}
+            for name in itertools.chain(self.scenario.zones, self._dangling_targets):
+                dot = name.find(".")
+                while dot != -1:
+                    held.setdefault(name[dot + 1:], []).append(name[:dot])
+                    dot = name.find(".", dot + 1)
+        suffix = "." + parent
+        prefixes = itertools.chain(
+            self._held_under.get(parent, ()),
+            (name[: -len(suffix)] for name in self._zone_overrides if name.endswith(suffix)),
+        )
+        positions = dictionary.positions
+        room = MAX_NAME_LENGTH - len(suffix)
+        hits = {positions[prefix]: prefix for prefix in prefixes if prefix in positions and len(prefix) <= room}
+        return [hits[position] + suffix for position in sorted(hits)]
 
     def city_of(self, ip: str) -> Optional[str]:
         prov = self._ip_owner.get(ip)

@@ -4,12 +4,15 @@ probes with independently controllable SNI and Host header.
 
 Two interchangeable backends exist. Each offers ``resolve``,
 ``resolve_existing``, ``probe``, ``probe_batch`` and ``stats`` (the
-counts of queries and probes sent). ``resolve_existing`` takes a batch
-of name texts, each already normalized and valid (the text of a
-``parse_fqdn`` result), and returns only the ones that exist with
-records; it counts one query per name, as ``resolve`` would, but the
-mock builds no answer for a name that does not exist, which is most of
-what enumeration asks.
+counts of queries and probes sent). ``resolve_existing(parent,
+dictionary)`` is enumeration's seam: it resolves ``prefix.parent`` for
+each prefix of a ``PrefixDictionary`` whose name fits in 253 characters,
+in dictionary order, and returns only the names that exist with records.
+It counts one query per name that fits, as one ``resolve`` per name
+would. The live backend builds and sends each of those names; the mock
+asks its world which of the names it holds are in the dictionary, and
+builds nothing for a name that does not exist, which is most of what
+enumeration asks.
 
 ``probe_batch(ip, scheme, requests)`` sends one probe per (Host, path)
 request to one IP, with SNI = Host over https, answers in the order
@@ -60,6 +63,8 @@ from .core import (
 )
 
 if TYPE_CHECKING:
+    from .crawler import PrefixDictionary
+
     # ssl is imported where a live probe needs TLS: a mock scan never
     # does, and skipping the import shortens its set-up and lowers its
     # peak memory
@@ -171,13 +176,14 @@ class MockTransport:
             )
         return obs
 
-    def resolve_existing(self, names: Sequence[str]) -> dict[str, DnsObservation]:
-        """``resolve`` of each name (normalized text), kept only where the
-        answer is NOERROR with records, keyed by the text."""
-        self.stats.dns_queries += len(names)
+    def resolve_existing(self, parent: str, dictionary: PrefixDictionary) -> dict[str, DnsObservation]:
+        """``resolve`` of each name of ``dictionary.names_under(parent)``
+        (``parent`` is normalized text), kept only where the answer is
+        NOERROR with records, keyed by the text, in dictionary order."""
+        self.stats.dns_queries += dictionary.count_under(parent)
         if self.record:
-            self.query_log.extend((name, RRType.ALL.value) for name in names)
-        return self.simnet.serve_dns_existing(names)
+            self.query_log.extend((name, RRType.ALL.value) for name in dictionary.names_under(parent))
+        return self.simnet.serve_dns_existing(parent, dictionary)
 
     def probe(self, probe: HttpProbe) -> HttpResponseSummary:
         self.stats.http_probes += 1
@@ -409,12 +415,12 @@ class LiveTransport:
             rcode=Rcode.NOERROR,
         )
 
-    def resolve_existing(self, names: Sequence[str]) -> dict[str, DnsObservation]:
-        """``resolve`` of each name in turn, kept only where the answer is
-        NOERROR with records: the same queries as one ``resolve`` call per
-        name."""
+    def resolve_existing(self, parent: str, dictionary: PrefixDictionary) -> dict[str, DnsObservation]:
+        """``resolve`` of each name of ``dictionary.names_under(parent)`` in
+        turn, kept only where the answer is NOERROR with records: the same
+        queries as one ``resolve`` call per name."""
         found: dict[str, DnsObservation] = {}
-        for name in names:
+        for name in dictionary.names_under(parent):
             obs = self.resolve(parse_fqdn(name))
             if obs.exists_with_records:
                 found[name] = obs

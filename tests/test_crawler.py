@@ -4,6 +4,7 @@ import pytest
 
 from dvahunter.core import DnsObservation, DomainSyntaxError, Fqdn, Rcode, parse_fqdn
 from dvahunter.crawler import (
+    RANDOM_PREFIX_LENGTH,
     WILDCARD_PROBES,
     PrefixDictionary,
     WildcardInconclusive,
@@ -12,7 +13,8 @@ from dvahunter.crawler import (
 )
 from dvahunter.simnet import Scenario, SimulatedInternet, ZoneRecord
 from dvahunter.transport import MockTransport, RRType
-from tests.conftest import edited_reference_scan, set_zone
+from dvahunter.scan import run_scan, run_scan_with_context
+from tests.conftest import DATA, edited_reference_scan, scan_config, set_zone
 
 
 class TestPrefixDictionary:
@@ -98,12 +100,12 @@ class TestEnumerate:
             def resolve(self, name, rrtype=RRType.ALL):
                 return DnsObservation(fqdn=name, rcode=Rcode.TIMEOUT)
 
-            def resolve_existing(self, names):
+            def resolve_existing(self, parent, dictionary):
                 return {}  # a timed-out name is not confirmed
         d = PrefixDictionary.from_lines(["www", "mail"])
         result = enumerate_subdomains(parse_fqdn("example.com"), d, AllTimeout())
         assert result.confirmed == []
-        assert len(result.unconfirmed) == 2
+        assert result.unconfirmed == ["www.example.com", "mail.example.com"]
 
     def test_wildcard_exclusion_keeps_distinct_hosts(self, wildcard_zone):
         d = PrefixDictionary.from_lines(["www", "mail", "random-name"])
@@ -120,6 +122,7 @@ class TestEnumerate:
         assert plain.unconfirmed == ["zzz.example.com", "aaa.example.com"]
         wild = enumerate_subdomains(parse_fqdn("wild.com"), d, wildcard_zone)
         assert wild.excluded_by_wildcard == ["zzz.wild.com", "mail.wild.com", "aaa.wild.com"]
+        assert wild.unconfirmed == []  # an excluded name was confirmed by DNS
         assert [str(f) for f in wild.confirmed] == ["www.wild.com"]
 
     def test_brute_force_oracle_on_handbuilt_zone(self, db):
@@ -158,14 +161,16 @@ class RecordingTransport:
         self.asked.append(str(name))
         return DnsObservation(fqdn=name, rcode=Rcode.NXDOMAIN)
 
-    def resolve_existing(self, names):
-        self.asked.extend(names)
+    def resolve_existing(self, parent, dictionary):
+        self.asked.extend(dictionary.names_under(parent))
         return {}
 
 
 class TestCandidateFastPath:
     """Candidates are joined from validated labels, not parsed; their text
-    must still be the text parse_fqdn would have produced."""
+    must still be the text parse_fqdn would have produced, both where the
+    transport builds the names it asks and where ``unconfirmed`` lists
+    them."""
 
     @pytest.fixture(scope="class")
     def bundled(self):
@@ -184,7 +189,7 @@ class TestCandidateFastPath:
             assert parse_fqdn(candidate) == parsed
         assert result.unconfirmed == candidates
 
-    def test_overlong_candidates_go_to_unconfirmed(self):
+    def test_overlong_candidates_go_to_unconfirmed(self, db):
         labels = ["a" * 63, "b" * 63, "c" * 63]
         sld = parse_fqdn(".".join(labels) + ".com")  # 196 characters
         room = 253 - len(str(sld)) - 1
@@ -200,6 +205,13 @@ class TestCandidateFastPath:
             with pytest.raises(DomainSyntaxError):
                 parse_fqdn(name)
         assert result.unconfirmed == asked + overlong  # dictionary order
+        assert d.count_under(str(sld)) == len(asked)
+        # the mock counts and logs the same queries without building them
+        mock = small_world(db, {})
+        mock.record = True
+        assert enumerate_subdomains(sld, d, mock).unconfirmed == result.unconfirmed
+        assert mock.query_log[WILDCARD_PROBES:] == [(name, "all") for name in asked]
+        assert mock.stats.dns_queries == WILDCARD_PROBES + len(asked)
 
 
 class TestFqdnText:
@@ -225,3 +237,52 @@ class TestEnumerationScan:
         )
         assert code in (0, 1)
         assert report["meta"]["wildcard_slds"] == ["wild-shop.com"]
+
+    def test_wildcard_sld_listed_twice_is_listed_once(self, tmp_path):
+        code, report = edited_reference_scan(
+            tmp_path, "wild-shop.com\nWild-Shop.com.\n", set_zone("*.wild-shop.com", a=["198.51.100.10"]),
+            mode="exposure",
+        )
+        assert code in (0, 1)
+        assert report["meta"]["wildcard_slds"] == ["wild-shop.com"]
+
+    def test_each_registrable_domain_is_enumerated_once(self, tmp_path):
+        # each copy of a listed domain once cost 1,003 more queries
+        reference = DATA["reference_world_targets.txt"]
+        doubled = tmp_path / "targets.txt"
+        doubled.write_text(reference.read_text(encoding="utf-8")
+                           + "akamai-site-a.com.\nAKAMAI-site-b.com\nazure-retired.net.\n", encoding="utf-8")
+        once, twice = (
+            run_scan_with_context(scan_config(targets, DATA["reference_world.json"], mode="exposure",
+                                              record_probes=True))
+            for targets in (reference, doubled)
+        )
+        assert twice.transport.stats.dns_queries == once.transport.stats.dns_queries
+        assert twice.transport.query_log == once.transport.query_log
+        assert twice.report.domains == once.report.domains
+
+    def test_inconclusive_wildcard_check_keeps_the_dictionary_names(self, tmp_path, monkeypatch):
+        targets = tmp_path / "targets.txt"
+        targets.write_text("akamai-site-a.com\nakamai-site-b.com\n", encoding="utf-8")
+        config = scan_config(targets, DATA["reference_world.json"], mode="exposure")
+        plain = run_scan(config)
+        resolve = MockTransport.resolve
+        answered = []
+
+        def first_probe_answers(self, name, rrtype=RRType.ALL):
+            # the first random wildcard probe under akamai-site-a.com
+            # answers, the other two do not: the check is inconclusive
+            if not answered and name.name.endswith(".akamai-site-a.com") \
+                    and len(name.labels[0]) == RANDOM_PREFIX_LENGTH:
+                answered.append(name)
+                return DnsObservation(fqdn=name, a_records=("198.51.100.7",))
+            return resolve(self, name, rrtype)
+
+        monkeypatch.setattr(MockTransport, "resolve", first_probe_answers)
+        report = run_scan(config)
+        assert len(answered) == 1
+        assert report.meta["wildcard_inconclusive_slds"] == ["akamai-site-a.com"]
+        assert "wildcard_slds" not in report.meta and "wildcard_inconclusive_slds" not in plain.meta
+        enumerated = sorted(name for name in plain.domains if name.endswith(".akamai-site-a.com"))
+        assert enumerated  # the reference world defines names under it
+        assert report.domains == plain.domains

@@ -286,11 +286,12 @@ class TestCli:
         assert main(["validate-db", str(bad)]) == 2
 
     @staticmethod
-    def _edited_db(tmp_path, provider, key, **fields):
-        """The bundled provider DB with ``fields`` added to one fingerprint."""
+    def _edited_db(tmp_path, provider, key, replace=False, **fields):
+        """The bundled provider DB with ``fields`` added to one fingerprint,
+        or put in its place with ``replace``."""
         doc = json.loads(DATA["providers.json"].read_text(encoding="utf-8"))
         entry = next(p for p in doc if p["name"] == provider)
-        entry[key] = {**entry[key], **fields}
+        entry[key] = fields if replace else {**entry[key], **fields}
         path = tmp_path / "providers.json"
         path.write_text(json.dumps(doc), encoding="utf-8")
         return path
@@ -352,6 +353,17 @@ class TestCli:
         assert main(["scan", "--targets", str(targets), "--scenario", str(scenario),
                      "--providers", str(providers)]) == 2
         assert capsys.readouterr().err.count("an empty body_contains matches every answer") == 2
+
+    def test_silent_discontinued_fingerprint_without_dns_signal_is_a_config_error(self, small_paths, tmp_path, capsys):
+        # this DB once passed validate-db; the HTTP stage reads a failed
+        # answer as inconclusive before any fingerprint is matched, so no
+        # record of Fastly's could ever read dangling
+        providers = self._edited_db(tmp_path, "Fastly", "discontinued_fp", replace=True, no_response=True)
+        scenario, targets = small_paths
+        assert main(["validate-db", str(providers)]) == 2
+        assert main(["scan", "--targets", str(targets), "--scenario", str(scenario),
+                     "--providers", str(providers)]) == 2
+        assert capsys.readouterr().err.count("Fastly: discontinued_fp with no_response needs a dns_signal") == 2
 
     def test_validate_scenario(self, capsys, small_paths):
         scenario, _ = small_paths

@@ -11,6 +11,7 @@ import pytest
 
 from dvahunter import transport as transport_mod
 from dvahunter.core import HttpProbe, Rcode, Scheme, TransportFailure, parse_fqdn
+from dvahunter.crawler import PrefixDictionary
 from dvahunter.scan import ConfigError, prepare, run_scan
 from dvahunter.simnet import Origin, Scenario, SimulatedInternet, ZoneRecord
 from dvahunter.transport import (
@@ -269,14 +270,17 @@ class TestLiveQueries:
             return 0, [(name, 1, "192.0.2.10")]
 
         monkeypatch.setattr(LiveTransport, "_query", fake_query)
-        names = [f"{label}.example.com" for label in ("www", "missing", "broken", "slow", "api")]
+        labels = ("www", "missing", "broken", "slow", "api")
+        overlong = ".".join(["x" * 63] * 4)  # a valid prefix, but no name under example.com
+        names = [f"{label}.example.com" for label in labels]
         batch = live_transport()
-        found = batch.resolve_existing(names)
+        found = batch.resolve_existing("example.com", PrefixDictionary.from_lines([*labels[:2], overlong, *labels[2:]]))
         batch_sent = list(sent)
         sent.clear()
         single = live_transport()
         answers = {name: single.resolve(parse_fqdn(name), RRType.ALL) for name in names}
-        assert batch_sent == sent
+        assert batch_sent == sent  # the same queries in the same order, none for the overlong name
+        assert batch.stats.dns_queries == single.stats.dns_queries == len(names)
         assert [answers[name].rcode for name in names[1:4]] == [Rcode.NXDOMAIN, Rcode.SERVFAIL, Rcode.TIMEOUT]
         assert found == {name: answers[name] for name in ("www.example.com", "api.example.com")}
 
@@ -294,7 +298,7 @@ class TestLiveQueries:
         one.resolve(parse_fqdn("www.example.com"))
         assert (len(exchanged), one.stats.dns_queries) == (3, 1)
         two = live_transport()
-        assert two.resolve_existing(["a.example.com", "b.example.com"]) == {}
+        assert two.resolve_existing("example.com", PrefixDictionary.from_lines(["a", "b"])) == {}
         assert (len(exchanged), two.stats.dns_queries) == (9, 2)
 
     def test_record_probes_needs_the_mock_backend(self):
