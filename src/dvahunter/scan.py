@@ -40,12 +40,12 @@ from .checker import (
     crawl_records,
     discover_hosted,
 )
-from .core import DomainSyntaxError, Evidence, Fqdn, Rcode, Verdict, VerdictKind, derive_rng, parse_fqdn
+from .core import DomainSyntaxError, Evidence, Fqdn, Verdict, VerdictKind, derive_rng, parse_fqdn
 from .crawler import PrefixDictionary, enumerate_subdomains
 from .providers import DnsSignalKind, ProviderDb, load_provider_db
 from .psl import PublicSuffixList
 from .report import ScanReport
-from .simnet import ScenarioError, SimulatedInternet, load_scenario, validate_scenario
+from .simnet import SimulatedInternet, load_scenario
 from .transport import Backend, LiveTransport, MockTransport, TransportConfig
 
 logger = logging.getLogger(__name__)
@@ -144,22 +144,13 @@ def prepare(config: ScanConfig) -> ScanContext:
         if not Path(config.scenario).exists():
             raise ConfigError(f"scenario file not found: {config.scenario}")
         try:
-            scenario = load_scenario(config.scenario)
-        except ValueError as err:
-            raise ConfigError(str(err))
-        problems = validate_scenario(scenario, db)
-        if problems:
-            raise ConfigError("scenario failed validation: " + "; ".join(problems))
-        try:
-            simnet = SimulatedInternet(scenario, db)
-        except ScenarioError as err:  # a conflict validate_scenario does not look for
+            simnet = SimulatedInternet(load_scenario(config.scenario), db)
+        except ValueError as err:  # ScenarioError: unreadable, or fails validate_scenario
             raise ConfigError(str(err))
         geo = simnet.city_of
         transport = MockTransport(simnet, record=config.record_probes)
         started = 0.0  # the mock world has no wall clock, so its reports are reproducible
     else:
-        if config.resolver is None:
-            raise ConfigError("live backend needs --resolver")
         if config.record_probes:
             raise ConfigError("record_probes needs the mock backend")
         geo = _load_geo(config.geoip)
@@ -384,8 +375,7 @@ def _phase_borrowing(ctx: ScanContext) -> None:
 def _phase_exposure(ctx: ScanContext) -> None:
     for name in sorted(ctx.observations):
         obs = ctx.observations[name]
-        if obs.rcode is not Rcode.NOERROR:
-            continue
+        # records exist only on a NOERROR answer (DnsObservation.__post_init__)
         if len(obs.a_records) != 1 or obs.cname_chain:
             continue
         verdict = takeover_mod.check_origin_exposure(obs.fqdn, obs, ctx.transport)
@@ -431,18 +421,16 @@ def _phase_takeover(ctx: ScanContext) -> None:
                 continue
             taken.setdefault(path.via_provider, []).append(str(finding.fqdn))
         # residual single-A fingerprints route straight into the
-        # origin-exposure check (the leaked address is the old origin)
+        # origin-exposure check (the leaked address is the old origin).
+        # Such a finding comes from the DNS stage: a fingerprint with a
+        # dns_signal needs HTTP only through no_response, which a served
+        # answer never matches, and detect_dangling raises on a failed one.
+        # So match_dns held on the terminal: no chain and exactly one A
+        # record, which is check_origin_exposure's precondition.
         signal = finding.fingerprint.dns_signal
-        if (
-            signal is not None
-            and signal.kind is DnsSignalKind.SINGLE_A_RECORD
-            and finding.terminal is not None
-        ):
-            try:
-                verdict = takeover_mod.check_origin_exposure(finding.fqdn, finding.terminal, ctx.transport)
-                entry["exposure"] = verdict.to_json()
-            except takeover_mod.ExposurePrecondition as err:
-                entry["exposure_check"] = f"skipped: {err}"
+        if signal is not None and signal.kind is DnsSignalKind.SINGLE_A_RECORD:
+            verdict = takeover_mod.check_origin_exposure(finding.fqdn, finding.terminal, ctx.transport)
+            entry["exposure"] = verdict.to_json()
 
     for profile in ctx.db.providers:
         name = profile.name

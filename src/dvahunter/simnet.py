@@ -5,6 +5,11 @@ origin servers. It backs the mock transport and serves as the ground
 truth oracle for the acceptance suite.
 
 Design notes:
+  * A session exists only over a scenario that passes
+    ``validate_scenario``: ``SimulatedInternet`` runs it on construction
+    and refuses the scenario on any problem. Serving therefore never
+    meets a provider missing from the DB, a host without an origin or an
+    ingress IP held twice, and never raises ScenarioError.
   * TLS is modeled as metadata: the SNI travels with the probe and
     certificate names are declared fields, so no real handshake happens
     and the whole world stays deterministic and fast.
@@ -222,21 +227,19 @@ _ABSENT = object()  # a journaled key that had no value before the write
 class SimulatedInternet:
     """One session over a scenario: answers DNS and HTTP, accepts attacker
     registrations, and keeps the per-fetch counters for dynamic origins.
+    A session exists only over a scenario that passes ``validate_scenario``:
+    the constructor raises ScenarioError naming every problem it reports.
     A session holds no locks, so it must not be shared across threads."""
 
     def __init__(self, scenario: Scenario, db: ProviderDb):
+        problems = validate_scenario(scenario, db)
+        if problems:
+            raise ScenarioError("scenario failed validation: " + "; ".join(problems))
         self.scenario = scenario
         self.db = db
-        # with a duplicated name the first provider wins, as in Scenario.provider
-        self._providers: dict[str, ScenarioProvider] = {}
-        for prov in scenario.providers:
-            self._providers.setdefault(prov.name, prov)
-        self._ip_owner: dict[str, ScenarioProvider] = {}
-        for prov in scenario.providers:
-            for ip in prov.ips:
-                if ip in self._ip_owner or ip in scenario.origins:
-                    raise ScenarioError(f"ingress IP {ip} assigned twice")
-                self._ip_owner[ip] = prov
+        self._providers = {prov.name: prov for prov in scenario.providers}
+        self._ip_owner = {ip: prov for prov in scenario.providers for ip in prov.ips}
+        self._cities = {ip: city for prov in scenario.providers for ip, city in prov.ingress_ips}
         # provider -> host -> entry, the hosts each edge serves: with a duplicated
         # host the first entry wins; attacker registrations are journaled writes
         self._host_index: dict[str, dict[str, HostEntry]] = {}
@@ -291,9 +294,7 @@ class SimulatedInternet:
     def _dangling_behavior(self, host: str, provider_name: str) -> Optional[ZoneRecord]:
         """What the assigned subdomain of a terminated service resolves to,
         synthesized from the behavior provider's discontinued fingerprint."""
-        profile = self.db.by_name.get(provider_name)
-        fp = profile.discontinued_fp if profile is not None else None
-        prov = self._providers[provider_name]
+        fp = self.db.by_name[provider_name].discontinued_fp
         if fp is not None and fp.dns_signal is not None:
             kind = fp.dns_signal.kind.value
             if kind == "nxdomain":
@@ -303,12 +304,9 @@ class SimulatedInternet:
             if kind == "resolves_to":
                 return ZoneRecord(a=(fp.dns_signal.ip,))
             if kind == "single_a_record":
-                residual = self.scenario.discontinued[host].origin_ip
-                if residual is None:
-                    raise ScenarioError(f"{host}: single_a_record behavior needs a residual origin_ip")
-                return ZoneRecord(a=(residual,))
+                return ZoneRecord(a=(self.scenario.discontinued[host].origin_ip,))
         # HTTP-typed fingerprint (or none): DNS keeps pointing at the edge
-        return ZoneRecord(a=prov.ips)
+        return ZoneRecord(a=self._providers[provider_name].ips)
 
     def serve_dns(self, name: Union[Fqdn, str]) -> DnsObservation:
         fqdn = name if isinstance(name, Fqdn) else parse_fqdn(str(name))
@@ -389,13 +387,7 @@ class SimulatedInternet:
         return [hits[position] + suffix for position in sorted(hits)]
 
     def city_of(self, ip: str) -> Optional[str]:
-        prov = self._ip_owner.get(ip)
-        if prov is None:
-            return None
-        for addr, city in prov.ingress_ips:
-            if addr == ip:
-                return city
-        return None
+        return self._cities.get(ip)
 
     # -- HTTP ---------------------------------------------------------------
 
@@ -494,9 +486,7 @@ class SimulatedInternet:
                         self._headers(prov, ip),
                         tls_cert_name=cert,
                     )
-                origin = self.scenario.origins.get(entry.origin_ip)
-                if origin is None:
-                    return HttpResponseSummary.failed(TransportFailure.CONNECT_REFUSED)
+                origin = self.scenario.origins[entry.origin_ip]
                 body = self._origin_body(origin, ip, host, probe.path)
                 if body is None:
                     body = origin.body
@@ -506,8 +496,7 @@ class SimulatedInternet:
 
         service = self.scenario.discontinued.get(host)
         if service is not None and service.provider == prov.name:
-            profile = self.db.by_name.get(prov.name)
-            fp = profile.discontinued_fp if profile is not None else None
+            fp = self.db.by_name[prov.name].discontinued_fp
             if fp is not None and fp.needs_http:
                 return self._fp_response(fp, prov, ip, cert)
         return self._unknown_host(prov, ip, cert)
@@ -520,8 +509,7 @@ class SimulatedInternet:
             return HttpResponseSummary.from_body(
                 status, text.encode("utf-8"), self._headers(prov, ip), tls_cert_name=cert
             )
-        profile = self.db.by_name.get(prov.name)
-        fp = profile.nonhosted_fp if profile is not None else None
+        fp = self.db.by_name[prov.name].nonhosted_fp
         if fp is not None:
             return self._fp_response(fp, prov, ip, cert)
         return HttpResponseSummary.from_body(404, _GENERIC_404, self._headers(prov, ip), tls_cert_name=cert)
@@ -565,8 +553,7 @@ class SimulatedInternet:
     def _counts_fetches(self, prov: ScenarioProvider, host: str) -> bool:
         """Whether ``host``'s active entry at ``prov`` leads to a dynamic origin."""
         entry = self._host_index[prov.name].get(host)
-        origin = self.scenario.origins.get(entry.origin_ip) if entry is not None else None
-        return origin is not None and origin.dynamic
+        return entry is not None and self.scenario.origins[entry.origin_ip].dynamic
 
     # -- registration -------------------------------------------------------
 
@@ -606,8 +593,9 @@ class SimulatedInternet:
         Returns the assigned subdomain, or raises VerificationFailed when
         the provider's verification mode blocks the registration, and
         ScenarioError when the world cannot attempt it: it has no such
-        provider or no attacker origin. On success the custom domain binds
-        to the attacker origin at this provider's ingresses, and a
+        provider, or the origin to bind (``origin_ip``, else the attacker
+        origin) is not one of its origins. On success the custom domain
+        binds to that origin at this provider's ingresses, and a
         previously dangling assigned name resolves again.
         """
         prov = self._providers.get(provider_name)
@@ -621,7 +609,7 @@ class SimulatedInternet:
                 raise VerificationFailed(provider_name, mode, f"no DNS token for {custom_domain}")
         assigned = assigned_subdomain_for(prov, self.db, self.scenario.seed, custom_domain, account)
         target_origin = origin_ip or self.scenario.attacker_origin_ip
-        if target_origin is None:
+        if target_origin not in self.scenario.origins:
             raise ScenarioError("scenario has no attacker origin")
         self._write(self._host_index[provider_name], custom_domain, HostEntry(
             host=custom_domain,
@@ -834,7 +822,8 @@ def load_scenario(path: str | Path) -> Scenario:
 
 
 def validate_scenario(scenario: Scenario, db: ProviderDb) -> list[str]:
-    """Cross-checks beyond what construction enforces; returns problems."""
+    """Cross-checks beyond what the dataclasses enforce; returns problems.
+    ``SimulatedInternet`` refuses a scenario with any."""
     problems: list[str] = []
     seen_names = set()
     ip_owner: dict[str, str] = {}

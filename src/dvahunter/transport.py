@@ -372,7 +372,7 @@ class LiveTransport:
         chain: list[str] = []
         a_records: list[str] = []
         ns: list[str] = []
-        saw_records = False
+        exists = False  # some reply was NOERROR (RFC 2308 §2.2: NODATA too) or held records
         rcode = Rcode.NXDOMAIN
         timed_out = True
         for kind in wanted:
@@ -381,13 +381,14 @@ class LiveTransport:
                 continue
             timed_out = False
             wire_rcode, answers = reply
-            if wire_rcode == 3 and not answers and not saw_records and rcode is Rcode.NXDOMAIN:
+            if wire_rcode == 3 and not answers and not exists and rcode is Rcode.NXDOMAIN:
                 # RFC 8020: nothing exists at or below the name, so the
                 # remaining record types would get the same answer
                 return DnsObservation(fqdn=name, rcode=Rcode.NXDOMAIN)
             if wire_rcode == 2 and not answers:
                 rcode = Rcode.SERVFAIL
                 continue
+            exists = exists or wire_rcode == 0 or bool(answers)
             # follow the CNAME path the resolver included in the answer
             cursor = str(name)
             remaining = {owner: (rtype, rdata) for owner, rtype, rdata in answers if rtype == 5}
@@ -396,16 +397,13 @@ class LiveTransport:
                 if cursor not in chain:
                     chain.append(cursor)
             for owner, rtype, rdata in answers:
-                saw_records = True
                 if rtype == 1 and rdata not in a_records:
                     a_records.append(rdata)
                 elif rtype == 2 and rdata not in ns:
                     ns.append(rdata)
         if timed_out:
             return DnsObservation(fqdn=name, rcode=Rcode.TIMEOUT)
-        if saw_records or chain:
-            rcode = Rcode.NOERROR
-        if rcode is not Rcode.NOERROR:
+        if not exists:
             return DnsObservation(fqdn=name, rcode=rcode)
         return DnsObservation(
             fqdn=name,

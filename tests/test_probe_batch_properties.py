@@ -37,12 +37,11 @@ DYNAMIC_ORIGIN = "172.31.0.1"
 VHOST_PRESENT = "www.vhost-present.org"
 VHOST_ABSENT = "www.vhost-absent.org"
 VHOST_ORIGIN = "172.31.0.2"
-NO_ORIGIN_HOST = "www.no-origin.org"
 NOBODY_IP = "192.0.2.250"
 FRESH_DOMAIN = "fresh-shop.example.org"
 # the proof-requiring edge's two wildcard certificates cover the first two
 UNKNOWN_HOSTS = ["assets.shared-press-kit.org", "nobody-here.example.org", "www.plain-directsite.net", "x.y.z.test"]
-ADDED_HOSTS = [DYNAMIC_HOST, VHOST_PRESENT, VHOST_ABSENT, NO_ORIGIN_HOST, BORROWED_VICTIM]
+ADDED_HOSTS = [DYNAMIC_HOST, VHOST_PRESENT, VHOST_ABSENT, BORROWED_VICTIM]
 PATHS = ["/", "/logo.png", "/app.js", "/site.css", "/logo.png?v=2"]
 
 
@@ -50,13 +49,13 @@ PATHS = ["/", "/logo.png", "/app.js", "/site.css", "/logo.png?v=2"]
 def scenario(db):
     """The reference world plus, at a provider that requires DNS proof,
     serves a shared and two wildcard certificates and lets anyone register: a
-    host behind a dynamic origin, whose body counts its fetches; two hosts
-    behind a virtual-host origin, one it knows and one it does not; and a
-    host whose origin does not exist. The provider's edge must not serve the
-    unproven attacker entry for the borrowed victim, which one of its
-    wildcard certificates covers. Another provider's edge answers unknown hosts with
-    an override, one is silent, and one has no certificate but the hosts'
-    own (any other SNI is a TLS error)."""
+    host behind a dynamic origin, whose body counts its fetches, and two
+    hosts behind a virtual-host origin, one it knows and one it does not.
+    The provider's edge must not serve the unproven attacker entry for the
+    borrowed victim, which one of its wildcard certificates covers. Another
+    provider's edge answers unknown hosts with an override, one is silent,
+    and one has no certificate but the hosts' own (any other SNI is a TLS
+    error)."""
     world = build_reference_world(db).scenario
     assert db.by_name[SILENT_PROVIDER].nonhosted_fp.no_response
     known = {entry.host for prov in world.providers for entry in prov.host_table} | set(world.zones)
@@ -78,7 +77,6 @@ def scenario(db):
                     HostEntry(DYNAMIC_HOST, DYNAMIC_ORIGIN),
                     HostEntry(VHOST_PRESENT, VHOST_ORIGIN),
                     HostEntry(VHOST_ABSENT, VHOST_ORIGIN),
-                    HostEntry(NO_ORIGIN_HOST, "172.31.0.99"),
                 ),
             )
         providers.append(prov)
@@ -221,14 +219,13 @@ def test_batch_equals_one_probe_per_path(db, scenario, pools, data):
     (DYNAMIC_HOST, None),
     (VHOST_PRESENT, 200),
     (VHOST_ABSENT, 200),
-    (NO_ORIGIN_HOST, TransportFailure.CONNECT_REFUSED),
     (BORROWED_VICTIM, None),
     (UNKNOWN_HOSTS[1], TransportFailure.TLS_ERROR),
 ])
 def test_each_case_of_the_batch(db, scenario, host, answer):
     """The per-host cases the property relies on are reached: a dynamic
-    origin counts each fetch of a path, and the batch shares the static,
-    missing origin and TLS-error answers."""
+    origin counts each fetch of a path, and the batch shares the static
+    and TLS-error answers."""
     ip = scenario.provider(NO_CERT_PROVIDER if answer is TransportFailure.TLS_ERROR else PROOF_PROVIDER).ips[0]
     requests = [(parse_fqdn(host), path) for path in ("/logo.png", "/logo.png", "/app.js")]
     batch_net, single_net = sessions(db, scenario, ())

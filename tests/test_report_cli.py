@@ -13,7 +13,7 @@ from dvahunter.report import CounterMismatch, IncompatibleRuns, ScanReport, diff
 from dvahunter.scan import run_scan
 from dvahunter.simnet import scenario_to_json
 from dvahunter.worlds import build_reference_world
-from tests.conftest import DATA, scan_config, write_world
+from tests.conftest import DATA, scan_config, set_zone, write_world
 from tests.test_golden_report import REFERENCE_REPORT_SHA1
 
 
@@ -277,6 +277,11 @@ class TestCli:
         _, targets = small_paths
         assert main(["scan", "--targets", str(targets), "--backend", "mock"]) == 2
 
+    def test_scan_live_without_resolver_is_config_error(self, small_paths, capsys):
+        _, targets = small_paths
+        assert main(["scan", "--targets", str(targets), "--backend", "live"]) == 2
+        assert "config error: live backend needs --resolver" in capsys.readouterr().err
+
     def test_validate_db(self, capsys, tmp_path):
         assert main(["validate-db", str(DATA["providers.json"])]) == 0
         assert "45 providers" in capsys.readouterr().out
@@ -398,23 +403,31 @@ class TestCli:
         assert main(["scan", "--targets", str(targets), "--scenario", str(path)]) == 2
         assert capsys.readouterr().err.count(message) == 2
 
-    @pytest.mark.parametrize("breakage, message", [
-        ("residual-origin-missing",
+    @pytest.mark.parametrize("edit, message", [
+        (lambda doc: doc["discontinued_hosts"]["legacy.edgenext-retired.net"].pop("origin_ip"),
          "discontinued host legacy.edgenext-retired.net: EdgeNext's single_a_record fingerprint needs an origin_ip"),
-        ("ingress-held-twice", "ingress IP 10.1.0.1 held twice: by Akamai and by Alibaba"),
-        ("ingress-is-origin", "ingress IP 10.1.0.1 of Akamai is also an origin IP"),
-    ], ids=["residual-origin-missing", "ingress-held-twice", "ingress-is-origin"])
-    def test_scenario_that_would_abort_the_scan_is_config_error(self, tmp_path, capsys, breakage, message):
-        # each once passed validate-scenario ("ok") and then aborted the
+        (lambda doc: doc["providers"][1]["ingress_ips"].append(["10.1.0.1", "frankfurt"]),
+         "ingress IP 10.1.0.1 held twice: by Akamai and by Alibaba"),
+        (lambda doc: doc["origins"].update({"10.1.0.1": {"body": "an origin at an edge address"}}),
+         "ingress IP 10.1.0.1 of Akamai is also an origin IP"),
+        (lambda doc: doc["providers"].append({"name": "Akamai", "ingress_ips": [["10.250.0.1", "paris"]]}),
+         "duplicate scenario provider Akamai"),
+        (lambda doc: doc["providers"][0]["host_table"].append({"host": "www.no-origin.org", "origin_ip": "10.250.0.2"}),
+         "Akamai: host www.no-origin.org origin 10.250.0.2 not in origins"),
+        (lambda doc: doc["discontinued_hosts"].update({"gone.example.org": {"provider": "NoSuchCDN"}}),
+         "discontinued host gone.example.org: unknown provider NoSuchCDN"),
+        (set_zone("www.lost.example.org", cname="nowhere.lost.example.org"),
+         "zone www.lost.example.org: cname target nowhere.lost.example.org is unresolvable and not marked external"),
+        (lambda doc: doc.update(attacker_origin_ip="10.250.0.3"), "attacker origin 10.250.0.3 not in origins"),
+    ], ids=["residual-origin-missing", "ingress-held-twice", "ingress-is-origin", "provider-twice",
+            "host-origin-missing", "discontinued-provider-unknown", "cname-unresolvable", "attacker-origin-missing"])
+    def test_scenario_that_would_abort_the_scan_is_config_error(self, tmp_path, capsys, edit, message):
+        # each edit gives one problem, which both commands name. The first
+        # three once passed validate-scenario ("ok") and then aborted the
         # scan: a ScenarioError traceback mid-crawl, or exit 1 from the
         # SimulatedInternet constructor, which reads as "findings present"
         doc = json.loads(DATA["reference_world.json"].read_text(encoding="utf-8"))
-        if breakage == "residual-origin-missing":
-            del doc["discontinued_hosts"]["legacy.edgenext-retired.net"]["origin_ip"]
-        elif breakage == "ingress-held-twice":
-            doc["providers"][1]["ingress_ips"].append(["10.1.0.1", "frankfurt"])
-        else:
-            doc["origins"]["10.1.0.1"] = {"body": "an origin at an edge address"}
+        edit(doc)
         path = tmp_path / "scenario.json"
         path.write_text(json.dumps(doc), encoding="utf-8")
         assert main(["validate-scenario", str(path)]) == 2
@@ -423,19 +436,6 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.count(message) == 2
         assert len(err.splitlines()) == 2  # one line from each command
-
-    def test_scenario_the_simulated_internet_refuses_is_config_error(self, small_paths, tmp_path, capsys, monkeypatch):
-        # a world that validation let through but SimulatedInternet refuses
-        # still exits 2, never 1 with a traceback
-        import dvahunter.scan as scan_mod
-
-        doc = json.loads(small_paths[0].read_text(encoding="utf-8"))
-        doc["providers"][1]["ingress_ips"].append(doc["providers"][0]["ingress_ips"][0])
-        path = tmp_path / "scenario.json"
-        path.write_text(json.dumps(doc), encoding="utf-8")
-        monkeypatch.setattr(scan_mod, "validate_scenario", lambda scenario, db: [])
-        assert main(["scan", "--targets", str(small_paths[1]), "--scenario", str(path)]) == 2
-        assert "config error: ingress IP" in capsys.readouterr().err
 
     def test_scenario_that_is_not_utf8_is_config_error(self, small_paths, tmp_path, capsys):
         _, targets = small_paths

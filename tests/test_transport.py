@@ -10,13 +10,17 @@ from typing import Optional
 import pytest
 
 from dvahunter import transport as transport_mod
+from dvahunter.checker import crawl_records, discover_hosted
 from dvahunter.core import HttpProbe, Rcode, Scheme, TransportFailure, parse_fqdn
 from dvahunter.crawler import PrefixDictionary
+from dvahunter.providers import DnsSignalKind
 from dvahunter.scan import ConfigError, prepare, run_scan
-from dvahunter.simnet import Origin, Scenario, SimulatedInternet, ZoneRecord
+from dvahunter.simnet import Origin, Scenario, SimulatedInternet, ZoneRecord, load_scenario
+from dvahunter.takeover import detect_dangling
 from dvahunter.transport import (
     Backend,
     LiveTransport,
+    MockTransport,
     RateLimiter,
     RRType,
     TransportConfig,
@@ -233,6 +237,30 @@ class TestLiveQueries:
         assert obs.rcode is Rcode.NOERROR
         assert [str(c) for c in obs.cname_chain] == ["gone.cdn.example.net"]
         assert sent == ["a", "cname", "ns"]
+
+    @pytest.mark.parametrize("rrtype", [RRType.A, RRType.ALL])
+    def test_nodata_is_noerror_without_records(self, monkeypatch, rrtype):
+        # RFC 2308 §2.2: NOERROR with an empty answer section says the name
+        # exists but holds no record of the type asked; it once read NXDOMAIN
+        monkeypatch.setattr(LiveTransport, "_query", lambda self, name, kind: (0, []))
+        obs = live_transport().resolve(parse_fqdn("v6only.example.com"), rrtype)
+        assert obs.rcode is Rcode.NOERROR
+        assert not obs.has_records
+
+    def test_nodata_terminal_is_not_dangling_under_an_nxdomain_fingerprint(self, db, monkeypatch):
+        # a CNAME target that holds only AAAA records answers the terminal
+        # A query with NODATA: it exists, so the service is not discontinued
+        assert db.by_name["Azure"].discontinued_fp.dns_signal.kind is DnsSignalKind.NXDOMAIN
+        mock = MockTransport(SimulatedInternet(load_scenario(DATA["reference_world.json"]), db))
+        [record] = discover_hosted(crawl_records([parse_fqdn("legacy.azure-retired.net")], mock), db, mock)
+        assert record.provider == "Azure"
+
+        def no_probe(self, probe):
+            raise AssertionError(f"unexpected probe {probe}")
+
+        monkeypatch.setattr(LiveTransport, "_query", lambda self, name, kind: (0, []))
+        monkeypatch.setattr(LiveTransport, "probe", no_probe)
+        assert detect_dangling(record, live_transport(), db) is None
 
     def test_cname_target_that_is_no_host_name_is_kept_as_text(self, monkeypatch):
         # RFC 2181 §11: a CNAME target may be any name; this answer once

@@ -35,11 +35,14 @@ def code_lines(code: CodeType) -> set[int]:
 
 
 def function_code(spec: str) -> CodeType:
-    """The code object of ``module.qualname`` under dvahunter."""
+    """The code object of ``module.qualname`` under dvahunter; of its
+    getter when it names a property."""
     module_name, _, qualname = spec.partition(".")
     obj = importlib.import_module(f"dvahunter.{module_name}")
     for part in qualname.split("."):
         obj = getattr(obj, part)
+    if isinstance(obj, property):
+        obj = obj.fget
     return obj.__code__
 
 
