@@ -24,14 +24,24 @@ Design notes:
     exits, so a scan's takeover validation leaves the world as it found it.
     The scope journals each write it sees and replays its own journal
     backwards on exit, so it costs O(writes), not O(world).
+  * DNS answers come from one name table, built with the session: each
+    dangling target (the CNAME of a discontinued host) holds the record
+    its terminated service left, built once from the provider DB, and
+    the scenario's zones are laid over them. A lookup reads the zone
+    overrides (attacker registrations), then the table. A name neither
+    holds, but with held names below it, is an empty non-terminal: it
+    answers NOERROR with no records. A name that does not exist is
+    answered only by the wildcard ``*.<closest encloser>`` (RFC 4592
+    §3.3.1), else NXDOMAIN.
   * DNS answers carry the zone's CNAME and NS text, normalized once at
     load as a resolver's answer is (lowercase, no trailing dot) and never
     parsed: a CNAME target need not be a host name.
   * Enumeration asks a whole prefix dictionary under one parent at once
     (``serve_dns_existing``). Without a wildcard zone only a name the
-    world holds can exist, so the session intersects the dictionary with
-    an index of the held names under each parent, built on the first such
-    call; a world with a wildcard zone answers every name in turn.
+    world holds can exist with records, so the session intersects the
+    dictionary with an index of the held names under each parent, built
+    on the first such call; a world with a wildcard zone answers every
+    name in turn.
 """
 
 from __future__ import annotations
@@ -223,6 +233,8 @@ _GENERIC_404 = b"<html><body>no such site here</body></html>"
 
 _ABSENT = object()  # a journaled key that had no value before the write
 
+_NO_RECORDS = ZoneRecord()  # an empty non-terminal's answer: NOERROR, nothing held
+
 
 class SimulatedInternet:
     """One session over a scenario: answers DNS and HTTP, accepts attacker
@@ -254,47 +266,35 @@ class SimulatedInternet:
         # (table, key, value before the write or _ABSENT)
         self._journals: list[list[tuple[dict, str, Any]]] = []
         self._fetch_counts: dict[tuple[str, str, str], int] = {}
-        self._dangling_targets = self._index_dangling_targets()
+        # name -> record: each dangling target, the CNAME of a discontinued
+        # host (the last host sharing one wins), with what its terminated
+        # service left there, built once per service; the zones lie over them
+        zones = scenario.zones
+        dangling = {zones[host].cname: service for host, service in scenario.discontinued.items() if host in zones}
+        left = {service: self._dangling_behavior(service) for service in set(dangling.values())}
+        self._names = {target: left[svc] for target, svc in dangling.items() if target and left[svc] is not None}
+        self._names.update(zones)
+        # every proper ancestor of a held name: those holding nothing
+        # themselves are empty non-terminals (RFC 4592 §2.2.2)
+        self._ancestors: set[str] = set()
+        for name in self._names:
+            parent = name.partition(".")[2]
+            while parent and parent not in self._ancestors:  # its own ancestors are in already
+                self._ancestors.add(parent)
+                parent = parent.partition(".")[2]
         # only the scenario's zones hold wildcards, and none are added later
-        self._has_wildcards = any(name.startswith("*.") for name in scenario.zones)
-        # parent -> the prefixes of the zone and dangling-target names under
-        # it, built by the first serve_dns_existing call
+        self._has_wildcards = any(name.startswith("*.") for name in zones)
+        # parent -> the prefixes of the held names under it, built by the
+        # first serve_dns_existing call
         self._held_under: Optional[dict[str, list[str]]] = None
 
     # -- DNS ----------------------------------------------------------------
 
-    def _index_dangling_targets(self) -> dict[str, tuple[str, str]]:
-        """cname target -> (discontinued host, behavior provider)."""
-        out: dict[str, tuple[str, str]] = {}
-        for host, service in self.scenario.discontinued.items():
-            record = self.scenario.zones.get(host)
-            if record is not None and record.cname:
-                out[record.cname] = (host, service.provider)
-        return out
-
-    def _lookup(self, name: str) -> Optional[ZoneRecord]:
-        override = self._zone_overrides.get(name)
-        if override is not None:
-            return override
-        record = self.scenario.zones.get(name)
-        if record is not None:
-            return record
-        if self._has_wildcards:
-            labels = name.split(".")
-            for depth in range(1, len(labels)):
-                wildcard = "*." + ".".join(labels[depth:])
-                record = self.scenario.zones.get(wildcard)
-                if record is not None:
-                    return record
-        dangling = self._dangling_targets.get(name)
-        if dangling is not None:
-            return self._dangling_behavior(*dangling)
-        return None
-
-    def _dangling_behavior(self, host: str, provider_name: str) -> Optional[ZoneRecord]:
+    def _dangling_behavior(self, service: DiscontinuedService) -> Optional[ZoneRecord]:
         """What the assigned subdomain of a terminated service resolves to,
-        synthesized from the behavior provider's discontinued fingerprint."""
-        fp = self.db.by_name[provider_name].discontinued_fp
+        synthesized from the behavior provider's discontinued fingerprint;
+        None when it holds nothing."""
+        fp = self.db.by_name[service.provider].discontinued_fp
         if fp is not None and fp.dns_signal is not None:
             kind = fp.dns_signal.kind.value
             if kind == "nxdomain":
@@ -304,9 +304,37 @@ class SimulatedInternet:
             if kind == "resolves_to":
                 return ZoneRecord(a=(fp.dns_signal.ip,))
             if kind == "single_a_record":
-                return ZoneRecord(a=(self.scenario.discontinued[host].origin_ip,))
+                return ZoneRecord(a=(service.origin_ip,))
         # HTTP-typed fingerprint (or none): DNS keeps pointing at the edge
-        return ZoneRecord(a=self._providers[provider_name].ips)
+        return ZoneRecord(a=self._providers[service.provider].ips)
+
+    def _exists(self, name: str) -> bool:
+        """Whether ``name`` is held or is an empty non-terminal. Overrides
+        come and go with registrations, so they are read on every call."""
+        if name in self._names or name in self._ancestors or name in self._zone_overrides:
+            return True
+        suffix = "." + name
+        return any(held.endswith(suffix) for held in self._zone_overrides)
+
+    def _lookup(self, name: str) -> Optional[ZoneRecord]:
+        """The record ``name`` answers with, None for NXDOMAIN: an override,
+        else the table's record, else no records for an empty non-terminal.
+        A name that does not exist gets the wildcard ``*.<closest
+        encloser>``, if held (RFC 4592 §3.3.1)."""
+        record = self._zone_overrides.get(name)
+        if record is None:
+            record = self._names.get(name)
+        if record is not None:
+            return record
+        if self._exists(name):
+            return _NO_RECORDS
+        if self._has_wildcards:
+            encloser = name.partition(".")[2]
+            while encloser:
+                if self._exists(encloser):
+                    return self._names.get("*." + encloser)
+                encloser = encloser.partition(".")[2]
+        return None
 
     def serve_dns(self, name: Union[Fqdn, str]) -> DnsObservation:
         fqdn = name if isinstance(name, Fqdn) else parse_fqdn(str(name))
@@ -365,13 +393,13 @@ class SimulatedInternet:
 
     def _held_names_under(self, parent: str, dictionary: PrefixDictionary) -> list[str]:
         """The names ``prefix.parent`` of ``dictionary`` that fit in 253
-        characters and that a zone, a dangling target or a zone override
-        holds, in dictionary order. Without wildcard zones no other name
-        has a lookup. Overrides come and go with registrations, so they are
-        read on every call."""
+        characters and that the name table or a zone override holds, in
+        dictionary order. Without wildcard zones no other name exists with
+        records. Overrides come and go with registrations, so they are read
+        on every call."""
         if self._held_under is None:
             self._held_under = held = {}
-            for name in itertools.chain(self.scenario.zones, self._dangling_targets):
+            for name in self._names:
                 dot = name.find(".")
                 while dot != -1:
                     held.setdefault(name[dot + 1:], []).append(name[:dot])

@@ -27,6 +27,7 @@ from .core import (
     Evidence,
     Fqdn,
     HttpProbe,
+    Rcode,
     Scheme,
     TransportFailure,
     Verdict,
@@ -56,8 +57,10 @@ class ExposurePrecondition(Exception):
 
 
 class DanglingProbeFailure(Exception):
-    """The HTTP-stage probe failed, or the terminal name is no host name to
-    query: the record stays Inconclusive."""
+    """A fingerprint could not be judged: the HTTP-stage probe failed or had
+    no address to go to, or the terminal name is no host name to query or
+    got no answer (a timeout or SERVFAIL) that some fingerprint matched. The
+    record stays Inconclusive."""
 
 
 @dataclass(frozen=True)
@@ -100,10 +103,11 @@ class DanglingFinding:
 def _http_stage_probe(record: HostedDomainRecord, transport):
     """HTTPS with SNI = Host = fqdn, falling back to plain HTTP when the
     edge has no certificate to offer for the dead name. The fallback is
-    the crawl recheck's question, so the recheck's answer is reused."""
+    the crawl recheck's question, so the recheck's answer is reused. A
+    record whose chain ends without an address has no edge to ask."""
     ips = record.observation.a_records
     if not ips:
-        return None, None
+        raise DanglingProbeFailure(f"{record.fqdn}: no address for the HTTP-stage probe")
     probe = HttpProbe.request(ips[0], Scheme.HTTPS, record.fqdn)
     response = transport.probe(probe)
     if response.failure is TransportFailure.TLS_ERROR:
@@ -127,8 +131,10 @@ def detect_dangling(
     without it, a terminated Multi-CDN service hiding in the host
     provider's namespace would be invisible.
 
-    Returns None for healthy records. Raises LookupError when no
-    fingerprint source exists at all, so the caller reports Inconclusive
+    Returns None for healthy records: every fingerprint was judged
+    against an answer and none matched. Raises LookupError when no
+    fingerprint source exists at all, and DanglingProbeFailure when some
+    fingerprint could not be judged, so the caller reports Inconclusive
     rather than guessing.
     """
     profile = db.by_name[record.provider]
@@ -176,22 +182,22 @@ def detect_dangling(
             ))
 
     http_sources = [(owner, fp) for owner, fp in sources if fp.needs_http]
-    if not http_sources:
-        return None
-    probe, response = _http_stage_probe(record, transport)
-    if response is None:
-        return None
-    if response.failure is not None:
-        raise DanglingProbeFailure(f"{record.fqdn}: HTTP-stage probe failed ({response.failure.value})")
-    for owner, fp in http_sources:
-        if match_http(fp, response):
-            return found(DanglingStage.HTTP_STAGE, fp, Evidence(
-                "http-stage",
-                f"edge response matches {fp.id} ({owner})",
-                probe=probe,
-                response=response,
-                fingerprint_id=fp.id,
-            ))
+    if http_sources:
+        probe, response = _http_stage_probe(record, transport)
+        if response.failure is not None:
+            raise DanglingProbeFailure(f"{record.fqdn}: HTTP-stage probe failed ({response.failure.value})")
+        for owner, fp in http_sources:
+            if match_http(fp, response):
+                return found(DanglingStage.HTTP_STAGE, fp, Evidence(
+                    "http-stage",
+                    f"edge response matches {fp.id} ({owner})",
+                    probe=probe,
+                    response=response,
+                    fingerprint_id=fp.id,
+                ))
+    if terminal is not None and terminal.rcode in (Rcode.SERVFAIL, Rcode.TIMEOUT):
+        # no answer, so the DNS-stage fingerprints that missed were not judged
+        raise DanglingProbeFailure(f"{record.fqdn}: terminal {terminal.fqdn} got no answer ({terminal.rcode.value})")
     return None
 
 

@@ -374,12 +374,14 @@ class LiveTransport:
         ns: list[str] = []
         exists = False  # some reply was NOERROR (RFC 2308 §2.2: NODATA too) or held records
         rcode = Rcode.NXDOMAIN
-        timed_out = True
+        unanswered = True
         for kind in wanted:
             reply = self._query(str(name), kind)
-            if reply is None:
+            if reply is None or reply[0] not in (0, 2, 3):
+                # lost, or refused, not implemented or malformed (REFUSED,
+                # NOTIMP, FORMERR): no answer about the name
                 continue
-            timed_out = False
+            unanswered = False
             wire_rcode, answers = reply
             if wire_rcode == 3 and not answers and not exists and rcode is Rcode.NXDOMAIN:
                 # RFC 8020: nothing exists at or below the name, so the
@@ -401,7 +403,7 @@ class LiveTransport:
                     a_records.append(rdata)
                 elif rtype == 2 and rdata not in ns:
                     ns.append(rdata)
-        if timed_out:
+        if unanswered:
             return DnsObservation(fqdn=name, rcode=Rcode.TIMEOUT)
         if not exists:
             return DnsObservation(fqdn=name, rcode=rcode)

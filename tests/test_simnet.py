@@ -84,8 +84,94 @@ class TestServeDns:
         }
         net = SimulatedInternet(Scenario(providers=[], zones=zones), db)
         assert net.serve_dns("a.b.wild.com").a_records == ("9.9.9.9",)
-        assert net.serve_dns("b.wild.com").a_records == ("1.2.3.4",)
+        # *.b.wild.com makes b.wild.com an empty non-terminal, which exists,
+        # so *.wild.com does not stand for it (RFC 4592 §2.2.2): NODATA
+        nodata = net.serve_dns("b.wild.com")
+        assert (nodata.rcode, nodata.has_records) == (Rcode.NOERROR, False)
         assert net.serve_dns("x.tame.com").rcode is Rcode.NXDOMAIN
+
+    def test_empty_non_terminal_is_nodata(self, db):
+        # RFC 8020: an NXDOMAIN for tame.com would deny www.tame.com too
+        net = SimulatedInternet(Scenario(providers=[], zones={"www.tame.com": ZoneRecord(a=("5.6.7.8",))}), db)
+        obs = net.serve_dns("tame.com")
+        assert (obs.rcode, obs.has_records) == (Rcode.NOERROR, False)
+        assert net.serve_dns("www.tame.com").a_records == ("5.6.7.8",)
+        assert net.serve_dns("mail.tame.com").rcode is Rcode.NXDOMAIN
+
+    def test_wildcard_answers_only_below_the_closest_encloser(self, db):
+        # x.b.wild.com makes b.wild.com an empty non-terminal: b.wild.com is
+        # NODATA, and y.b.wild.com's closest encloser b.wild.com holds no
+        # wildcard, so it is NXDOMAIN (RFC 4592 §2.2.2, §3.3.1)
+        zones = {"*.wild.com": ZoneRecord(a=("1.2.3.4",)), "x.b.wild.com": ZoneRecord(a=("5.6.7.8",))}
+        net = SimulatedInternet(Scenario(providers=[], zones=zones), db)
+        nodata = net.serve_dns("b.wild.com")
+        assert (nodata.rcode, nodata.has_records) == (Rcode.NOERROR, False)
+        assert net.serve_dns("y.b.wild.com").rcode is Rcode.NXDOMAIN
+        assert net.serve_dns("c.wild.com").a_records == ("1.2.3.4",)
+
+    # RFC 4592 §2.2.1's example zone, kept to A, CNAME and NS records. The
+    # wildcard *.example and sub.*.example hold TXT and MX there; here each
+    # holds one A record in their place, so that a synthesized answer shows
+    # where it came from. The SRV owners _ssh._tcp.host1/host2.example are
+    # renamed ssh.tcp.host1/host2.example, since parse_fqdn refuses "_"
+    # labels, and hold an empty record: they exist, with no A, CNAME or NS.
+    # The RFC's queries of sub.*.example and ghost.*.example are left out,
+    # since parse_fqdn refuses a "*" label inside a name.
+    RFC4592_ZONE = {
+        "example": ZoneRecord(ns=("ns.example.com", "ns.example.net")),
+        "*.example": ZoneRecord(a=("192.0.2.99",)),
+        "sub.*.example": ZoneRecord(a=("192.0.2.98",)),
+        "host1.example": ZoneRecord(a=("192.0.2.1",)),
+        "ssh.tcp.host1.example": ZoneRecord(),
+        "ssh.tcp.host2.example": ZoneRecord(),
+        "subdel.example": ZoneRecord(ns=("ns.example.com", "ns.example.net")),
+    }
+
+    # the RFC's query names, each with the rcode, A records and NS records
+    # of the world's answer
+    RFC4592_ANSWERS = [
+        # synthesized from *.example: the names do not exist
+        ("host3.example", Rcode.NOERROR, ("192.0.2.99",), ()),
+        ("foo.bar.example", Rcode.NOERROR, ("192.0.2.99",), ()),
+        # not synthesized: host1.example exists
+        ("host1.example", Rcode.NOERROR, ("192.0.2.1",), ()),
+        # tcp.host1.example exists without data: it is NODATA, and the
+        # closest encloser of telnet.tcp.host1.example, which holds no wildcard
+        ("tcp.host1.example", Rcode.NOERROR, (), ()),
+        ("telnet.tcp.host1.example", Rcode.NXDOMAIN, (), ()),
+        ("host2.example", Rcode.NOERROR, (), ()),
+        ("ssh.tcp.host2.example", Rcode.NOERROR, (), ()),
+        # subdel.example exists (a zone cut); the simulated world follows no
+        # delegation, so nothing answers below it, and *.example does not
+        ("subdel.example", Rcode.NOERROR, (), ("ns.example.com", "ns.example.net")),
+        ("host.subdel.example", Rcode.NXDOMAIN, (), ()),
+        ("example", Rcode.NOERROR, (), ("ns.example.com", "ns.example.net")),
+    ]
+
+    @pytest.mark.parametrize("qname, rcode, a_records, ns", RFC4592_ANSWERS, ids=[q[0] for q in RFC4592_ANSWERS])
+    def test_rfc4592_example_zone(self, db, qname, rcode, a_records, ns):
+        net = SimulatedInternet(Scenario(providers=[], zones=dict(self.RFC4592_ZONE)), db)
+        obs = net.serve_dns(qname)
+        assert (obs.rcode, obs.a_records, obs.ns, obs.cname_chain) == (rcode, a_records, ns, ())
+
+    def test_dangling_target_under_a_wildcard_answers_for_itself(self, world, db):
+        # a wildcard stands only for names that do not exist (RFC 4592 §2.1.1)
+        target = world.scenario.zones["legacy.gcore-retired.net"].cname
+        parent = target.split(".", 1)[1]
+        zones = {**world.scenario.zones, f"*.{parent}": ZoneRecord(a=("198.51.100.77",))}
+        net = SimulatedInternet(dataclasses.replace(world.scenario, zones=zones), db)
+        assert net.serve_dns(target).rcode is Rcode.SERVFAIL
+        assert net.serve_dns(f"other.{parent}").a_records == ("198.51.100.77",)
+
+    def test_ancestors_of_a_registration_exist_while_it_holds(self, net):
+        # the Multi-CDN template names custom.org.a.bdydns.com, whose
+        # ancestor org.a.bdydns.com nothing else in the world holds
+        assert net.serve_dns("org.a.bdydns.com").rcode is Rcode.NXDOMAIN
+        with net.registration_scope():
+            assert net.attacker_register("KuaikuaiCloud", "custom.org", "attacker") == "custom.org.a.bdydns.com"
+            obs = net.serve_dns("org.a.bdydns.com")
+            assert (obs.rcode, obs.has_records) == (Rcode.NOERROR, False)
+        assert net.serve_dns("org.a.bdydns.com").rcode is Rcode.NXDOMAIN
 
 
 class TestServeHttp:

@@ -89,6 +89,16 @@ class TestDetectDangling:
         assert finding is not None
         assert finding.stage is DanglingStage.DNS_STAGE
 
+    def test_empty_non_terminal_terminal_is_not_dangling(self, db, world):
+        # a name held below Azure's nxdomain target makes the target an
+        # empty non-terminal: it exists (NODATA), so the service is not gone
+        target = world.scenario.zones["legacy.azure-retired.net"].cname
+        zones = {**world.scenario.zones, f"www.{target}": ZoneRecord(a=("198.51.100.7",))}
+        mock = MockTransport(SimulatedInternet(dataclasses.replace(world.scenario, zones=zones), db))
+        record = hosted_record(db, mock, "legacy.azure-retired.net")
+        assert record.provider == "Azure"
+        assert detect_dangling(record, mock, db) is None
+
     def test_multicdn_namespace_matched_via_edge_fingerprint(self, db, transport):
         record = hosted_record(db, transport, "promo.kkshift-shop.com")
         assert record.provider == "Baidu"  # namespace owner
@@ -352,6 +362,20 @@ class TestTakeoverScanVerdicts:
         assert code in (0, 1)
         assert report["domains"]["shop.deadip-store.com"]["dangling_check"] == (
             "inconclusive: shop.deadip-store.com: HTTP-stage probe failed (connect_refused)"
+        )
+        assert report["providers"]["Fastly"]["takeover"]["kind"] == "inconclusive"
+
+    def test_record_without_an_address_leaves_the_http_stage_undecided(self, tmp_path):
+        # Fastly's fingerprint is HTTP-only, and nothing answers behind the
+        # CNAME: no edge to probe, so the record once read healthy and
+        # Fastly not vulnerable
+        code, report = edited_reference_scan(
+            tmp_path, "www.shop.com\n", set_zone("www.shop.com", cname="gone-shop.global.ssl.fastly.net")
+        )
+        assert code in (0, 1)
+        assert report["domains"]["www.shop.com"]["provider"] == "Fastly"
+        assert report["domains"]["www.shop.com"]["dangling_check"] == (
+            "inconclusive: www.shop.com: no address for the HTTP-stage probe"
         )
         assert report["providers"]["Fastly"]["takeover"]["kind"] == "inconclusive"
 

@@ -16,7 +16,7 @@ from dvahunter.crawler import PrefixDictionary
 from dvahunter.providers import DnsSignalKind
 from dvahunter.scan import ConfigError, prepare, run_scan
 from dvahunter.simnet import Origin, Scenario, SimulatedInternet, ZoneRecord, load_scenario
-from dvahunter.takeover import detect_dangling
+from dvahunter.takeover import DanglingProbeFailure, detect_dangling
 from dvahunter.transport import (
     Backend,
     LiveTransport,
@@ -194,6 +194,43 @@ def live_transport() -> LiveTransport:
     return LiveTransport(TransportConfig(resolver="192.0.2.53", qps_limit=1e9))
 
 
+def wire_name(name: str) -> bytes:
+    return b"".join(bytes([len(label)]) + label.encode() for label in name.split(".")) + b"\x00"
+
+
+def wire_reply(query: bytes, rcode: int, answers) -> bytes:
+    """A resolver's reply to ``query``: its id and question, ``rcode``, and
+    ``answers`` as (owner, type, data) records of type A, NS or CNAME."""
+    records = b""
+    for owner, rtype, data in answers:
+        rdata = bytes(int(part) for part in data.split(".")) if rtype == 1 else wire_name(data)
+        records += wire_name(owner) + rtype.to_bytes(2, "big") + b"\x00\x01\x00\x00\x00\x3c"
+        records += len(rdata).to_bytes(2, "big") + rdata
+    header = query[:2] + bytes([0x81, 0x80 | rcode]) + b"\x00\x01" + len(answers).to_bytes(2, "big") + bytes(4)
+    return header + query[12:] + records
+
+
+CHAIN = [("www.example.com", 5, "a.cdn.example.net"), ("a.cdn.example.net", 5, "b.cdn.example.net"),
+         ("b.cdn.example.net", 1, "192.0.2.10")]
+GONE = [("www.example.com", 5, "gone.cdn.example.net")]
+
+# what live sends today for www.example.com under each kind of reply: the
+# reply to each query type (None: every try timed out), the query types
+# RRType.ALL sends, in order (RRType.A sends A alone), and the answer's rcode
+ALL_THREE = ["a", "cname", "ns"]
+WIRE_SEQUENCES = [
+    ("nxdomain", {"a": (3, []), "cname": (3, []), "ns": (3, [])}, ["a"], Rcode.NXDOMAIN),  # RFC 8020
+    ("nodata", {"a": (0, []), "cname": (0, []), "ns": (0, [])}, ALL_THREE, Rcode.NOERROR),
+    ("a-records", {"a": (0, [("www.example.com", 1, "192.0.2.10")]), "cname": (0, []), "ns": (0, [])},
+     ALL_THREE, Rcode.NOERROR),
+    ("cname-chain", {"a": (0, CHAIN), "cname": (0, CHAIN[:1]), "ns": (0, CHAIN[:1])}, ALL_THREE, Rcode.NOERROR),
+    ("cname-to-nxdomain", {"a": (3, GONE), "cname": (0, GONE), "ns": (3, GONE)}, ALL_THREE, Rcode.NOERROR),
+    ("servfail", {"a": (2, []), "cname": (2, []), "ns": (2, [])}, ALL_THREE, Rcode.SERVFAIL),
+    ("timeout", {"a": None, "cname": None, "ns": None}, ALL_THREE, Rcode.TIMEOUT),
+    ("refused", {"a": (5, []), "cname": (5, []), "ns": (5, [])}, ALL_THREE, Rcode.TIMEOUT),
+]
+
+
 class TestLiveQueries:
     """LiveTransport.resolve with the wire exchange stubbed out."""
 
@@ -262,17 +299,33 @@ class TestLiveQueries:
         monkeypatch.setattr(LiveTransport, "probe", no_probe)
         assert detect_dangling(record, live_transport(), db) is None
 
+    @pytest.mark.parametrize("rrtype", [RRType.A, RRType.ALL])
+    @pytest.mark.parametrize("wire_rcode", [5, 4, 1], ids=["refused", "notimp", "formerr"])
+    def test_refused_reply_is_no_reply(self, monkeypatch, rrtype, wire_rcode):
+        # a resolver that refuses the scanner says nothing about the name;
+        # these once read NXDOMAIN, which an nxdomain fingerprint matches
+        monkeypatch.setattr(LiveTransport, "_query", lambda self, name, kind: (wire_rcode, []))
+        obs = live_transport().resolve(parse_fqdn("www.example.com"), rrtype)
+        assert obs.rcode is Rcode.TIMEOUT
+
+    @pytest.mark.parametrize("reply", [None, (2, []), (5, [])], ids=["timeout", "servfail", "refused"])
+    def test_unanswered_terminal_leaves_the_dangling_check_undecided(self, db, monkeypatch, reply):
+        # Azure's nxdomain fingerprint cannot be judged without an answer;
+        # the record once read healthy (timeout, SERVFAIL) or dangling (REFUSED)
+        mock = MockTransport(SimulatedInternet(load_scenario(DATA["reference_world.json"]), db))
+        [record] = discover_hosted(crawl_records([parse_fqdn("legacy.azure-retired.net")], mock), db, mock)
+        monkeypatch.setattr(LiveTransport, "_query", lambda self, name, kind: reply)
+        with pytest.raises(DanglingProbeFailure, match="got no answer"):
+            detect_dangling(record, live_transport(), db)
+
     def test_cname_target_that_is_no_host_name_is_kept_as_text(self, monkeypatch):
         # RFC 2181 §11: a CNAME target may be any name; this answer once
         # raised DomainSyntaxError out of resolve and ended the scan
-        def wire(name):
-            return b"".join(bytes([len(label)]) + label.encode() for label in name.split(".")) + b"\x00"
-
         def fake_exchange(self, query):
             header = query[:2] + b"\x81\x80\x00\x01\x00\x02\x00\x00\x00\x00"
-            target = wire("_CDN.edge.example.net")
+            target = wire_name("_CDN.edge.example.net")
             cname = b"\xc0\x0c\x00\x05\x00\x01\x00\x00\x00\x3c" + len(target).to_bytes(2, "big") + target
-            a = wire("_cdn.edge.example.net") + b"\x00\x01\x00\x01\x00\x00\x00\x3c\x00\x04\xc0\x00\x02\x0a"
+            a = wire_name("_cdn.edge.example.net") + b"\x00\x01\x00\x01\x00\x00\x00\x3c\x00\x04\xc0\x00\x02\x0a"
             return header + query[12:] + cname + a
 
         monkeypatch.setattr(LiveTransport, "_exchange", fake_exchange)
@@ -312,22 +365,28 @@ class TestLiveQueries:
         assert [answers[name].rcode for name in names[1:4]] == [Rcode.NXDOMAIN, Rcode.SERVFAIL, Rcode.TIMEOUT]
         assert found == {name: answers[name] for name in ("www.example.com", "api.example.com")}
 
-    def test_one_query_counted_per_name(self, monkeypatch):
-        # one query per name, as the mock counts it, however many of the
-        # up to three wire queries go out for it
-        exchanged = []
+    @pytest.mark.parametrize("rrtype", [RRType.ALL, RRType.A], ids=["all", "a"])
+    @pytest.mark.parametrize("replies, sequence, rcode", [pytest.param(*case[1:], id=case[0]) for case in WIRE_SEQUENCES])
+    def test_one_query_counted_per_name(self, monkeypatch, replies, sequence, rcode, rrtype):
+        # one query per name, as the mock counts it, however many of the up
+        # to three wire queries go out for it; the sequence is pinned so that
+        # a change to it is made on purpose
+        kinds = {number: kind for kind, number in transport_mod._DNS_TYPE.items()}
+        sent = []
 
         def fake_exchange(self, query):
-            exchanged.append(query)
-            return query[:2] + b"\x81\x80" + query[4:]  # NOERROR, no answer
+            end = query.index(0, 12)  # the question's name ends at the first zero byte
+            kind = kinds[int.from_bytes(query[end + 1:end + 3], "big")]
+            sent.append(kind)
+            reply = replies[kind]
+            return None if reply is None else wire_reply(query, *reply)
 
         monkeypatch.setattr(LiveTransport, "_exchange", fake_exchange)
-        one = live_transport()
-        one.resolve(parse_fqdn("www.example.com"))
-        assert (len(exchanged), one.stats.dns_queries) == (3, 1)
-        two = live_transport()
-        assert two.resolve_existing("example.com", PrefixDictionary.from_lines(["a", "b"])) == {}
-        assert (len(exchanged), two.stats.dns_queries) == (9, 2)
+        transport = live_transport()
+        obs = transport.resolve(parse_fqdn("www.example.com"), rrtype)
+        assert sent == (sequence if rrtype is RRType.ALL else ["a"])
+        assert transport.stats.dns_queries == 1
+        assert obs.rcode is rcode
 
     def test_record_probes_needs_the_mock_backend(self):
         # live keeps no probe_log or query_log, so asking for them is an
