@@ -19,10 +19,10 @@ import sys
 from importlib import resources
 from pathlib import Path
 
-from .providers import ProviderDbError, load_provider_db
-from .report import IncompatibleRuns, ScanReport, diff_reports
+from .providers import load_provider_db
+from .report import ScanReport, diff_reports
 from .scan import MODES, ConfigError, ScanConfig, check_output_path, run_scan
-from .simnet import ScenarioError, load_scenario, validate_scenario
+from .simnet import load_scenario, validate_scenario
 from .transport import Backend
 
 EXIT_CLEAN = 0
@@ -120,7 +120,7 @@ def _cmd_diff(args: argparse.Namespace) -> int:
         prev = ScanReport.load(args.prev)
         nxt = ScanReport.load(args.next)
         changes = diff_reports(prev, nxt)
-    except (OSError, ValueError, IncompatibleRuns) as err:
+    except (OSError, ValueError) as err:
         print(f"config error: {err}", file=sys.stderr)
         return EXIT_CONFIG
     print(json.dumps(changes, indent=2))
@@ -130,7 +130,7 @@ def _cmd_diff(args: argparse.Namespace) -> int:
 def _cmd_validate_db(args: argparse.Namespace) -> int:
     try:
         db = load_provider_db(args.db)
-    except (OSError, ProviderDbError) as err:
+    except (OSError, ValueError) as err:
         print(f"invalid provider DB: {err}", file=sys.stderr)
         return EXIT_CONFIG
     fingerprints = sum(
@@ -144,7 +144,7 @@ def _cmd_validate_scenario(args: argparse.Namespace) -> int:
     try:
         db = load_provider_db(args.providers)
         scenario = load_scenario(args.scenario)
-    except (OSError, ProviderDbError, ScenarioError) as err:
+    except (OSError, ValueError) as err:
         print(f"invalid: {err}", file=sys.stderr)
         return EXIT_CONFIG
     problems = validate_scenario(scenario, db)

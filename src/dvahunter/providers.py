@@ -288,8 +288,8 @@ def load_provider_db(path: str | Path) -> ProviderDb:
     """
     try:
         data = json.loads(Path(path).read_text(encoding="utf-8"))
-    except json.JSONDecodeError as err:
-        raise SchemaError(f"{path}: not valid JSON: {err}")
+    except (UnicodeDecodeError, json.JSONDecodeError) as err:
+        raise SchemaError(f"{path}: not valid UTF-8 JSON: {err}")
     if not isinstance(data, list):
         raise SchemaError(f"{path}: top level must be an array of providers")
     return ProviderDb([_parse_provider(entry) for entry in data])

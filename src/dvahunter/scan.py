@@ -54,7 +54,8 @@ MODES = ("all", "fronting", "borrowing", "takeover", "exposure")
 
 
 class ConfigError(Exception):
-    """Raised before any network activity when the configuration is unusable."""
+    """Raised before any network activity when the configuration is
+    unusable: a bad option, or an input file that cannot be read or parsed."""
 
 
 @dataclass
@@ -78,6 +79,7 @@ class ScanConfig:
 @dataclass
 class ScanContext:
     config: ScanConfig
+    targets: str  # the targets file's text, parsed by the enumeration phase
     psl: PublicSuffixList
     db: ProviderDb
     dictionary: PrefixDictionary
@@ -91,21 +93,32 @@ class ScanContext:
     nonhosted: list[Fqdn] = field(default_factory=list)
 
 
+def _load(label: str, path: Path, load: Callable[[Path], Any]) -> Any:
+    """``load(path)``; an input that cannot be read or parsed (any OSError
+    or ValueError) is a ConfigError that names it."""
+    try:
+        return load(Path(path))
+    except (OSError, ValueError) as err:
+        raise ConfigError(f"{label}: {err}") from None
+
+
+def _read_text(path: Path) -> str:
+    return path.read_text(encoding="utf-8")
+
+
 def _sha1_file(path: Path) -> str:
     return hashlib.sha1(path.read_bytes()).hexdigest()
 
 
-def _load_geo(path: Optional[Path]) -> Callable[[str], Optional[str]]:
-    if path is None:
-        return lambda ip: None
+def _load_geo(path: Path) -> Callable[[str], Optional[str]]:
     table = {}
-    for line in path.read_text(encoding="utf-8").splitlines():
+    for line in _read_text(path).splitlines():
         line = line.split("#", 1)[0].strip()
         if not line:
             continue
         ip, _, city = line.partition(",")
         table[ip.strip()] = city.strip() or None
-    return lambda ip: table.get(ip)
+    return table.get
 
 
 def check_output_path(label: str, path: Path) -> None:
@@ -120,73 +133,65 @@ def check_output_path(label: str, path: Path) -> None:
 
 
 def prepare(config: ScanConfig) -> ScanContext:
+    """Check the configuration and read every input file, the only place
+    that reads them: any that cannot be read or parsed raises ConfigError
+    before the transport is built, since a live one may look up the
+    resolver's name."""
     if config.mode not in MODES:
         raise ConfigError(f"unknown mode {config.mode!r}; expected one of {', '.join(MODES)}")
     if not (math.isfinite(config.qps) and config.qps > 0):
         raise ConfigError(f"qps must be a finite positive number, got {config.qps}")
     if config.out is not None:
         check_output_path("out", config.out)
-    for label, path in (("targets", config.targets), ("providers", config.providers),
-                        ("suffixes", config.suffixes), ("dictionary", config.dictionary)):
-        if not Path(path).exists():
-            raise ConfigError(f"{label} file not found: {path}")
-    try:
-        psl = PublicSuffixList.load(config.suffixes)
-        db = load_provider_db(config.providers)
-        dictionary = PrefixDictionary.load(config.dictionary)
-    except ValueError as err:
-        raise ConfigError(str(err))
-
-    simnet = None
-    if config.backend is Backend.MOCK:
+    targets = _load("targets", config.targets, _read_text)
+    db = _load("providers", config.providers, load_provider_db)
+    psl = _load("suffixes", config.suffixes, PublicSuffixList.load)
+    dictionary = _load("dictionary", config.dictionary, PrefixDictionary.load)
+    mock = config.backend is Backend.MOCK
+    report = ScanReport()
+    report.meta = {
+        # the mock world has no wall clock, so its reports are reproducible
+        "generated_at": datetime.fromtimestamp(0.0 if mock else time.time(), tz=timezone.utc).isoformat(),
+        "mode": config.mode,
+        "backend": config.backend.value,
+        "seed": config.seed,
+        "qps_limit": config.qps,
+        "provider_db_sha1": _load("providers", config.providers, _sha1_file),
+        "dictionary_sha1": _load("dictionary", config.dictionary, _sha1_file),
+        "suffix_file_sha1": _load("suffixes", config.suffixes, _sha1_file),
+        "suffix_snapshot_date": psl.snapshot_date,
+        "scenario_sha1": _load("scenario", config.scenario, _sha1_file) if config.scenario else None,
+    }
+    if mock:
         if config.scenario is None:
             raise ConfigError("mock backend needs --scenario")
-        if not Path(config.scenario).exists():
-            raise ConfigError(f"scenario file not found: {config.scenario}")
-        try:
-            simnet = SimulatedInternet(load_scenario(config.scenario), db)
-        except ValueError as err:  # ScenarioError: unreadable, or fails validate_scenario
-            raise ConfigError(str(err))
+        # ScenarioError: unreadable, or fails validate_scenario
+        simnet = _load("scenario", config.scenario, lambda path: SimulatedInternet(load_scenario(path), db))
         geo = simnet.city_of
         transport = MockTransport(simnet, record=config.record_probes)
-        started = 0.0  # the mock world has no wall clock, so its reports are reproducible
     else:
         if config.record_probes:
             raise ConfigError("record_probes needs the mock backend")
-        geo = _load_geo(config.geoip)
+        simnet = None
+        geo = _load("geoip", config.geoip, _load_geo) if config.geoip is not None else lambda ip: None
         try:
             transport = LiveTransport(TransportConfig(
                 qps_limit=config.qps, resolver=config.resolver, verify_tls=config.verify_tls,
             ))
         except ValueError as err:
             raise ConfigError(str(err))
-        started = time.time()
-
-    report = ScanReport()
-    report.meta = {
-        "generated_at": datetime.fromtimestamp(started, tz=timezone.utc).isoformat(),
-        "mode": config.mode,
-        "backend": config.backend.value,
-        "seed": config.seed,
-        "qps_limit": config.qps,
-        "provider_db_sha1": _sha1_file(Path(config.providers)),
-        "dictionary_sha1": _sha1_file(Path(config.dictionary)),
-        "suffix_file_sha1": _sha1_file(Path(config.suffixes)),
-        "suffix_snapshot_date": psl.snapshot_date,
-        "scenario_sha1": _sha1_file(Path(config.scenario)) if config.scenario else None,
-    }
     return ScanContext(
-        config=config, psl=psl, db=db, dictionary=dictionary,
+        config=config, targets=targets, psl=psl, db=db, dictionary=dictionary,
         transport=transport, simnet=simnet, geo=geo, report=report,
     )
 
 
 def _load_targets(ctx: ScanContext) -> tuple[list[Fqdn], list[Fqdn]]:
-    """Split the targets file into registrable domains (to enumerate) and
+    """Split the targets into registrable domains (to enumerate) and
     direct FQDNs, each listed once, in the order first given."""
     slds: dict[Fqdn, None] = {}
     direct: dict[Fqdn, None] = {}
-    for raw in Path(ctx.config.targets).read_text(encoding="utf-8").splitlines():
+    for raw in ctx.targets.splitlines():
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue

@@ -546,42 +546,34 @@ class SimulatedInternet:
         self, ip: str, scheme: Scheme, requests: Sequence[tuple[Fqdn, str]]
     ) -> list[HttpResponseSummary]:
         """``serve_http`` of one probe per (Host, path) request at ``ip``,
-        SNI = Host over https, in order. A host the edge knows (registered,
-        in the host table or discontinued) gets ``serve_http``'s answer to
-        its first request, shared with its later ones unless its active
-        entry leads to a dynamic origin, whose answer depends on the path
-        and the fetch count. Every other host shares its certificate's
-        unknown-host answer with the batch's other such hosts."""
+        SNI = Host over https, in order, asked once per sharing key. A host
+        the edge knows (registered, in the host table or discontinued)
+        shares its answer by its name, unless its active entry leads to a
+        dynamic origin, whose answer depends on the path and the fetch
+        count. Every other host at a provider's IP shares its certificate's
+        unknown-host answer. At an IP no provider owns nothing is shared."""
         prov = self._ip_owner.get(ip)
-        if prov is None:
-            return [self.serve_http(HttpProbe.request(ip, scheme, host, path)) for host, path in requests]
-        https = scheme is Scheme.HTTPS
-        served = self._host_index[prov.name]
+        served = self._host_index[prov.name] if prov is not None else {}
         discontinued = self.scenario.discontinued
-        shared: dict[str, HttpResponseSummary] = {}
-        # by certificate; over https a host without one gets a TLS error
-        unknown = {None: HttpResponseSummary.failed(TransportFailure.TLS_ERROR)} if https else {}
+        https = scheme is Scheme.HTTPS
+        shared: dict[Any, HttpResponseSummary] = {}
         out = []
         for host, path in requests:
             name = host.name
-            answer = shared.get(name)
+            entry = served.get(name)
+            if prov is None or (entry is not None and self.scenario.origins[entry.origin_ip].dynamic):
+                key = None
+            elif entry is not None or name in discontinued:
+                key = name
+            else:  # a tuple, so it cannot collide with a name
+                key = ("cert", self._select_cert(prov, name) if https else None)
+            answer = shared.get(key)
             if answer is None:
-                if name in served or name in discontinued:
-                    answer = self.serve_http(HttpProbe.request(ip, scheme, host, path))
-                    if not self._counts_fetches(prov, name):
-                        shared[name] = answer
-                else:
-                    cert = self._select_cert(prov, name) if https else None
-                    if cert not in unknown:
-                        unknown[cert] = self._unknown_host(prov, ip, cert)
-                    answer = unknown[cert]
+                answer = self.serve_http(HttpProbe.request(ip, scheme, host, path))
+                if key is not None:
+                    shared[key] = answer
             out.append(answer)
         return out
-
-    def _counts_fetches(self, prov: ScenarioProvider, host: str) -> bool:
-        """Whether ``host``'s active entry at ``prov`` leads to a dynamic origin."""
-        entry = self._host_index[prov.name].get(host)
-        return entry is not None and self.scenario.origins[entry.origin_ip].dynamic
 
     # -- registration -------------------------------------------------------
 

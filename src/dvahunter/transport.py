@@ -95,10 +95,10 @@ class TransportConfig:
     resolver: Optional[str] = None
 
     def __post_init__(self) -> None:
-        if not self.qps_limit > 0:
-            raise ValueError("qps_limit must be positive")
-        if self.timeout <= 0:
-            raise ValueError("timeout must be positive")
+        if not (math.isfinite(self.qps_limit) and self.qps_limit > 0):
+            raise ValueError(f"qps_limit must be a finite positive number, got {self.qps_limit}")
+        if not (math.isfinite(self.timeout) and self.timeout > 0):
+            raise ValueError(f"timeout must be a finite positive number, got {self.timeout}")
 
 
 class RateLimiter:

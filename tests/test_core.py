@@ -38,7 +38,7 @@ class TestParseFqdn:
         assert psl.registrable_domain(parse_fqdn("cdn.foo.fastly.net").name) == "fastly.net"
 
     def test_bad_characters(self):
-        for bad in ("under_score.com", "-lead.com", "trail-.com", "sp ace.com", ""):
+        for bad in ("under_score.com", "-lead.com", "trail-.com", "sp ace.com", "", "."):
             with pytest.raises(DomainSyntaxError):
                 parse_fqdn(bad)
 

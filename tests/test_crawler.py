@@ -246,12 +246,14 @@ class TestEnumerationScan:
         assert code in (0, 1)
         assert report["meta"]["wildcard_slds"] == ["wild-shop.com"]
 
-    def test_each_registrable_domain_is_enumerated_once(self, tmp_path):
-        # each copy of a listed domain once cost 1,003 more queries
+    def test_each_registrable_domain_is_enumerated_once(self, tmp_path, caplog):
+        # each copy of a listed domain once cost 1,003 more queries; a
+        # malformed line is skipped with a warning and costs none
         reference = DATA["reference_world_targets.txt"]
         doubled = tmp_path / "targets.txt"
         doubled.write_text(reference.read_text(encoding="utf-8")
-                           + "akamai-site-a.com.\nAKAMAI-site-b.com\nazure-retired.net.\n", encoding="utf-8")
+                           + "akamai-site-a.com.\nAKAMAI-site-b.com\nazure-retired.net.\nunder_score.com\n",
+                           encoding="utf-8")
         once, twice = (
             run_scan_with_context(scan_config(targets, DATA["reference_world.json"], mode="exposure",
                                               record_probes=True))
@@ -260,6 +262,7 @@ class TestEnumerationScan:
         assert twice.transport.stats.dns_queries == once.transport.stats.dns_queries
         assert twice.transport.query_log == once.transport.query_log
         assert twice.report.domains == once.report.domains
+        assert "skipping malformed target 'under_score.com'" in caplog.text
 
     def test_inconclusive_wildcard_check_keeps_the_dictionary_names(self, tmp_path, monkeypatch):
         targets = tmp_path / "targets.txt"

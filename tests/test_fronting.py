@@ -38,7 +38,7 @@ from dvahunter.simnet import (
 from dvahunter.scan import run_scan_with_context
 from dvahunter.transport import MockTransport
 from dvahunter.worlds import build_budget_world
-from tests.conftest import scan_config, write_world
+from tests.conftest import DATA, edited_reference_scan, scan_config, write_world
 
 
 def fastly_world(db, n_assets_a=3, dynamic_asset=False, n_domains=2, page=None):
@@ -427,6 +427,25 @@ class TestEndToEnd:
         roots = {str(p.host_header) for p in probes if p.path == "/"}
         assert fronts_only and roots
         assert roots <= targets
+
+    def test_provider_without_a_harvested_url_reads_inconclusive(self, tmp_path):
+        # the reference world with plain origin pages: every pair is
+        # possible, but no target has a URL to front
+        def plain_pages(doc):
+            page = "<html><body>no assets</body></html>"
+            for origin in doc["origins"].values():
+                origin["body"] = page
+                if origin.get("per_host"):
+                    origin["per_host"] = dict.fromkeys(origin["per_host"], page)
+
+        targets = DATA["reference_world_targets.txt"].read_text(encoding="utf-8")
+        code, report = edited_reference_scan(tmp_path, targets, plain_pages, mode="fronting")
+        assert code == 0
+        verdicts = {name: section["fronting"] for name, section in report["providers"].items()}
+        unpaired = [name for name, verdict in verdicts.items()
+                    if verdict["evidence"] == [{"kind": "fronting", "detail": f"{name}: no pair with a harvested URL"}]]
+        assert len(unpaired) == 44
+        assert all(verdict["kind"] == "inconclusive" for verdict in verdicts.values())
 
     def test_hash_comparison_decides_not_bytes(self, db):
         # structurally: judge only reads body_hash, so excerpts may disagree

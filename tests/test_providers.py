@@ -106,11 +106,17 @@ class TestLoadValidation:
         {"name": "X", "assigned_suffixes": [".x.com"], "metadata": 5},
         {"name": "X", "assigned_suffixes": [".x.com"], "metadata": ["a", "b"]},
         {"name": "X", "assigned_suffixes": [".x.com"], "nonhosted_fp": {"body_contains": 5}},
+        {"name": "X", "assigned_suffixes": [".x.com"], "nonhosted_fp": 5},
+        {"name": "X", "assigned_suffixes": [".x.com"], "nonhosted_fp": {"header": {"name": "server"}}},
+        {"name": "X", "assigned_suffixes": [".x.com"], "discontinued_fp": {"dns_signal": "gone"}},
+        {"name": "X", "assigned_suffixes": [".x.com"], "discontinued_fp": {"dns_signal": ["nxdomain"]}},
+        {"name": "X", "assigned_suffixes": [".x.com"], "nonhosted_fp": {"status": "404"}},
     ], ids=[
         "entry-list-of-int", "entry-list-of-str", "suffix-not-string", "name-not-string",
         "edges-not-list", "edge-not-object", "edge-without-provider", "edge-template-not-string",
         "liveness-not-object", "liveness-without-contains", "metadata-int", "metadata-list",
-        "body-contains-not-string",
+        "body-contains-not-string", "fingerprint-not-object", "header-without-contains",
+        "dns-signal-unknown", "dns-signal-list", "status-not-integer",
     ])
     def test_wrong_json_types_are_schema_errors(self, tmp_path, entry):
         # each of these once escaped as TypeError/AttributeError/KeyError,

@@ -273,6 +273,68 @@ class TestCli:
         assert code == 2
         assert "qps must be a finite positive number" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("option, content, label", [
+        ("--targets", b"caf\xe9.com\n", "targets"),
+        ("--targets", None, "targets"),
+        ("--dict", None, "dictionary"),
+        ("--scenario", None, "scenario"),
+        ("--geoip", b"", "geoip"),
+        ("--geoip", b"192.0.2.1,Par\xeds\n", "geoip"),
+    ], ids=["targets-not-utf8", "targets-directory", "dict-directory", "scenario-directory",
+            "geoip-missing", "geoip-not-utf8"])
+    def test_unreadable_scan_input_is_config_error(
+        self, small_paths, tmp_path, capsys, monkeypatch, option, content, label
+    ):
+        # each of these once escaped as a traceback with exit 1, which
+        # reads as "findings present". content None is a directory, b""
+        # a missing file
+        import dvahunter.scan as scan_mod
+
+        def no_scan(ctx):
+            raise AssertionError("the scan started")
+
+        monkeypatch.setattr(scan_mod, "_phase_enumerate", no_scan)
+        scenario, targets = small_paths
+        path = tmp_path / "input"
+        if content is None:
+            path.mkdir()
+        elif content:
+            path.write_bytes(content)
+        given = {"--targets": str(targets), "--scenario": str(scenario)}
+        if option == "--geoip":  # read by a live scan, before its first query
+            given = {"--targets": str(targets), "--backend": "live", "--resolver": "192.0.2.53"}
+        given[option] = str(path)
+        code = main(["scan", *(part for pair in given.items() for part in pair)])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert len(err.splitlines()) == 1
+        assert err.startswith(f"config error: {label}: ")
+
+    @pytest.mark.parametrize("content", [b'[{"name": "caf\xe9"}]', b"[{", None],
+                             ids=["not-utf8", "not-json", "directory"])
+    def test_unreadable_provider_db_is_config_error(self, small_paths, tmp_path, capsys, monkeypatch, content):
+        # a non-UTF-8 DB once escaped from validate-db and validate-scenario,
+        # and a directory from scan, as a traceback with exit 1
+        import dvahunter.scan as scan_mod
+
+        def no_scan(ctx):
+            raise AssertionError("the scan started")
+
+        monkeypatch.setattr(scan_mod, "_phase_enumerate", no_scan)
+        scenario, targets = small_paths
+        path = tmp_path / "providers.json"
+        if content is None:
+            path.mkdir()
+        else:
+            path.write_bytes(content)
+        assert main(["validate-db", str(path)]) == 2
+        assert main(["validate-scenario", str(scenario), "--providers", str(path)]) == 2
+        assert main(["scan", "--targets", str(targets), "--scenario", str(scenario), "--providers", str(path)]) == 2
+        lines = capsys.readouterr().err.splitlines()
+        assert [line.split(":", 1)[0] for line in lines] == ["invalid provider DB", "invalid", "config error"]
+        assert all(str(path) in line for line in lines)
+        assert lines[2].startswith("config error: providers: ")
+
     def test_scan_mock_without_scenario_is_config_error(self, small_paths, capsys):
         _, targets = small_paths
         assert main(["scan", "--targets", str(targets), "--backend", "mock"]) == 2
@@ -464,8 +526,9 @@ class TestCli:
         {"schema": "dvahunter-report/1", "domains": {"a.com": "x"}},
         {"schema": "dvahunter-report/1", "providers": {"X": [1]}},
         {"schema": "dvahunter-report/1", "providers": {"X": {"fronting": 5}}},
+        {"schema": "dvahunter-report/0"},
     ], ids=["top-level-list", "meta-list", "providers-string", "domains-int", "counters-null",
-            "domain-entry-string", "provider-section-list", "category-entry-int"])
+            "domain-entry-string", "provider-section-list", "category-entry-int", "other-schema"])
     def test_diff_of_a_report_that_is_not_an_object_is_config_error(self, small_paths, tmp_path, capsys, doc):
         # these once raised AttributeError: a traceback and exit 1, which
         # reads as "changes found"

@@ -141,6 +141,14 @@ class TestRateLimiter:
         # a ceiling, not a stall: the sends keep up floor(qps) a second, or qps below 1
         assert clock[0] < 30 / (math.floor(qps) if qps >= 1 else qps)
 
+    @pytest.mark.parametrize("field", ["qps_limit", "timeout"])
+    @pytest.mark.parametrize("value", [0.0, -1.0, math.nan, math.inf])
+    def test_config_needs_finite_positive_values(self, field, value):
+        # an infinite qps_limit once passed here and then overflowed in
+        # RateLimiter; a NaN or infinite timeout passed too
+        with pytest.raises(ValueError, match=field):
+            TransportConfig(resolver="192.0.2.53", **{field: value})
+
 
 class TestDnsWire:
     def test_query_roundtrip_shape(self):
@@ -395,6 +403,15 @@ class TestLiveQueries:
                          backend=Backend.LIVE, resolver="192.0.2.53", record_probes=True)
         with pytest.raises(ConfigError, match="record_probes"):
             prepare(config)
+
+    def test_geoip_table_skips_comments_and_blank_lines(self, tmp_path):
+        # prepare alone sends nothing: the resolver is given by address
+        table = tmp_path / "geo.txt"
+        table.write_text("# ip,city\n\n192.0.2.1, Paris  # edge\n192.0.2.2,\n", encoding="utf-8")
+        config = replace(scan_config(DATA["reference_world_targets.txt"], None),
+                         backend=Backend.LIVE, resolver="192.0.2.53", geoip=table)
+        geo = prepare(config).geo
+        assert [geo(ip) for ip in ("192.0.2.1", "192.0.2.2", "192.0.2.3", "# ip")] == ["Paris", None, None, None]
 
 
 class TestLiveProbe:

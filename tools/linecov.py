@@ -4,10 +4,15 @@ standard library alone (``sys.settrace``): for finding verdict branches
 that no test runs.
 
     PYTHONPATH=src python tools/linecov.py takeover._validate_path scan._phase_takeover -- -q tests/
+    PYTHONPATH=src python tools/linecov.py simnet -- -q tests/
 
-Run it from the repository root, as Tier-1 runs pytest. Each function is named ``module.qualname`` under ``dvahunter``. For each
-one the tool prints how many of its code lines (nested functions and
-comprehensions included) ran, and the numbers of those that never ran.
+Run it from the repository root, as Tier-1 runs pytest. Each function is
+named ``module.qualname`` under ``dvahunter``; a bare module name stands
+for every function and method defined in that module. A property is
+reported by its getter, a cached property by its function, and a
+decorated function by the function it wraps. For each one the tool
+prints how many of its code lines (nested functions and comprehensions
+included) ran, and the numbers of those that never ran.
 Everything after ``--`` goes to pytest. The trace slows the suite about
 threefold, so this is a tool to run by hand, not a CI step. Exits with
 pytest's exit code.
@@ -16,8 +21,10 @@ pytest's exit code.
 from __future__ import annotations
 
 import importlib
+import inspect
 import sys
 import threading
+from functools import cached_property
 from pathlib import Path
 from types import CodeType
 
@@ -34,16 +41,42 @@ def code_lines(code: CodeType) -> set[int]:
     return lines
 
 
+def _code_of(obj: object) -> CodeType | None:
+    """The code of a function, method or property getter, through any
+    decorator that keeps ``__wrapped__``; None for anything else."""
+    if isinstance(obj, property):
+        obj = obj.fget
+    if isinstance(obj, cached_property):
+        obj = obj.func
+    # staticmethod and classmethod keep __wrapped__ too
+    return getattr(inspect.unwrap(obj), "__code__", None)  # type: ignore[arg-type]
+
+
 def function_code(spec: str) -> CodeType:
-    """The code object of ``module.qualname`` under dvahunter; of its
-    getter when it names a property."""
+    """The code object of ``module.qualname`` under dvahunter."""
     module_name, _, qualname = spec.partition(".")
     obj = importlib.import_module(f"dvahunter.{module_name}")
     for part in qualname.split("."):
         obj = getattr(obj, part)
-    if isinstance(obj, property):
-        obj = obj.fget
-    return obj.__code__
+    return _code_of(obj)
+
+
+def module_codes(module_name: str) -> dict[str, CodeType]:
+    """``module.qualname`` -> code of every function and method defined
+    in ``dvahunter.<module_name>``, in source order."""
+    module = importlib.import_module(f"dvahunter.{module_name}")
+    found: dict[str, CodeType] = {}
+
+    def visit(prefix: str, namespace: dict) -> None:
+        for name, obj in namespace.items():
+            if isinstance(obj, type) and obj.__module__ == module.__name__:
+                visit(f"{prefix}{name}.", vars(obj))
+            code = _code_of(obj)
+            if code is not None and code.co_filename == module.__file__:
+                found[prefix + name] = code
+
+    visit(f"{module_name}.", vars(module))
+    return dict(sorted(found.items(), key=lambda item: item[1].co_firstlineno))
 
 
 def run_traced(pytest_args: list[str]) -> tuple[int, set[tuple[str, int]]]:
@@ -85,7 +118,9 @@ def main(argv: list[str]) -> int:
         return 2
     # as ``python -m pytest`` does: the tests import ``tests.conftest``
     sys.path.insert(0, str(Path.cwd()))
-    codes = {spec: function_code(spec) for spec in specs}
+    codes = {}
+    for spec in specs:
+        codes.update(module_codes(spec) if "." not in spec else {spec: function_code(spec)})
     status, ran = run_traced(pytest_args)
     for spec, code in codes.items():
         lines = code_lines(code)
