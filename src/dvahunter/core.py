@@ -17,7 +17,9 @@ from typing import Any, Iterable, Optional
 MAX_NAME_LENGTH = 253
 BODY_EXCERPT_CAP = 4096
 
-_LABEL_RE = re.compile(r"^[a-z0-9]([a-z0-9-]{0,61}[a-z0-9])?$")
+_LABEL = r"[a-z0-9](?:[a-z0-9-]{0,61}[a-z0-9])?"
+_LABEL_RE = re.compile(_LABEL)
+_NAME_RE = re.compile(rf"{_LABEL}(?:\.{_LABEL})*")  # use fullmatch: "$" also matches before a final newline
 
 
 class DomainSyntaxError(ValueError):
@@ -85,13 +87,15 @@ def parse_fqdn(text: str) -> Fqdn:
         raise DomainSyntaxError(f"no labels in {text!r}")
     if len(name) > MAX_NAME_LENGTH:
         raise DomainTooLongError(f"{len(name)} chars exceeds {MAX_NAME_LENGTH}: {text[:60]!r}...")
-    for label in name.split("."):
-        if not label:
-            raise DomainSyntaxError(f"empty label in {text!r}")
-        if len(label) > 63:
-            raise DomainSyntaxError(f"label over 63 chars in {text!r}")
-        if not _LABEL_RE.match(label):
-            raise DomainSyntaxError(f"illegal label {label!r} in {text!r}")
+    if _NAME_RE.fullmatch(name) is None:
+        # only to word the error: the first label that fails
+        for label in name.split("."):
+            if not label:
+                raise DomainSyntaxError(f"empty label in {text!r}")
+            if len(label) > 63:
+                raise DomainSyntaxError(f"label over 63 chars in {text!r}")
+            if _LABEL_RE.fullmatch(label) is None:
+                raise DomainSyntaxError(f"illegal label {label!r} in {text!r}")
     return Fqdn(name)
 
 

@@ -160,7 +160,8 @@ def prepare(config: ScanConfig) -> ScanContext:
         "dictionary_sha1": _load("dictionary", config.dictionary, _sha1_file),
         "suffix_file_sha1": _load("suffixes", config.suffixes, _sha1_file),
         "suffix_snapshot_date": psl.snapshot_date,
-        "scenario_sha1": _load("scenario", config.scenario, _sha1_file) if config.scenario else None,
+        # only the mock reads the scenario, as only a live scan reads --geoip
+        "scenario_sha1": _load("scenario", config.scenario, _sha1_file) if mock and config.scenario else None,
     }
     if mock:
         if config.scenario is None:

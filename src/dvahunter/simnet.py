@@ -33,6 +33,13 @@ Design notes:
     answers NOERROR with no records. A name that does not exist is
     answered only by the wildcard ``*.<closest encloser>`` (RFC 4592
     §3.3.1), else NXDOMAIN.
+  * What every call would build alike is built once per session: each
+    provider's edge record ``ZoneRecord(a=ips)``, which attacker
+    registrations and HTTP-typed dangling targets share; each fingerprint
+    answer; and the edge's answer for an attacker-registered host with a
+    static origin, per (origin IP, edge IP, certificate). Answers that
+    depend on the Host (``per_host``) or on the fetch count (``dynamic``),
+    and a legitimate host's, which a scan mostly asks for once, are not.
   * DNS answers carry the zone's CNAME and NS text, normalized once at
     load as a resolver's answer is (lowercase, no trailing dot) and never
     parsed: a CNAME target need not be a host name.
@@ -252,6 +259,9 @@ class SimulatedInternet:
         self._providers = {prov.name: prov for prov in scenario.providers}
         self._ip_owner = {ip: prov for prov in scenario.providers for ip in prov.ips}
         self._cities = {ip: city for prov in scenario.providers for ip, city in prov.ingress_ips}
+        # provider -> its edge as a DNS record: where an attacker registration
+        # points its names, and what an HTTP-typed terminated service left
+        self._edge_records = {prov.name: ZoneRecord(a=prov.ips) for prov in scenario.providers}
         # provider -> host -> entry, the hosts each edge serves: with a duplicated
         # host the first entry wins; attacker registrations are journaled writes
         self._host_index: dict[str, dict[str, HostEntry]] = {}
@@ -261,6 +271,10 @@ class SimulatedInternet:
                 index.setdefault(entry.host, entry)
         # a fingerprint answer depends only on these four inputs and is frozen
         self._fp_responses: dict[tuple[Fingerprint, str, str, Optional[str]], HttpResponseSummary] = {}
+        # (origin IP, edge IP, certificate) -> the edge's answer for an
+        # attacker-registered host with a static origin; every registration
+        # binds the one attacker origin, so one answer serves them all
+        self._attacker_answers: dict[tuple[str, str, Optional[str]], HttpResponseSummary] = {}
         self._zone_overrides: dict[str, ZoneRecord] = {}
         # one journal per open registration_scope, innermost last:
         # (table, key, value before the write or _ABSENT)
@@ -306,7 +320,7 @@ class SimulatedInternet:
             if kind == "single_a_record":
                 return ZoneRecord(a=(service.origin_ip,))
         # HTTP-typed fingerprint (or none): DNS keeps pointing at the edge
-        return ZoneRecord(a=self._providers[service.provider].ips)
+        return self._edge_records[service.provider]
 
     def _exists(self, name: str) -> bool:
         """Whether ``name`` is held or is an empty non-terminal. Overrides
@@ -515,12 +529,14 @@ class SimulatedInternet:
                         tls_cert_name=cert,
                     )
                 origin = self.scenario.origins[entry.origin_ip]
+                if entry.registered_by is RegisteredBy.ATTACKER and origin.per_host is None and not origin.dynamic:
+                    key = (entry.origin_ip, ip, cert)
+                    response = self._attacker_answers.get(key)
+                    if response is None:
+                        response = self._attacker_answers[key] = self._served(prov, ip, cert, origin, origin.body)
+                    return response
                 body = self._origin_body(origin, ip, host, probe.path)
-                if body is None:
-                    body = origin.body
-                return HttpResponseSummary.from_body(
-                    200, body, self._headers(prov, ip, (("Content-Type", origin.content_type),)), tls_cert_name=cert
-                )
+                return self._served(prov, ip, cert, origin, origin.body if body is None else body)
 
         service = self.scenario.discontinued.get(host)
         if service is not None and service.provider == prov.name:
@@ -528,6 +544,14 @@ class SimulatedInternet:
             if fp is not None and fp.needs_http:
                 return self._fp_response(fp, prov, ip, cert)
         return self._unknown_host(prov, ip, cert)
+
+    def _served(
+        self, prov: ScenarioProvider, ip: str, cert: Optional[str], origin: Origin, body: bytes
+    ) -> HttpResponseSummary:
+        """The edge's 200 answer carrying ``body`` from ``origin``."""
+        return HttpResponseSummary.from_body(
+            200, body, self._headers(prov, ip, (("Content-Type", origin.content_type),)), tls_cert_name=cert
+        )
 
     def _unknown_host(self, prov: ScenarioProvider, ip: str, cert: Optional[str]) -> HttpResponseSummary:
         """What the edge answers for a host it does not serve: the world's
@@ -638,13 +662,14 @@ class SimulatedInternet:
             dns_points_here=True,
         ))
         # the assigned name now serves traffic again
-        self._write(self._zone_overrides, assigned, ZoneRecord(a=prov.ips))
+        edge = self._edge_records[provider_name]
+        self._write(self._zone_overrides, assigned, edge)
         old = self.scenario.zones.get(custom_domain)
         if custom_domain in self.scenario.discontinued and old is not None and old.cname:
             # W1 misconnection: the victim's old assigned name routes to
             # the edge via the fixed subdomain even though the attacker
             # was handed a different name
-            self._write(self._zone_overrides, old.cname, ZoneRecord(a=prov.ips))
+            self._write(self._zone_overrides, old.cname, edge)
         return assigned
 
 

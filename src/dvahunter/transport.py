@@ -166,7 +166,7 @@ class MockTransport:
         if self.record:
             self.query_log.append((str(name), rrtype.value))
         obs = self.simnet.serve_dns(name)
-        if rrtype is RRType.A:
+        if rrtype is RRType.A and obs.ns:  # an A view without NS is the answer itself
             return DnsObservation(
                 fqdn=obs.fqdn,
                 cname_chain=obs.cname_chain,

@@ -42,6 +42,12 @@ class TestParseFqdn:
             with pytest.raises(DomainSyntaxError):
                 parse_fqdn(bad)
 
+    @pytest.mark.parametrize("bad", ["a\n.com", "a.b\n.com", "a\n.b\n.com", "a\r.com"])
+    def test_label_ending_in_a_line_break_is_illegal(self, bad):
+        # a regular expression's "$" also matches before a final newline
+        with pytest.raises(DomainSyntaxError, match="illegal label"):
+            parse_fqdn(bad)
+
     def test_too_long(self):
         name = ".".join(["a" * 60] * 5)
         with pytest.raises(DomainTooLongError):

@@ -279,6 +279,51 @@ def two_origin_world(host_table):
     )
 
 
+def attacker_origin_world(origin):
+    """two_origin_world with a legitimate host and ``origin`` as the
+    attacker origin."""
+    scenario = two_origin_world((HostEntry(host="site.example.com", origin_ip="198.18.0.8"),))
+    scenario.origins["198.18.0.66"] = origin
+    return scenario
+
+
+class TestAttackerAnswer:
+    """An attacker-registered host with a static origin shares one answer
+    per edge IP; nothing else may share it."""
+
+    def test_hosts_answer_as_before_once_the_scope_exits(self, db):
+        net = SimulatedInternet(attacker_origin_world(Origin(body=b"<html>attacker</html>")), db)
+        hosts = ("site.example.com", "fresh.example.com")
+
+        def answers():
+            return [net.serve_http(probe("198.18.0.1", host, scheme=Scheme.HTTP)) for host in hosts]
+
+        before = answers()
+        with net.registration_scope():
+            for host in hosts:
+                net.attacker_register("Fastly", host, "attacker")
+            assert [a.body_excerpt for a in answers()] == [b"<html>attacker</html>"] * 2
+        assert answers() == before
+        assert before[0].body_excerpt == b"<html>first</html>"
+        assert b"Fastly error: unknown domain" in before[1].body_excerpt
+
+    def test_dynamic_origin_answers_each_fetch_anew(self, db):
+        net = SimulatedInternet(attacker_origin_world(Origin(body=b"<html>tick</html>", dynamic=True)), db)
+        net.attacker_register("Fastly", "fresh.example.com", "attacker")
+        first, second = (net.serve_http(probe("198.18.0.1", "fresh.example.com", scheme=Scheme.HTTP))
+                         for _ in range(2))
+        assert first.status == second.status == 200
+        assert first.body_hash != second.body_hash
+
+    def test_per_host_origin_answers_each_host_with_its_own_body(self, db):
+        bodies = {"a.example.com": b"<html>a</html>", "b.example.com": b"<html>b</html>"}
+        net = SimulatedInternet(attacker_origin_world(Origin(body=b"<html>default</html>", per_host=bodies)), db)
+        for host in bodies:
+            net.attacker_register("Fastly", host, "attacker")
+        served = {host: net.serve_http(probe("198.18.0.1", host, scheme=Scheme.HTTP)).body_excerpt for host in bodies}
+        assert served == bodies
+
+
 class TestHostIndex:
     def test_first_of_duplicated_hosts_is_served(self, db):
         net = SimulatedInternet(two_origin_world((

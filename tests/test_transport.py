@@ -38,6 +38,7 @@ def chain_world(db):
         "a.loop.com": ZoneRecord(cname="b.loop.com"),
         "b.loop.com": ZoneRecord(cname="a.loop.com"),
         "broken.site.com": ZoneRecord(servfail=True),
+        "apex.site.com": ZoneRecord(a=("10.0.0.5",), ns=("ns1.dns.example", "ns2.dns.example")),
     }
     scenario = Scenario(providers=[], zones=zones, origins={"10.0.0.5": Origin(body=b"hi")})
     return SimulatedInternet(scenario, db)
@@ -69,6 +70,20 @@ class TestMockResolve:
         from dvahunter.transport import MockTransport
         obs = MockTransport(chain_world).resolve(parse_fqdn("broken.site.com"))
         assert obs.rcode is Rcode.SERVFAIL
+
+    def test_a_view_drops_the_ns_records_and_keeps_the_rest(self, chain_world):
+        transport = MockTransport(chain_world)
+        name = parse_fqdn("apex.site.com")
+        answer = transport.resolve(name, RRType.ALL)
+        view = transport.resolve(name, RRType.A)
+        assert answer.ns == ("ns1.dns.example", "ns2.dns.example")
+        assert view.ns == ()
+        assert replace(view, ns=answer.ns) == answer
+
+    @pytest.mark.parametrize("name", ["foo.site.com", "missing.site.com", "broken.site.com", "a.loop.com"])
+    def test_a_view_of_a_name_without_ns_is_the_whole_answer(self, chain_world, name):
+        transport = MockTransport(chain_world)
+        assert transport.resolve(parse_fqdn(name), RRType.A) == transport.resolve(parse_fqdn(name), RRType.ALL)
 
     def test_https_probe_requires_sni(self, chain_world):
         from dvahunter.transport import MockTransport
@@ -412,6 +427,14 @@ class TestLiveQueries:
                          backend=Backend.LIVE, resolver="192.0.2.53", geoip=table)
         geo = prepare(config).geo
         assert [geo(ip) for ip in ("192.0.2.1", "192.0.2.2", "192.0.2.3", "# ip")] == ["Paris", None, None, None]
+
+    def test_live_scan_neither_reads_nor_hashes_the_scenario(self, tmp_path):
+        # a live scan never uses --scenario, as the mock never uses --geoip
+        config = replace(scan_config(DATA["reference_world_targets.txt"], tmp_path / "missing.json"),
+                         backend=Backend.LIVE, resolver="192.0.2.53")
+        ctx = prepare(config)
+        assert ctx.simnet is None
+        assert ctx.report.meta["scenario_sha1"] is None
 
 
 class TestLiveProbe:
