@@ -76,13 +76,16 @@ class Fqdn:
 def parse_fqdn(text: str) -> Fqdn:
     """Parse and normalize a domain name.
 
-    Raises DomainSyntaxError on empty/illegal labels and
+    Raises DomainSyntaxError on non-ASCII text and empty/illegal labels, and
     DomainTooLongError past 253 characters. Comparison of the result is
     case-insensitive because normalization happens here.
     """
     if not text:
         raise DomainSyntaxError("empty domain name")
-    name = text.strip().rstrip(".").lower()
+    name = text.strip().rstrip(".")
+    if not name.isascii():  # before lowering: str.lower folds KELVIN SIGN into "k"
+        raise DomainSyntaxError(f"non-ASCII character in {text!r}")
+    name = name.lower()
     if not name:
         raise DomainSyntaxError(f"no labels in {text!r}")
     if len(name) > MAX_NAME_LENGTH:
@@ -107,8 +110,14 @@ class DnsObservation:
     holds any record, NXDOMAIN only when the name has nothing at all.
     ``cname_chain`` is the chain followed from the name; ``a_records`` are
     the terminal addresses (empty when the chain dead-ends). A dangling
-    name therefore shows up as NOERROR + chain + no addresses, and its
-    chain target can be resolved separately to observe the terminal rcode.
+    name therefore shows up as NOERROR + chain + no addresses.
+
+    ``end_rcode`` is the rcode of the chain's last name: what an A query
+    for that name would get. A resolver's reply rcode belongs to that name
+    (RFC 6604; RFC 1034 §4.3.2), so the answer that followed the chain
+    already holds it. None when there is no chain or its end is unknown: a
+    loop, a chain cut short, or a reply that does not show it. It is not
+    part of ``to_json``.
 
     The chain and ``ns`` hold the answer's names as text (lowercase, no
     trailing dot), unchecked: a CNAME or NS target may be any DNS name
@@ -121,6 +130,7 @@ class DnsObservation:
     a_records: tuple[str, ...] = ()
     rcode: Rcode = Rcode.NOERROR
     cname_loop: bool = False
+    end_rcode: Optional[Rcode] = None
 
     def __post_init__(self) -> None:
         if self.rcode is not Rcode.NOERROR and (self.cname_chain or self.ns or self.a_records):

@@ -362,6 +362,7 @@ class SimulatedInternet:
         seen = {text}
         loop = False
         a_records: tuple[str, ...] = record.a
+        end: Optional[Rcode] = None  # the chain's last name's rcode, when known
         cursor = record
         while cursor.cname is not None and len(chain) < MAX_CHAIN:
             target = cursor.cname
@@ -373,9 +374,14 @@ class SimulatedInternet:
             nxt = self._lookup(target)
             if nxt is None or nxt.servfail:
                 a_records = ()
+                end = Rcode.NXDOMAIN if nxt is None else Rcode.SERVFAIL
                 break
             a_records = nxt.a
             cursor = nxt
+        if chain and cursor.cname is None:
+            # the chain ended normally (NODATA and empty non-terminals too),
+            # not at a loop or a cut at MAX_CHAIN
+            end = Rcode.NOERROR
         return DnsObservation(
             fqdn=fqdn,
             cname_chain=tuple(chain),
@@ -383,6 +389,7 @@ class SimulatedInternet:
             a_records=a_records,
             rcode=Rcode.NOERROR,
             cname_loop=loop,
+            end_rcode=end,
         )
 
     def serve_dns_existing(self, parent: str, dictionary: PrefixDictionary) -> dict[str, DnsObservation]:

@@ -9,8 +9,11 @@ provider's records into its verdict.
 
 DNS-stage fingerprints describe the assigned subdomain's behavior after
 service termination, so they are evaluated against the terminal
-observation: a fresh resolution of the last CNAME chain element, made
-once per record and kept on the finding.
+observation: the A answer of the last CNAME chain element, made once per
+record and kept on the finding. The crawl's answer followed the chain to
+that name and holds its rcode (``DnsObservation.end_rcode``), so the
+terminal is read from it; only an end the crawl could not see is
+resolved again.
 """
 
 from __future__ import annotations
@@ -90,7 +93,7 @@ class DanglingFinding:
     fingerprint: Fingerprint  # the service-discontinued fingerprint that matched
     stage: DanglingStage
     matched_cname: str
-    # the DNS stage's resolution of the last chain element; None when no
+    # the DNS stage's answer for the last chain element; None when no
     # fingerprint source has a DNS signal
     terminal: Optional[DnsObservation] = None
     evidence: tuple[Evidence, ...] = ()
@@ -116,6 +119,16 @@ def _http_stage_probe(record: HostedDomainRecord, transport):
         if response is None:
             response = transport.probe(probe)
     return probe, response
+
+
+def terminal_answer(observation: DnsObservation, end: Fqdn, transport) -> DnsObservation:
+    """The A answer for ``end``, the last name of ``observation``'s chain.
+    The observation followed the chain to it, so when it knows that name's
+    rcode the answer is read from it; only an unknown end is resolved."""
+    rcode = observation.end_rcode
+    if rcode is None:
+        return transport.resolve(end, RRType.A)
+    return DnsObservation(fqdn=end, a_records=observation.a_records, rcode=rcode)
 
 
 def detect_dangling(
@@ -170,9 +183,10 @@ def detect_dangling(
             # discontinuation signals live
             last = record.observation.cname_chain[-1]
             try:
-                terminal = transport.resolve(parse_fqdn(last), RRType.A)
+                end = parse_fqdn(last)
             except DomainSyntaxError as err:
                 raise DanglingProbeFailure(f"{record.fqdn}: terminal {last} is not a host name ({err})") from None
+            terminal = terminal_answer(record.observation, end, transport)
         if match_dns(fp, terminal):
             return found(DanglingStage.DNS_STAGE, fp, Evidence(
                 "dns-stage",

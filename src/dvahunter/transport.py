@@ -173,6 +173,7 @@ class MockTransport:
                 a_records=obs.a_records,
                 rcode=obs.rcode,
                 cname_loop=obs.cname_loop,
+                end_rcode=obs.end_rcode,
             )
         return obs
 
@@ -375,6 +376,8 @@ class LiveTransport:
         exists = False  # some reply was NOERROR (RFC 2308 §2.2: NODATA too) or held records
         rcode = Rcode.NXDOMAIN
         unanswered = True
+        end: Optional[Rcode] = None  # the chain's last name's rcode, from the A reply
+        end_seen = (0, 0)  # the chain's length and the addresses that reply held
         for kind in wanted:
             reply = self._query(str(name), kind)
             if reply is None or reply[0] not in (0, 2, 3):
@@ -393,9 +396,10 @@ class LiveTransport:
             exists = exists or wire_rcode == 0 or bool(answers)
             # follow the CNAME path the resolver included in the answer
             cursor = str(name)
-            remaining = {owner: (rtype, rdata) for owner, rtype, rdata in answers if rtype == 5}
+            cnames = {owner: rdata for owner, rtype, rdata in answers if rtype == 5}
+            remaining = dict(cnames)
             while cursor in remaining and len(chain) < MAX_CNAME_CHAIN:
-                cursor = remaining.pop(cursor)[1]
+                cursor = remaining.pop(cursor)
                 if cursor not in chain:
                     chain.append(cursor)
             for owner, rtype, rdata in answers:
@@ -403,6 +407,16 @@ class LiveTransport:
                     a_records.append(rdata)
                 elif rtype == 2 and rdata not in ns:
                     ns.append(rdata)
+            if kind == "a" and chain and cursor not in cnames:
+                # the A reply (asked first) holds the whole chain, so its
+                # rcode is the last name's (RFC 6604). A SERVFAIL may be the
+                # target zone's own, and NXDOMAIN with addresses contradicts
+                # itself: both unknown
+                if wire_rcode == 0:
+                    end = Rcode.NOERROR
+                elif wire_rcode == 3 and not a_records:
+                    end = Rcode.NXDOMAIN
+                end_seen = (len(chain), len(a_records))
         if unanswered:
             return DnsObservation(fqdn=name, rcode=Rcode.TIMEOUT)
         if not exists:
@@ -413,6 +427,8 @@ class LiveTransport:
             ns=tuple(ns),
             a_records=tuple(a_records),
             rcode=Rcode.NOERROR,
+            # unknown if a later reply added to the chain or the addresses
+            end_rcode=end if end_seen == (len(chain), len(a_records)) else None,
         )
 
     def resolve_existing(self, parent: str, dictionary: PrefixDictionary) -> dict[str, DnsObservation]:

@@ -48,6 +48,13 @@ class TestParseFqdn:
         with pytest.raises(DomainSyntaxError, match="illegal label"):
             parse_fqdn(bad)
 
+    @pytest.mark.parametrize("bad", ["Ka.com", "a.K.com", "café.com"])
+    def test_non_ascii_name_is_refused(self, bad):
+        # str.lower folds KELVIN SIGN into "k": checked after lowering, the
+        # first two were taken for ka.com and a.k.com
+        with pytest.raises(DomainSyntaxError, match="non-ASCII"):
+            parse_fqdn(bad)
+
     def test_too_long(self):
         name = ".".join(["a" * 60] * 5)
         with pytest.raises(DomainTooLongError):

@@ -6,10 +6,19 @@ import pytest
 
 from dvahunter.checker import crawl_records, discover_hosted
 from dvahunter.cli import main
-from dvahunter.core import VerdictKind, parse_fqdn
+from dvahunter.core import Rcode, VerdictKind, parse_fqdn
 from dvahunter.providers import Fingerprint, ProviderProfile
 from dvahunter.scan import run_scan_with_context
-from dvahunter.simnet import SimulatedInternet, VerificationFailed, VerificationMode, ZoneRecord, load_scenario
+from dvahunter.simnet import (
+    MAX_CHAIN,
+    Origin,
+    Scenario,
+    SimulatedInternet,
+    VerificationFailed,
+    VerificationMode,
+    ZoneRecord,
+    load_scenario,
+)
 from dvahunter.takeover import (
     DanglingStage,
     ExposurePrecondition,
@@ -18,8 +27,9 @@ from dvahunter.takeover import (
     detect_dangling,
     enumerate_takeover_paths,
     judge_provider,
+    terminal_answer,
 )
-from dvahunter.transport import MockTransport
+from dvahunter.transport import MockTransport, RRType
 from dvahunter.worlds import build_reference_world
 from tests.conftest import DATA, edited_reference_scan, scan_config, set_provider, set_zone
 
@@ -105,6 +115,94 @@ class TestDetectDangling:
         finding = detect_dangling(record, transport, db)
         assert finding is not None
         assert finding.matched_fp == "KuaikuaiCloud:discontinued"
+
+
+def chain_ends(net):
+    """name -> the ``end_rcode`` of each name of ``net``'s zones whose answer
+    has a chain, after checking that the terminal read from the answer is
+    what an A query for the chain's last name gets (when the end is known)."""
+    mock = MockTransport(net)
+    ends = {}
+    for name in net.scenario.zones:
+        if name.startswith("*."):
+            continue
+        obs = mock.resolve(parse_fqdn(name), RRType.ALL)
+        if not obs.cname_chain:
+            continue
+        end = parse_fqdn(obs.cname_chain[-1])
+        if obs.end_rcode is not None:
+            read = terminal_answer(obs, end, transport=None)  # no transport: nothing may be asked
+            assert read == mock.resolve(end, RRType.A), name  # to_json() too, and end_rcode
+        ends[name] = obs.end_rcode
+    return ends
+
+
+class TestTerminalAnswer:
+    """The dangling check reads the terminal from the crawl's answer; the
+    mock must answer it as an A query for the chain's last name would."""
+
+    def test_every_chain_of_the_reference_world(self, db, net, transport):
+        ends = chain_ends(net)
+        hosted = discover_hosted(crawl_records([parse_fqdn(name) for name in ends], transport), db, transport)
+        assert {str(record.fqdn) for record in hosted} <= set(ends)
+        assert len(hosted) > 40
+        assert {Rcode.NOERROR, Rcode.NXDOMAIN, Rcode.SERVFAIL} <= set(ends.values())
+
+    def test_every_chain_of_a_generated_world(self, db, worldgen):
+        net = SimulatedInternet(worldgen.BUILDERS["takeover-churn"](db, 1).scenario, db)
+        ends = chain_ends(net)
+        assert len(ends) > 2000 and None not in ends.values()
+
+    def test_hand_built_chains(self, db):
+        long = {f"h{hop}.long.net": ZoneRecord(cname=f"h{hop + 1}.long.net") for hop in range(MAX_CHAIN)}
+        exact = {f"h{hop}.exact.net": ZoneRecord(cname=f"h{hop + 1}.exact.net") for hop in range(MAX_CHAIN - 1)}
+        zones = {
+            # external: the scenario check looks for the target among held names alone
+            "nx.site.com": ZoneRecord(cname="gone.cdn.net", external=True),
+            "sf.site.com": ZoneRecord(cname="broken.cdn.net"),
+            "broken.cdn.net": ZoneRecord(servfail=True),
+            "nodata.site.com": ZoneRecord(cname="v6only.cdn.net"),
+            "v6only.cdn.net": ZoneRecord(),
+            "ent.site.com": ZoneRecord(cname="ent.cdn.net", external=True),
+            "www.ent.cdn.net": ZoneRecord(a=("10.0.0.5",)),
+            "wild.site.com": ZoneRecord(cname="any.wild.cdn.net", external=True),
+            "*.wild.cdn.net": ZoneRecord(a=("10.0.0.5",)),
+            "deep.site.com": ZoneRecord(cname="mid.cdn.net"),
+            "mid.cdn.net": ZoneRecord(cname="edge.cdn.net"),
+            "edge.cdn.net": ZoneRecord(a=("10.0.0.5",), ns=("ns1.cdn.net",)),  # the A view drops the NS
+            "loop.site.com": ZoneRecord(cname="l1.cdn.net"),
+            "l1.cdn.net": ZoneRecord(cname="l2.cdn.net"),
+            "l2.cdn.net": ZoneRecord(cname="l1.cdn.net"),
+            "long.site.com": ZoneRecord(cname="h0.long.net"),
+            **long,
+            f"h{MAX_CHAIN}.long.net": ZoneRecord(a=("10.0.0.5",)),
+            "exact.site.com": ZoneRecord(cname="h0.exact.net"),
+            **exact,
+            f"h{MAX_CHAIN - 1}.exact.net": ZoneRecord(a=("10.0.0.5",)),
+        }
+        net = SimulatedInternet(Scenario(providers=[], zones=zones, origins={"10.0.0.5": Origin(body=b"hi")}), db)
+        ends = chain_ends(net)
+        site = {name: end for name, end in ends.items() if name.endswith(".site.com")}
+        assert site == {
+            "nx.site.com": Rcode.NXDOMAIN,
+            "sf.site.com": Rcode.SERVFAIL,
+            "nodata.site.com": Rcode.NOERROR,
+            "ent.site.com": Rcode.NOERROR,  # an empty non-terminal
+            "wild.site.com": Rcode.NOERROR,  # synthesized by the wildcard
+            "deep.site.com": Rcode.NOERROR,
+            "loop.site.com": None,
+            "long.site.com": None,  # cut at MAX_CHAIN
+            "exact.site.com": Rcode.NOERROR,  # MAX_CHAIN names, the last one reached
+        }
+
+    def test_scan_asks_for_no_chain_end_the_crawl_reached(self):
+        ctx = run_scan_with_context(scan_config(
+            DATA["reference_world_targets.txt"], DATA["reference_world.json"], mode="takeover", record_probes=True
+        ))
+        reached = {record.observation.cname_chain[-1] for record in ctx.hosted if record.observation.end_rcode}
+        asked = [name for name, rrtype in ctx.transport.query_log if rrtype == RRType.A.value]
+        assert len(reached) > 40 and asked  # the takeover stage still asks, to validate its paths
+        assert reached.isdisjoint(asked)
 
 
 class TestTakeoverPaths:

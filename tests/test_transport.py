@@ -16,7 +16,7 @@ from dvahunter.crawler import PrefixDictionary
 from dvahunter.providers import DnsSignalKind
 from dvahunter.scan import ConfigError, prepare, run_scan
 from dvahunter.simnet import Origin, Scenario, SimulatedInternet, ZoneRecord, load_scenario
-from dvahunter.takeover import DanglingProbeFailure, detect_dangling
+from dvahunter.takeover import DanglingProbeFailure, DanglingStage, detect_dangling
 from dvahunter.transport import (
     Backend,
     LiveTransport,
@@ -217,6 +217,37 @@ def live_transport() -> LiveTransport:
     return LiveTransport(TransportConfig(resolver="192.0.2.53", qps_limit=1e9))
 
 
+RETIRED = "legacy.azure-retired.net"  # the reference world's retired Azure host
+
+
+def live_retired_azure_record(db, monkeypatch, terminal_reply, crawl_a_rcode=None, ns_addresses=()):
+    """``RETIRED``'s hosted record from a live crawl with ``_query`` stubbed,
+    and the list of (name, type) queries sent, which goes on growing. The
+    CNAME and NS queries show the chain to the reference world's target,
+    the NS reply with ``ns_addresses`` as the target's A records; the A
+    query gets that chain with ``crawl_a_rcode``, or by default no reply,
+    so the chain's end stays unknown. Every query for another name gets
+    ``terminal_reply``."""
+    target = load_scenario(DATA["reference_world.json"]).zones[RETIRED].cname
+    cname = [(RETIRED, 5, target)]
+    replies = {
+        "a": None if crawl_a_rcode is None else (crawl_a_rcode, cname),
+        "cname": (0, cname),
+        "ns": (0, cname + [(target, 1, address) for address in ns_addresses]),
+    }
+    sent: list[tuple[str, str]] = []
+
+    def fake_query(self, name, kind):
+        sent.append((name, kind))
+        return replies[kind] if name == RETIRED else terminal_reply
+
+    monkeypatch.setattr(LiveTransport, "_query", fake_query)
+    transport = live_transport()
+    [record] = discover_hosted(crawl_records([parse_fqdn(RETIRED)], transport), db, transport)
+    assert record.observation.cname_chain == (target,)
+    return record, sent
+
+
 def wire_name(name: str) -> bytes:
     return b"".join(bytes([len(label)]) + label.encode() for label in name.split(".")) + b"\x00"
 
@@ -311,14 +342,12 @@ class TestLiveQueries:
         # a CNAME target that holds only AAAA records answers the terminal
         # A query with NODATA: it exists, so the service is not discontinued
         assert db.by_name["Azure"].discontinued_fp.dns_signal.kind is DnsSignalKind.NXDOMAIN
-        mock = MockTransport(SimulatedInternet(load_scenario(DATA["reference_world.json"]), db))
-        [record] = discover_hosted(crawl_records([parse_fqdn("legacy.azure-retired.net")], mock), db, mock)
+        record, _ = live_retired_azure_record(db, monkeypatch, (0, []))
         assert record.provider == "Azure"
 
         def no_probe(self, probe):
             raise AssertionError(f"unexpected probe {probe}")
 
-        monkeypatch.setattr(LiveTransport, "_query", lambda self, name, kind: (0, []))
         monkeypatch.setattr(LiveTransport, "probe", no_probe)
         assert detect_dangling(record, live_transport(), db) is None
 
@@ -335,11 +364,71 @@ class TestLiveQueries:
     def test_unanswered_terminal_leaves_the_dangling_check_undecided(self, db, monkeypatch, reply):
         # Azure's nxdomain fingerprint cannot be judged without an answer;
         # the record once read healthy (timeout, SERVFAIL) or dangling (REFUSED)
-        mock = MockTransport(SimulatedInternet(load_scenario(DATA["reference_world.json"]), db))
-        [record] = discover_hosted(crawl_records([parse_fqdn("legacy.azure-retired.net")], mock), db, mock)
-        monkeypatch.setattr(LiveTransport, "_query", lambda self, name, kind: reply)
+        record, _ = live_retired_azure_record(db, monkeypatch, reply)
         with pytest.raises(DanglingProbeFailure, match="got no answer"):
             detect_dangling(record, live_transport(), db)
+
+    @pytest.mark.parametrize("crawl_a_rcode, end", [(3, Rcode.NXDOMAIN), (0, Rcode.NOERROR)], ids=["nxdomain", "nodata"])
+    def test_crawl_answer_that_shows_the_chain_end_needs_no_terminal_query(self, db, monkeypatch, crawl_a_rcode, end):
+        # RFC 6604: the A reply's rcode is the chain's last name's, so the
+        # dangling check reads it there; a terminal query would be answered
+        # the other way round
+        terminal_reply = (0, []) if end is Rcode.NXDOMAIN else (3, [])
+        record, sent = live_retired_azure_record(db, monkeypatch, terminal_reply, crawl_a_rcode)
+        assert record.observation.end_rcode is end
+        finding = detect_dangling(record, live_transport(), db)
+        assert [name for name, _ in sent if name != RETIRED] == []
+        if end is Rcode.NOERROR:
+            assert finding is None
+        else:
+            assert finding.stage is DanglingStage.DNS_STAGE
+            assert finding.terminal.fqdn == parse_fqdn(record.observation.cname_chain[-1])
+            assert finding.terminal.rcode is Rcode.NXDOMAIN
+
+    @pytest.mark.parametrize("crawl_a_rcode, ns_addresses", [
+        pytest.param(2, (), id="servfail"),
+        pytest.param(None, (), id="timeout"),
+        pytest.param(3, ("192.0.2.10",), id="nxdomain-then-an-address-in-the-ns-reply"),
+    ])
+    def test_crawl_answer_without_the_chain_end_sends_one_terminal_query(
+        self, db, monkeypatch, crawl_a_rcode, ns_addresses
+    ):
+        # a SERVFAIL may come from the target's own zone, so it says nothing
+        # of the last name: the terminal is asked for, once. So is it when an
+        # NXDOMAIN A reply meets an address from the NS reply: built from
+        # that answer, the terminal raised ValueError and ended the scan
+        record, sent = live_retired_azure_record(db, monkeypatch, (3, []), crawl_a_rcode, ns_addresses)
+        assert record.observation.a_records == ns_addresses
+        assert record.observation.end_rcode is None
+        finding = detect_dangling(record, live_transport(), db)
+        assert [query for query in sent if query[0] != RETIRED] == [(record.observation.cname_chain[-1], "a")]
+        assert finding.terminal.rcode is Rcode.NXDOMAIN
+
+    @pytest.mark.parametrize("replies, end", [
+        pytest.param({"a": (3, GONE)}, Rcode.NXDOMAIN, id="nxdomain-carrying-the-chain"),
+        pytest.param({"a": (0, CHAIN)}, Rcode.NOERROR, id="chain-to-addresses"),
+        pytest.param({"a": (0, GONE)}, Rcode.NOERROR, id="nodata-at-the-end"),
+        pytest.param({"a": (0, [])}, None, id="no-chain"),
+        pytest.param({"a": (2, GONE)}, None, id="servfail-carrying-the-chain"),
+        pytest.param({"a": (2, [])}, None, id="servfail"),
+        pytest.param({"a": None}, None, id="timeout"),
+        pytest.param({"a": (5, [])}, None, id="refused"),
+        pytest.param({"a": (3, GONE + [("gone.cdn.example.net", 1, "192.0.2.10")])}, None, id="nxdomain-with-addresses"),
+        pytest.param({"a": (3, GONE), "ns": (0, GONE + [("gone.cdn.example.net", 1, "192.0.2.10")])},
+                     None, id="nxdomain-then-an-address-in-the-ns-reply"),
+        pytest.param({"a": (0, GONE), "cname": (0, GONE + [("gone.cdn.example.net", 1, "192.0.2.10")])},
+                     None, id="nodata-then-an-address-in-the-cname-reply"),
+        pytest.param({"a": (0, [("www.example.com", 5, "a.example.net"), ("a.example.net", 5, "www.example.com")])},
+                     None, id="loop"),
+        pytest.param({"a": (0, [(f"c{hop}.example.net" if hop else "www.example.com", 5, f"c{hop + 1}.example.net")
+                                for hop in range(transport_mod.MAX_CNAME_CHAIN + 1)])}, None, id="cut-short"),
+        pytest.param({"a": (0, CHAIN[:1]), "cname": (0, CHAIN[:2])}, None, id="a-later-reply-goes-further"),
+        pytest.param({"a": (0, GONE), "ns": (0, GONE + [("gone.cdn.example.net", 2, "ns1.example.net")])},
+                     Rcode.NOERROR, id="ns-records-beside-the-chain"),
+    ])
+    def test_end_rcode_only_from_an_a_reply_that_shows_the_whole_chain(self, monkeypatch, replies, end):
+        monkeypatch.setattr(LiveTransport, "_query", lambda self, name, kind: replies.get(kind, (0, [])))
+        assert live_transport().resolve(parse_fqdn("www.example.com"), RRType.ALL).end_rcode is end
 
     def test_cname_target_that_is_no_host_name_is_kept_as_text(self, monkeypatch):
         # RFC 2181 §11: a CNAME target may be any name; this answer once
