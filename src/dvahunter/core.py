@@ -12,7 +12,8 @@ import random
 import re
 from dataclasses import dataclass
 from enum import Enum
-from typing import Any, Iterable, Optional
+from pathlib import Path
+from typing import Any, Callable, Iterable, Optional
 
 MAX_NAME_LENGTH = 253
 BODY_EXCERPT_CAP = 4096
@@ -272,12 +273,14 @@ class Evidence:
     observation: Optional[DnsObservation] = None
     fingerprint_id: Optional[str] = None
 
-    def to_json(self) -> dict[str, Any]:
+    def to_json(self, response_ref: Optional[Callable[[HttpResponseSummary], str]] = None) -> dict[str, Any]:
+        """The step as JSON; the response inline, or as ``response_ref``
+        names it (a report's ``ScanReport.response_ref``)."""
         out: dict[str, Any] = {"kind": self.kind, "detail": self.detail}
         if self.probe is not None:
             out["probe"] = self.probe.to_json()
         if self.response is not None:
-            out["response"] = self.response.to_json()
+            out["response"] = self.response.to_json() if response_ref is None else response_ref(self.response)
         if self.observation is not None:
             out["observation"] = self.observation.to_json()
         if self.fingerprint_id is not None:
@@ -313,8 +316,17 @@ class Verdict:
     def inconclusive(cls, evidence: Iterable[Evidence] = ()) -> "Verdict":
         return cls(VerdictKind.INCONCLUSIVE, tuple(evidence))
 
-    def to_json(self) -> dict[str, Any]:
-        return {"kind": self.kind.value, "evidence": [e.to_json() for e in self.evidence]}
+    def to_json(self, response_ref: Optional[Callable[[HttpResponseSummary], str]] = None) -> dict[str, Any]:
+        return {"kind": self.kind.value, "evidence": [e.to_json(response_ref) for e in self.evidence]}
+
+
+def read_text(path: str | Path, on_bytes: Optional[Callable[[bytes], Any]] = None) -> str:
+    """A file's UTF-8 text, read once: ``on_bytes`` (a hash's ``update``,
+    say) gets the very bytes decoded, which are dropped on return."""
+    raw = Path(path).read_bytes()
+    if on_bytes is not None:
+        on_bytes(raw)
+    return raw.decode("utf-8")
 
 
 def derive_rng(seed: int, *scope: object) -> random.Random:

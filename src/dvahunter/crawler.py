@@ -24,9 +24,9 @@ import string
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Optional
+from typing import Any, Callable, Optional
 
-from .core import MAX_NAME_LENGTH, DnsObservation, Fqdn, derive_rng, parse_fqdn
+from .core import MAX_NAME_LENGTH, DnsObservation, Fqdn, derive_rng, parse_fqdn, read_text
 from .transport import RRType
 
 logger = logging.getLogger(__name__)
@@ -69,8 +69,10 @@ class PrefixDictionary:
         return cls(prefixes=tuple(ordered))
 
     @classmethod
-    def load(cls, path: str | Path) -> "PrefixDictionary":
-        return cls.from_lines(Path(path).read_text(encoding="utf-8").splitlines())
+    def load(cls, path: str | Path, on_bytes: Optional[Callable[[bytes], Any]] = None) -> "PrefixDictionary":
+        """The dictionary in a file; ``on_bytes`` gets the file's bytes as
+        read (see ``read_text``)."""
+        return cls.from_lines(read_text(path, on_bytes).splitlines())
 
     def __len__(self) -> int:
         return len(self.prefixes)
@@ -130,9 +132,20 @@ class EnumerationResult:
         return [name for prefix in self.dictionary.prefixes if (name := prefix + suffix) not in found]
 
 
+LABEL_ALPHABET = string.ascii_lowercase + string.digits
+
+
 def _random_label(rng) -> str:
-    alphabet = string.ascii_lowercase + string.digits
-    return "".join(rng.choice(alphabet) for _ in range(RANDOM_PREFIX_LENGTH))
+    """RANDOM_PREFIX_LENGTH characters of LABEL_ALPHABET, each drawn as
+    ``rng.choice(LABEL_ALPHABET)`` draws it on CPython 3.11-3.13: six
+    random bits, drawn again while they read 36 or more."""
+    getrandbits = rng.getrandbits
+    label = []
+    while len(label) < RANDOM_PREFIX_LENGTH:
+        index = getrandbits(6)
+        if index < len(LABEL_ALPHABET):
+            label.append(LABEL_ALPHABET[index])
+    return "".join(label)
 
 
 def detect_wildcard(sld: Fqdn, transport, seed: int = 0) -> Optional[WildcardSignature]:

@@ -15,9 +15,9 @@ import json
 from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
-from typing import Any, Optional
+from typing import Any, Callable, Optional
 
-from .core import DnsObservation, HttpResponseSummary, Rcode
+from .core import DnsObservation, HttpResponseSummary, Rcode, read_text
 
 
 class ProviderDbError(ValueError):
@@ -140,7 +140,7 @@ class ProviderDb:
         self.providers: tuple[ProviderProfile, ...] = tuple(sorted(providers, key=lambda p: p.name))
         self.by_name: dict[str, ProviderProfile] = {}
         self.suffix_index: dict[str, str] = {}
-        self._edges_into: dict[str, list[tuple[ProviderProfile, ShareEdge]]] = {}
+        edges_into: dict[str, list[tuple[ProviderProfile, ShareEdge]]] = {}
         for profile in self.providers:
             if profile.name in self.by_name:
                 raise SchemaError(f"duplicate provider name {profile.name}")
@@ -156,15 +156,16 @@ class ProviderDb:
                 if edge.provider not in self.by_name:
                     raise DanglingShareEdgeError(f"{profile.name}: sharing edge to unknown provider {edge.provider}")
                 if edge.provider != profile.name:
-                    self._edges_into.setdefault(edge.provider, []).append((profile, edge))
+                    edges_into.setdefault(edge.provider, []).append((profile, edge))
+        self._edges_into = {name: tuple(edges) for name, edges in edges_into.items()}
 
     def __len__(self) -> int:
         return len(self.providers)
 
-    def edges_into(self, provider: str) -> list[tuple[ProviderProfile, ShareEdge]]:
+    def edges_into(self, provider: str) -> tuple[tuple[ProviderProfile, ShareEdge], ...]:
         """All (other provider, edge) pairs whose edge targets ``provider``,
-        in provider-name order."""
-        return list(self._edges_into.get(provider, ()))
+        in provider-name order: the stored tuple, not a copy."""
+        return self._edges_into.get(provider, ())
 
 
 @dataclass(frozen=True)
@@ -271,7 +272,7 @@ def _parse_provider(raw: Any) -> ProviderProfile:
     )
 
 
-def load_provider_db(path: str | Path) -> ProviderDb:
+def load_provider_db(path: str | Path, on_bytes: Optional[Callable[[bytes], Any]] = None) -> ProviderDb:
     """Load and validate the provider DB.
 
     File schema: a JSON array of provider objects with keys name,
@@ -285,9 +286,10 @@ def load_provider_db(path: str | Path) -> ProviderDb:
     needs a dns_signal, since a silent edge leaves the HTTP stage
     inconclusive. metadata's
     verification_effective is one of EFFECTIVE_VERIFICATIONS.
+    ``on_bytes`` gets the file's bytes as read (see ``read_text``).
     """
     try:
-        data = json.loads(Path(path).read_text(encoding="utf-8"))
+        data = json.loads(read_text(path, on_bytes))
     except (UnicodeDecodeError, json.JSONDecodeError) as err:
         raise SchemaError(f"{path}: not valid UTF-8 JSON: {err}")
     if not isinstance(data, list):

@@ -11,7 +11,9 @@ from __future__ import annotations
 
 import re
 from pathlib import Path
-from typing import Optional
+from typing import Any, Callable, Optional
+
+from .core import read_text
 
 _DATE_RE = re.compile(r"snapshot date:\s*(\d{4}-\d{2}-\d{2})")
 
@@ -24,12 +26,14 @@ class PublicSuffixList:
         self.snapshot_date = snapshot_date
 
     @classmethod
-    def load(cls, path: str | Path) -> "PublicSuffixList":
+    def load(cls, path: str | Path, on_bytes: Optional[Callable[[bytes], Any]] = None) -> "PublicSuffixList":
+        """The list in a suffix file; ``on_bytes`` gets the file's bytes as
+        read (see ``read_text``)."""
         rules: set[str] = set()
         wildcards: set[str] = set()
         exceptions: set[str] = set()
         snapshot_date = "unknown"
-        for raw in Path(path).read_text(encoding="utf-8").splitlines():
+        for raw in read_text(path, on_bytes).splitlines():
             line = raw.strip()
             if line.startswith("//"):
                 found = _DATE_RE.search(line)

@@ -3,21 +3,32 @@ Scan reports: a versioned JSON document with per-provider and per-domain
 sections, self-consistent counters, deterministic ordering, and a diff
 operation for periodic monitoring (the prior report file is the entire
 scan state; no database involved).
+
+Schema 2 keeps each distinct HTTP response once, in a top-level
+``responses`` table keyed by a short content hash: the first
+``REF_LENGTH`` hex digits of the SHA1 of the response's compact JSON.
+An evidence item's ``response`` and a provider's ``borrowing_baseline``
+hold such a ref. In memory the table holds that compact JSON text, built
+once per response and written as it is. ``ScanReport.load`` also reads
+schema 1, whose responses sit inline, and moves them into the table, so
+every loaded report has one shape.
 """
 
 from __future__ import annotations
 
 import csv
+import hashlib
 import io
 import json
-import math
 import os
 from dataclasses import dataclass, field
-from json.encoder import encode_basestring
+from json.encoder import c_make_encoder, encode_basestring
 from pathlib import Path
-from typing import Any, TextIO
+from typing import Any, Callable, Iterator, TextIO
 
-SCHEMA = "dvahunter-report/1"
+SCHEMA = "dvahunter-report/2"
+SCHEMA_1 = "dvahunter-report/1"
+REF_LENGTH = 12
 
 PROVIDER_CATEGORIES = ("fronting", "borrowing", "takeover")
 
@@ -30,12 +41,52 @@ class CounterMismatch(ValueError):
     """Stored counters disagree with a recomputation from the sections."""
 
 
+def _compact_encoder() -> Callable[[Any], str]:
+    """``json.dumps(value, ensure_ascii=False, separators=(",", ":"))``
+    through one encoder: json's C encoder when it has one, made once
+    rather than once per call as ``json.dumps`` makes it."""
+    encoder = json.JSONEncoder(ensure_ascii=False, separators=(",", ":"))
+    if c_make_encoder is None:
+        return encoder.encode
+    encode = c_make_encoder({}, encoder.default, encode_basestring, None, ":", ",", False, False, True)
+    return lambda value: "".join(encode(value, 0))
+
+
 @dataclass
 class ScanReport:
     meta: dict[str, Any] = field(default_factory=dict)
     providers: dict[str, dict[str, Any]] = field(default_factory=dict)
     domains: dict[str, dict[str, Any]] = field(default_factory=dict)
     counters: dict[str, int] = field(default_factory=dict)
+    # content ref -> a response's compact JSON text
+    responses: dict[str, str] = field(default_factory=dict)
+    # each response summary already in ``responses``, with its ref
+    _refs: dict[Any, str] = field(default_factory=dict, init=False, repr=False, compare=False)
+    _encode: Callable[[Any], str] = field(default_factory=_compact_encoder, init=False, repr=False, compare=False)
+
+    def response_ref(self, response: Any) -> str:
+        """The ref of an ``HttpResponseSummary`` in ``responses``; its JSON
+        is built once, when the report first meets an equal summary."""
+        ref = self._refs.get(response)
+        if ref is None:
+            ref = self._refs[response] = self._intern(response.to_json())
+        return ref
+
+    def response(self, ref: str) -> dict[str, Any]:
+        """The JSON object of the response that ``ref`` names."""
+        return json.loads(self.responses[ref])
+
+    def _intern(self, body: Any) -> str:
+        """The ref of a response's JSON object, whose compact text is added
+        to ``responses`` unless it is there: the first ``REF_LENGTH`` hex
+        digits of the text's SHA1, one more for each other text held
+        under them."""
+        text = self._encode(body)
+        digest = hashlib.sha1(text.encode("utf-8", "surrogatepass")).hexdigest()
+        size = REF_LENGTH
+        while self.responses.setdefault(digest[:size], text) != text:
+            size += 1
+        return digest[:size]
 
     def recompute_counters(self) -> dict[str, int]:
         counters = {
@@ -69,6 +120,9 @@ class ScanReport:
             raise CounterMismatch(f"stored counters disagree with sections: {drift}")
 
     def to_json(self) -> dict[str, Any]:
+        return self._document({ref: self.response(ref) for ref in sorted(self.responses)})
+
+    def _document(self, responses: dict[str, Any]) -> dict[str, Any]:
         self.verify_counters()
         return {
             "schema": SCHEMA,
@@ -76,24 +130,26 @@ class ScanReport:
             "counters": dict(sorted(self.counters.items())),
             "providers": {name: self.providers[name] for name in sorted(self.providers)},
             "domains": {name: self.domains[name] for name in sorted(self.domains)},
+            "responses": responses,
         }
 
     def dump(self, path: str | Path) -> None:
-        """Write the report as indented UTF-8 JSON plus a final newline:
-        the bytes of ``json.dumps(self.to_json(), indent=2,
-        ensure_ascii=False) + "\\n"``, streamed by ``_write_indented`` so
-        that the whole text is never held in memory.
+        """Write the report as compact UTF-8 JSON plus a final newline:
+        the bytes of ``json.dumps(self.to_json(), ensure_ascii=False,
+        separators=(",", ":")) + "\\n"``, streamed by ``_write_compact``
+        so that the whole text is never held in memory. The responses go
+        out as the table holds them, already encoded.
 
         The text goes to a temporary file beside ``path`` that replaces
         ``path`` only once it is complete, so a dump that fails leaves an
         earlier report at ``path`` as it was and no temporary file behind.
         """
         path = Path(path)
-        doc = self.to_json()
+        doc = self._document({ref: self.responses[ref] for ref in sorted(self.responses)})
         tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
         try:
             with tmp.open("w", encoding="utf-8") as fh:
-                _write_indented(doc, fh)
+                _write_compact(doc, fh, encoded="responses")
             os.replace(tmp, path)
         except BaseException:
             tmp.unlink(missing_ok=True)
@@ -101,25 +157,37 @@ class ScanReport:
 
     @classmethod
     def from_json(cls, data: Any) -> "ScanReport":
-        """The report in a parsed document; ValueError when the document
-        is not a report object of this schema whose sections, provider
-        sections, provider category entries and domain entries are
-        objects."""
+        """The report in a parsed document of schema 1 or 2. ValueError
+        unless it is a report object whose sections, provider sections,
+        verdicts, evidence items, domain entries and responses are
+        objects, and whose every response ref is in ``responses``. A
+        schema-1 document's inline responses are moved into the table and
+        replaced by their refs, in the document too."""
         if not isinstance(data, dict):
             raise ValueError(f"a report must be a JSON object, not {type(data).__name__}")
-        if data.get("schema") != SCHEMA:
-            raise ValueError(f"unsupported report schema: {data.get('schema')!r}")
-        sections = {key: data.get(key, {}) for key in ("meta", "providers", "domains", "counters")}
+        schema = data.get("schema")
+        if schema not in (SCHEMA, SCHEMA_1):
+            raise ValueError(f"unsupported report schema: {schema!r}")
+        keys = ("meta", "providers", "domains", "counters") + (("responses",) if schema == SCHEMA else ())
+        sections = {key: data.get(key, {}) for key in keys}
         for key, section in sections.items():
             _require_object(f"report {key}", section)
         for name, provider in sections["providers"].items():
             _require_object(f"provider {name!r}", provider)
-            for category in PROVIDER_CATEGORIES:
-                if category in provider:
-                    _require_object(f"provider {name!r} {category}", provider[category])
         for name, domain in sections["domains"].items():
             _require_object(f"domain {name!r}", domain)
-        return cls(**sections)
+        for ref, body in sections.get("responses", {}).items():
+            _require_object(f"response {ref!r}", body)
+        report = cls(**sections)
+        report.responses = {ref: report._encode(body) for ref, body in report.responses.items()}
+        for label, holder, key in _response_slots(report.providers, report.domains):
+            value = holder[key]
+            if schema == SCHEMA_1:
+                _require_object(label, value)
+                holder[key] = report._intern(value)
+            elif not isinstance(value, str) or value not in report.responses:
+                raise ValueError(f"{label} {value!r} is not a ref in the responses table")
+        return report
 
     @classmethod
     def load(cls, path: str | Path) -> "ScanReport":
@@ -202,102 +270,60 @@ class ScanReport:
         return buf.getvalue()
 
 
-_FLUSH_PIECES = 512
+def _write_compact(doc: dict[str, Any], fh: TextIO, encoded: str = "") -> None:
+    """Write ``json.dumps(doc, ensure_ascii=False, separators=(",", ":"))
+    + "\\n"`` to ``fh``: each member of an object-valued top-level section
+    (each provider, domain and response) in one write, every other
+    top-level member in one, all through one encoder. The values of the
+    section named ``encoded`` are JSON texts already, written as they are.
+    A value ``json`` cannot encode raises as ``json.dumps`` raises."""
+    encode = _compact_encoder()
 
+    def member(key: Any, value: Any) -> str:
+        if isinstance(key, str):
+            return f"{encode_basestring(key)}:{encode(value)}"
+        # a one-member object gives any other key as json spells it
+        return encode({key: value})[1:-1]
 
-def _write_indented(doc: Any, fh: TextIO) -> None:
-    """Write ``json.dumps(doc, indent=2, ensure_ascii=False) + "\\n"`` to
-    ``fh``. With an indent, ``json`` runs its pure-Python encoder, one
-    generator per nesting level; this writer appends the same pieces to
-    a list, quotes strings with the C ``encode_basestring``, and writes
-    the list out whenever a container closes with ``_FLUSH_PIECES`` or
-    more pieces held. A value ``json`` cannot encode raises TypeError; a
-    container that holds itself raises RecursionError."""
-    out: list[str] = []
-    append = out.append
-    encode = encode_basestring
-
-    def write(value: Any, indent: str) -> None:
-        if isinstance(value, str):
-            append(encode(value))
-        elif isinstance(value, dict):
-            write_object(value, indent)
-        elif isinstance(value, (list, tuple)):
-            write_array(value, indent)
+    separator = "{"
+    for key, value in doc.items():
+        if isinstance(value, dict):
+            fh.write(f"{separator}{encode_basestring(key)}:{{")
+            inner = ""
+            for name, entry in value.items():
+                fh.write(inner + (f"{encode_basestring(name)}:{entry}" if key == encoded else member(name, entry)))
+                inner = ","
+            fh.write("}")
         else:
-            append(_scalar_text(value))
-
-    def write_object(obj: dict, indent: str) -> None:
-        if not obj:
-            append("{}")
-            return
-        inner = indent + "  "
-        separator = "{" + inner
-        for key, value in obj.items():
-            append(separator)
-            append(encode(key if isinstance(key, str) else _key_text(key)))
-            append(": ")
-            # most values are strings: quote them without a call to write
-            if isinstance(value, str):
-                append(encode(value))
-            else:
-                write(value, inner)
-            separator = "," + inner
-        append(indent + "}")
-        if len(out) >= _FLUSH_PIECES:
-            fh.write("".join(out))
-            out.clear()
-
-    def write_array(items: Any, indent: str) -> None:
-        if not items:
-            append("[]")
-            return
-        inner = indent + "  "
-        separator = "[" + inner
-        for value in items:
-            append(separator)
-            if isinstance(value, str):
-                append(encode(value))
-            else:
-                write(value, inner)
-            separator = "," + inner
-        append(indent + "]")
-        if len(out) >= _FLUSH_PIECES:
-            fh.write("".join(out))
-            out.clear()
-
-    write(doc, "\n")
-    append("\n")
-    fh.write("".join(out))
+            fh.write(separator + member(key, value))
+        separator = ","
+    fh.write("}\n" if separator == "," else "{}\n")
 
 
-def _scalar_text(value: Any) -> str:
-    """A value that is neither a string nor a container, as ``json``
-    spells it (int and float subclasses by the base type's repr)."""
-    if value is None:
-        return "null"
-    if value is True:
-        return "true"
-    if value is False:
-        return "false"
-    if isinstance(value, int):
-        return int.__repr__(value)
-    if isinstance(value, float):
-        if value != value:
-            return "NaN"
-        if value == math.inf:
-            return "Infinity"
-        if value == -math.inf:
-            return "-Infinity"
-        return float.__repr__(value)
-    raise TypeError(f"Object of type {value.__class__.__name__} is not JSON serializable")
-
-
-def _key_text(key: Any) -> str:
-    """A non-string dict key as ``json`` spells it before quoting it."""
-    if key is None or isinstance(key, (int, float)):
-        return _scalar_text(key)
-    raise TypeError(f"keys must be str, int, float, bool or None, not {key.__class__.__name__}")
+def _response_slots(
+    providers: dict[str, dict[str, Any]], domains: dict[str, dict[str, Any]]
+) -> Iterator[tuple[str, dict[str, Any], str]]:
+    """(label, holder, key) for each place a report keeps a response: a
+    provider's borrowing baseline and the ``response`` of each evidence
+    item of a provider verdict or a domain's exposure verdict."""
+    verdicts = []
+    for name, section in providers.items():
+        if "borrowing_baseline" in section:
+            yield f"provider {name!r} borrowing_baseline", section, "borrowing_baseline"
+        verdicts.extend(
+            (f"provider {name!r} {category}", section[category])
+            for category in PROVIDER_CATEGORIES if category in section
+        )
+    verdicts.extend((f"domain {name!r} exposure", d["exposure"]) for name, d in domains.items() if "exposure" in d)
+    for label, verdict in verdicts:
+        _require_object(label, verdict)
+        evidence = verdict.get("evidence", [])
+        if not isinstance(evidence, list):
+            raise ValueError(f"{label} evidence must be a JSON array, not {type(evidence).__name__}")
+        for item in evidence:
+            _require_object(f"{label} evidence item", item)
+            if "response" in item:
+                yield f"{label} evidence response", item, "response"
 
 
 def _require_object(label: str, value: Any) -> None:

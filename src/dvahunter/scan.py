@@ -40,7 +40,7 @@ from .checker import (
     crawl_records,
     discover_hosted,
 )
-from .core import DomainSyntaxError, Evidence, Fqdn, Verdict, VerdictKind, derive_rng, parse_fqdn
+from .core import DomainSyntaxError, Evidence, Fqdn, Verdict, VerdictKind, derive_rng, parse_fqdn, read_text
 from .crawler import PrefixDictionary, enumerate_subdomains
 from .providers import DnsSignalKind, ProviderDb, load_provider_db
 from .psl import PublicSuffixList
@@ -93,26 +93,21 @@ class ScanContext:
     nonhosted: list[Fqdn] = field(default_factory=list)
 
 
-def _load(label: str, path: Path, load: Callable[[Path], Any]) -> Any:
-    """``load(path)``; an input that cannot be read or parsed (any OSError
-    or ValueError) is a ConfigError that names it."""
+def _load(label: str, path: Path, load: Callable[..., Any]) -> tuple[Any, str]:
+    """``load(path, on_bytes)``, and the SHA1 of the bytes it hands to
+    ``on_bytes``: the file is read once, so the SHA1 names the bytes
+    parsed. An input that cannot be read or parsed (any OSError or
+    ValueError) is a ConfigError that names it."""
+    digest = hashlib.sha1()
     try:
-        return load(Path(path))
+        return load(Path(path), digest.update), digest.hexdigest()
     except (OSError, ValueError) as err:
         raise ConfigError(f"{label}: {err}") from None
 
 
-def _read_text(path: Path) -> str:
-    return path.read_text(encoding="utf-8")
-
-
-def _sha1_file(path: Path) -> str:
-    return hashlib.sha1(path.read_bytes()).hexdigest()
-
-
-def _load_geo(path: Path) -> Callable[[str], Optional[str]]:
+def _load_geo(path: Path, on_bytes: Callable[[bytes], Any]) -> Callable[[str], Optional[str]]:
     table = {}
-    for line in _read_text(path).splitlines():
+    for line in read_text(path, on_bytes).splitlines():
         line = line.split("#", 1)[0].strip()
         if not line:
             continue
@@ -143,11 +138,18 @@ def prepare(config: ScanConfig) -> ScanContext:
         raise ConfigError(f"qps must be a finite positive number, got {config.qps}")
     if config.out is not None:
         check_output_path("out", config.out)
-    targets = _load("targets", config.targets, _read_text)
-    db = _load("providers", config.providers, load_provider_db)
-    psl = _load("suffixes", config.suffixes, PublicSuffixList.load)
-    dictionary = _load("dictionary", config.dictionary, PrefixDictionary.load)
+    targets, _ = _load("targets", config.targets, read_text)
+    db, db_sha1 = _load("providers", config.providers, load_provider_db)
+    psl, suffix_sha1 = _load("suffixes", config.suffixes, PublicSuffixList.load)
+    dictionary, dictionary_sha1 = _load("dictionary", config.dictionary, PrefixDictionary.load)
     mock = config.backend is Backend.MOCK
+    # only the mock reads the scenario, as only a live scan reads --geoip
+    scenario = scenario_sha1 = None
+    if mock:
+        if config.scenario is None:
+            raise ConfigError("mock backend needs --scenario")
+        # its bytes and text are gone before the world is built
+        scenario, scenario_sha1 = _load("scenario", config.scenario, load_scenario)
     report = ScanReport()
     report.meta = {
         # the mock world has no wall clock, so its reports are reproducible
@@ -156,25 +158,24 @@ def prepare(config: ScanConfig) -> ScanContext:
         "backend": config.backend.value,
         "seed": config.seed,
         "qps_limit": config.qps,
-        "provider_db_sha1": _load("providers", config.providers, _sha1_file),
-        "dictionary_sha1": _load("dictionary", config.dictionary, _sha1_file),
-        "suffix_file_sha1": _load("suffixes", config.suffixes, _sha1_file),
+        "provider_db_sha1": db_sha1,
+        "dictionary_sha1": dictionary_sha1,
+        "suffix_file_sha1": suffix_sha1,
         "suffix_snapshot_date": psl.snapshot_date,
-        # only the mock reads the scenario, as only a live scan reads --geoip
-        "scenario_sha1": _load("scenario", config.scenario, _sha1_file) if mock and config.scenario else None,
+        "scenario_sha1": scenario_sha1,
     }
     if mock:
-        if config.scenario is None:
-            raise ConfigError("mock backend needs --scenario")
-        # ScenarioError: unreadable, or fails validate_scenario
-        simnet = _load("scenario", config.scenario, lambda path: SimulatedInternet(load_scenario(path), db))
+        try:
+            simnet = SimulatedInternet(scenario, db)
+        except ValueError as err:  # ScenarioError: fails validate_scenario
+            raise ConfigError(f"scenario: {err}") from None
         geo = simnet.city_of
         transport = MockTransport(simnet, record=config.record_probes)
     else:
         if config.record_probes:
             raise ConfigError("record_probes needs the mock backend")
         simnet = None
-        geo = _load("geoip", config.geoip, _load_geo) if config.geoip is not None else lambda ip: None
+        geo = _load("geoip", config.geoip, _load_geo)[0] if config.geoip is not None else lambda ip: None
         try:
             transport = LiveTransport(TransportConfig(
                 qps_limit=config.qps, resolver=config.resolver, verify_tls=config.verify_tls,
@@ -279,16 +280,21 @@ def _representative(ctx: ScanContext, provider: str, purpose: str) -> Optional[s
 # -- fronting ----------------------------------------------------------------
 
 
-def _fronting_direct(ctx: ScanContext, profile) -> Optional[Verdict]:
+def _fronting_eligible(ctx: ScanContext) -> dict[str, dict[Fqdn, HostedDomainRecord]]:
+    """Per provider, the hosted records fronting can pair: not refuted by
+    a fingerprint and with an address; each name's first record, in the
+    order of ``ctx.hosted``."""
+    eligible: dict[str, dict[Fqdn, HostedDomainRecord]] = {}
+    for record in ctx.hosted:
+        if record.recheck is Recheck.REFUTED_BY_FINGERPRINT or not record.observation.a_records:
+            continue
+        eligible.setdefault(record.provider, {}).setdefault(record.fqdn, record)
+    return eligible
+
+
+def _fronting_direct(ctx: ScanContext, profile, eligible: dict[Fqdn, HostedDomainRecord]) -> Optional[Verdict]:
     """None defers the provider to sharing-edge derivation."""
     name = profile.name
-    eligible: dict[Fqdn, HostedDomainRecord] = {}
-    for record in ctx.hosted:
-        if record.provider != name or record.recheck is Recheck.REFUTED_BY_FINGERPRINT:
-            continue
-        if not record.observation.a_records:
-            continue
-        eligible.setdefault(record.fqdn, record)
     rep = _representative(ctx, name, "fronting-ingress")
     if len(eligible) < 2 or rep is None:
         if profile.shares_infra_of:
@@ -307,11 +313,12 @@ def _fronting_direct(ctx: ScanContext, profile) -> Optional[Verdict]:
 
 def _phase_fronting(ctx: ScanContext) -> None:
     direct: dict[str, Verdict] = {}
+    eligible = _fronting_eligible(ctx)
     for profile in ctx.db.providers:
-        verdict = _fronting_direct(ctx, profile)
+        verdict = _fronting_direct(ctx, profile, eligible.get(profile.name, {}))
         if verdict is None:
             continue
-        _provider_section(ctx, profile.name)["fronting"] = verdict.to_json()
+        _provider_section(ctx, profile.name)["fronting"] = verdict.to_json(ctx.report.response_ref)
         direct[profile.name] = verdict
 
     # a directly tested provider notes the infrastructure it shares; any
@@ -329,7 +336,7 @@ def _phase_fronting(ctx: ScanContext) -> None:
             carriers = [
                 (edge.provider, direct[edge.provider]) for edge in profile.shares_infra_of if edge.provider in direct
             ]
-            section["fronting"] = fronting_mod.judge_via_edges(carriers).to_json()
+            section["fronting"] = fronting_mod.judge_via_edges(carriers).to_json(ctx.report.response_ref)
             notes = [
                 "fronting verdict derived via infrastructure-sharing edges: "
                 + ", ".join(f"{carrier}:{verdict.kind.value}" for carrier, verdict in carriers)
@@ -361,8 +368,8 @@ def _phase_borrowing(ctx: ScanContext) -> None:
             section.setdefault("notes", []).append(f"BASELINE MISMATCH, provider excluded: {err}")
             continue
         verdict = borrowing_mod.find_borrowing(ctx.nonhosted, profile, rep, ctx.transport)
-        section["borrowing"] = verdict.to_json()
-        section["borrowing_baseline"] = baseline.to_json()
+        section["borrowing"] = verdict.to_json(ctx.report.response_ref)
+        section["borrowing_baseline"] = ctx.report.response_ref(baseline)
         if verdict.kind is not VerdictKind.VULNERABLE:
             continue
         hits = section["borrowing_hits"] = []
@@ -385,7 +392,7 @@ def _phase_exposure(ctx: ScanContext) -> None:
         if len(obs.a_records) != 1 or obs.cname_chain:
             continue
         verdict = takeover_mod.check_origin_exposure(obs.fqdn, obs, ctx.transport)
-        ctx.report.domains[name]["exposure"] = verdict.to_json()
+        ctx.report.domains[name]["exposure"] = verdict.to_json(ctx.report.response_ref)
 
 
 # -- takeover ------------------------------------------------------------------
@@ -436,30 +443,41 @@ def _phase_takeover(ctx: ScanContext) -> None:
         signal = finding.fingerprint.dns_signal
         if signal is not None and signal.kind is DnsSignalKind.SINGLE_A_RECORD:
             verdict = takeover_mod.check_origin_exposure(finding.fqdn, finding.terminal, ctx.transport)
-            entry["exposure"] = verdict.to_json()
+            entry["exposure"] = verdict.to_json(ctx.report.response_ref)
 
     for profile in ctx.db.providers:
         name = profile.name
         verdict = takeover_mod.judge_provider(profile, scanned[name], undecided_records[name], taken.get(name, []))
-        _provider_section(ctx, name)["takeover"] = verdict.to_json()
+        _provider_section(ctx, name)["takeover"] = verdict.to_json(ctx.report.response_ref)
 
 
 def run_scan_with_context(config: ScanConfig) -> ScanContext:
     """run_scan, but hands back the full context (the probe/query logs on a
     recording transport feed the call-audit tests)."""
     ctx = prepare(config)
-    targets = _phase_enumerate(ctx)
-    _phase_crawl(ctx, targets)
-    _phase_ingress(ctx)
+    counts = ctx.transport.stats
+    stats: dict[str, dict[str, int]] = {}
+
+    def run(name: str, phase: Callable[..., Any], *args: Any) -> Any:
+        # a phase's queries and probes, never its wall time: the report stays reproducible
+        queries, probes = counts.dns_queries, counts.http_probes
+        result = phase(ctx, *args)
+        stats[name] = {"dns_queries": counts.dns_queries - queries, "http_probes": counts.http_probes - probes}
+        return result
+
+    targets = run("enumerate", _phase_enumerate)
+    run("crawl", _phase_crawl, targets)
+    run("ingress", _phase_ingress)
     mode = config.mode
     if mode in ("all", "fronting"):
-        _phase_fronting(ctx)
+        run("fronting", _phase_fronting)
     if mode in ("all", "borrowing"):
-        _phase_borrowing(ctx)
+        run("borrowing", _phase_borrowing)
     if mode in ("all", "exposure"):
-        _phase_exposure(ctx)
+        run("exposure", _phase_exposure)
     if mode in ("all", "takeover"):
-        _phase_takeover(ctx)
+        run("takeover", _phase_takeover)
+    ctx.report.meta["stats"] = stats
     ctx.report.finalize()
     if config.out is not None:
         ctx.report.dump(config.out)

@@ -61,7 +61,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property
 from pathlib import Path
-from typing import TYPE_CHECKING, Any, Iterator, Optional, Sequence, Union
+from typing import TYPE_CHECKING, Any, Callable, Iterator, Optional, Sequence, Union
 
 from .core import (
     MAX_NAME_LENGTH,
@@ -73,6 +73,7 @@ from .core import (
     Scheme,
     TransportFailure,
     parse_fqdn,
+    read_text,
 )
 from .providers import DnsSignalKind, Fingerprint, ProviderDb
 
@@ -865,9 +866,12 @@ def _answer_name(value: Any) -> str:
     return value.strip().rstrip(".").lower()
 
 
-def load_scenario(path: str | Path) -> Scenario:
+def load_scenario(path: str | Path, on_bytes: Optional[Callable[[bytes], Any]] = None) -> Scenario:
+    """The scenario in a file; ``on_bytes`` gets the file's bytes as read
+    (see ``read_text``). Only the parsed document is held while the
+    scenario is built."""
     try:
-        data = json.loads(Path(path).read_text(encoding="utf-8"))
+        data = json.loads(read_text(path, on_bytes))
     except (UnicodeDecodeError, json.JSONDecodeError) as err:
         raise ScenarioError(f"{path}: not valid UTF-8 JSON: {err}")
     return scenario_from_json(data)

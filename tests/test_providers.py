@@ -141,19 +141,22 @@ class TestEdgesInto:
         )
         tdb = ProviderDb(list(db.providers) + [self_edge])
         for target in [p.name for p in tdb.providers] + ["Unknown"]:
-            expected = [
+            expected = tuple(
                 (profile, edge)
                 for profile in tdb.providers
                 for edge in profile.shares_infra_of
                 if edge.provider == target and profile.name != target
-            ]
+            )
             assert tdb.edges_into(target) == expected, target
-        assert tdb.edges_into("Loop") == []
+        assert tdb.edges_into("Loop") == ()
         assert (self_edge, self_edge.shares_infra_of[1]) in tdb.edges_into("Fastly")
 
-    def test_result_is_a_fresh_list(self, db):
-        db.edges_into("Baidu").clear()
-        assert db.edges_into("Baidu")  # KuaikuaiCloud's edge is still there
+    def test_result_is_the_stored_tuple(self, db):
+        # a tuple cannot be cleared by a caller, so it needs no copy per call
+        edges = db.edges_into("Baidu")
+        assert isinstance(edges, tuple) and edges  # KuaikuaiCloud's edge
+        assert db.edges_into("Baidu") is edges
+        assert isinstance(db.edges_into("Unknown"), tuple)
 
 
 def toy_db() -> ProviderDb:

@@ -9,6 +9,7 @@ import pytest
 
 import dvahunter
 from dvahunter.cli import main
+from dvahunter.core import HttpResponseSummary
 from dvahunter.report import CounterMismatch, IncompatibleRuns, ScanReport, diff_reports
 from dvahunter.scan import run_scan
 from dvahunter.simnet import scenario_to_json
@@ -85,16 +86,18 @@ def _finalized(**sections) -> ScanReport:
 
 
 class TestDump:
-    def test_bytes_equal_indented_dumps(self, tmp_path):
+    def test_bytes_equal_compact_dumps(self, tmp_path):
         report = _finalized(
             meta={"generated_at": "2024-01-01T00:00:00+00:00", "note": "größe ✓ 域名", "empty": [], "none": None},
             providers={"Zeta": {"notes": []}, "Alpha": {"ingress": {}, "borrowing_hits": [{"tls": "http_only"}]}},
             domains={"b.example": {"rcode": "noerror", "borrowed_at": []}, "a.example": {}},
         )
+        report.response_ref(HttpResponseSummary.from_body(200, "größe ✓".encode(), [("Server", "域名")]))
         out = tmp_path / "report.json"
         report.dump(out)
-        expected = json.dumps(report.to_json(), indent=2, ensure_ascii=False) + "\n"
+        expected = json.dumps(report.to_json(), ensure_ascii=False, separators=(",", ":")) + "\n"
         assert out.read_bytes() == expected.encode("utf-8")
+        assert out.read_bytes().startswith(b'{"schema":"dvahunter-report/2","meta":{"generated_at":')
         assert "größe ✓ 域名" in out.read_text(encoding="utf-8")
         assert [p.name for p in tmp_path.iterdir()] == ["report.json"]
 
@@ -506,6 +509,37 @@ class TestCli:
         assert main(["validate-scenario", str(path)]) == 2
         assert main(["scan", "--targets", str(targets), "--scenario", str(path)]) == 2
         assert capsys.readouterr().err.count("not valid UTF-8 JSON") == 2
+
+    def test_each_input_is_read_once_and_hashed_as_read(self, small_paths, monkeypatch):
+        import io
+        from collections import Counter
+
+        from dvahunter.scan import run_scan_with_context
+
+        scenario, targets = small_paths
+        config = scan_config(targets, scenario)
+        inputs = {
+            "targets": config.targets, "provider_db_sha1": config.providers, "dictionary_sha1": config.dictionary,
+            "suffix_file_sha1": config.suffixes, "scenario_sha1": config.scenario,
+        }
+        reads: Counter[str] = Counter()
+        real_open = io.open
+
+        def counting_open(file, mode="r", *args, **kwargs):
+            if "r" in mode:
+                reads[os.path.realpath(file)] += 1
+            return real_open(file, mode, *args, **kwargs)
+
+        monkeypatch.setattr(io, "open", counting_open)
+        monkeypatch.setattr("builtins.open", counting_open)
+        ctx = run_scan_with_context(config)
+        monkeypatch.undo()
+        assert {os.path.realpath(path): reads[os.path.realpath(path)] for path in inputs.values()} == {
+            os.path.realpath(path): 1 for path in inputs.values()
+        }
+        for key, path in inputs.items():
+            if key != "targets":
+                assert ctx.report.meta[key] == hashlib.sha1(Path(path).read_bytes()).hexdigest(), key
 
     def test_diff_cli(self, small_paths, tmp_path, capsys):
         scenario, targets = small_paths

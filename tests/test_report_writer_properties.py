@@ -1,8 +1,9 @@
 """
-Property tests for the report writer: for any JSON-able document,
-``ScanReport.dump`` writes exactly the bytes of ``json.dumps(doc,
-indent=2, ensure_ascii=False) + "\\n"``; where ``json`` raises, ``dump``
-raises too, keeps an earlier report and leaves no temporary file.
+Property tests for the report writer: for any JSON-able document in any
+section, ``ScanReport.dump`` writes exactly the bytes of ``json.dumps(doc,
+ensure_ascii=False, separators=(",", ":")) + "\\n"``; where ``json``
+raises, ``dump`` raises too, keeps an earlier report and leaves no
+temporary file.
 """
 
 import enum
@@ -16,7 +17,7 @@ import pytest
 pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
-from dvahunter.report import ScanReport, _write_indented  # noqa: E402
+from dvahunter.report import ScanReport, _write_compact  # noqa: E402
 
 
 class Level(enum.IntEnum):
@@ -58,15 +59,28 @@ broken_documents = st.one_of(
 )
 
 
-def report_of(doc) -> ScanReport:
-    return ScanReport(meta={"doc": doc}).finalize()
+def compact(doc) -> str:
+    return json.dumps(doc, ensure_ascii=False, separators=(",", ":")) + "\n"
+
+
+def report_of(doc, key=0) -> ScanReport:
+    # the document in a section written whole, or as one entry of a
+    # section written entry by entry; the response table holds texts, each
+    # the compact JSON of an object decoded from JSON
+    sections = [
+        lambda: {"meta": {"doc": doc}},
+        lambda: {"domains": {"a.example": {"doc": doc}, "b.example": {}}},
+        lambda: {"providers": {"P": {"fronting": {"kind": "x"}, "doc": doc}}},
+        lambda: {"responses": {"0123456789ab": compact(json.loads(compact(doc))).rstrip("\n")}},
+    ]
+    return ScanReport(**sections[key]()).finalize()
 
 
 @settings(max_examples=300, deadline=None)
-@given(doc=documents)
-def test_dump_equals_indented_json_dumps(doc):
-    report = report_of(doc)
-    expected = json.dumps(report.to_json(), indent=2, ensure_ascii=False) + "\n"
+@given(doc=documents, key=st.integers(0, 3))
+def test_dump_equals_compact_json_dumps(doc, key):
+    report = report_of(doc, key)
+    expected = compact(report.to_json())
     with tempfile.TemporaryDirectory() as where:
         out = Path(where) / "report.json"
         report.dump(out)
@@ -75,11 +89,11 @@ def test_dump_equals_indented_json_dumps(doc):
 
 
 @settings(max_examples=100, deadline=None)
-@given(doc=broken_documents)
-def test_dump_raises_where_json_raises(doc):
-    report = report_of(doc)
+@given(doc=broken_documents, key=st.integers(0, 2))
+def test_dump_raises_where_json_raises(doc, key):
+    report = report_of(doc, key)
     with pytest.raises(TypeError):
-        json.dumps(report.to_json(), indent=2, ensure_ascii=False)
+        compact(report.to_json())
     with tempfile.TemporaryDirectory() as where:
         out = Path(where) / "report.json"
         out.write_text("earlier report\n", encoding="utf-8")
@@ -90,8 +104,8 @@ def test_dump_raises_where_json_raises(doc):
 
 
 def test_large_document_is_written_in_pieces():
-    """A document of many containers reaches the file in many writes,
-    none of them close to the whole text, which still equals json's."""
+    """A document of many entries reaches the file in many writes, none
+    of them close to the whole text, which still equals json's."""
     writes: list[str] = []
 
     class Recorder:
@@ -100,7 +114,7 @@ def test_large_document_is_written_in_pieces():
 
     doc = {f"d{i:05d}": {"kind": "vulnerable", "evidence": [{"detail": "é" * 20, "n": i}]} for i in range(3000)}
     report = ScanReport(domains=doc).finalize()
-    _write_indented(report.to_json(), Recorder())
-    expected = json.dumps(report.to_json(), indent=2, ensure_ascii=False) + "\n"
+    _write_compact(report.to_json(), Recorder())
+    expected = compact(report.to_json())
     assert "".join(writes) == expected
     assert len(writes) > 10 and max(map(len, writes)) < len(expected) / 10
