@@ -273,14 +273,14 @@ class Evidence:
     observation: Optional[DnsObservation] = None
     fingerprint_id: Optional[str] = None
 
-    def to_json(self, response_ref: Optional[Callable[[HttpResponseSummary], str]] = None) -> dict[str, Any]:
-        """The step as JSON; the response inline, or as ``response_ref``
-        names it (a report's ``ScanReport.response_ref``)."""
+    def to_json(self, response_ref: Callable[[HttpResponseSummary], str]) -> dict[str, Any]:
+        """The step as JSON, its response as ``response_ref`` names it (a
+        report's ``ScanReport.response_ref``)."""
         out: dict[str, Any] = {"kind": self.kind, "detail": self.detail}
         if self.probe is not None:
             out["probe"] = self.probe.to_json()
         if self.response is not None:
-            out["response"] = self.response.to_json() if response_ref is None else response_ref(self.response)
+            out["response"] = response_ref(self.response)
         if self.observation is not None:
             out["observation"] = self.observation.to_json()
         if self.fingerprint_id is not None:
@@ -316,7 +316,7 @@ class Verdict:
     def inconclusive(cls, evidence: Iterable[Evidence] = ()) -> "Verdict":
         return cls(VerdictKind.INCONCLUSIVE, tuple(evidence))
 
-    def to_json(self, response_ref: Optional[Callable[[HttpResponseSummary], str]] = None) -> dict[str, Any]:
+    def to_json(self, response_ref: Callable[[HttpResponseSummary], str]) -> dict[str, Any]:
         return {"kind": self.kind.value, "evidence": [e.to_json(response_ref) for e in self.evidence]}
 
 

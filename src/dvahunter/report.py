@@ -43,12 +43,9 @@ class CounterMismatch(ValueError):
 
 def _compact_encoder() -> Callable[[Any], str]:
     """``json.dumps(value, ensure_ascii=False, separators=(",", ":"))``
-    through one encoder: json's C encoder when it has one, made once
-    rather than once per call as ``json.dumps`` makes it."""
-    encoder = json.JSONEncoder(ensure_ascii=False, separators=(",", ":"))
-    if c_make_encoder is None:
-        return encoder.encode
-    encode = c_make_encoder({}, encoder.default, encode_basestring, None, ":", ",", False, False, True)
+    through one of json's C encoders, made once rather than once per call
+    as ``json.dumps`` makes it."""
+    encode = c_make_encoder({}, json.JSONEncoder().default, encode_basestring, None, ":", ",", False, False, True)
     return lambda value: "".join(encode(value, 0))
 
 
@@ -274,16 +271,15 @@ def _write_compact(doc: dict[str, Any], fh: TextIO, encoded: str = "") -> None:
     """Write ``json.dumps(doc, ensure_ascii=False, separators=(",", ":"))
     + "\\n"`` to ``fh``: each member of an object-valued top-level section
     (each provider, domain and response) in one write, every other
-    top-level member in one, all through one encoder. The values of the
-    section named ``encoded`` are JSON texts already, written as they are.
-    A value ``json`` cannot encode raises as ``json.dumps`` raises."""
+    top-level member in one, all through one encoder. The keys written
+    one by one (the top-level ones and the names in each section) are
+    strings. The values of the section named ``encoded`` are JSON texts
+    already, written as they are. A value ``json`` cannot encode raises as
+    ``json.dumps`` raises."""
     encode = _compact_encoder()
 
-    def member(key: Any, value: Any) -> str:
-        if isinstance(key, str):
-            return f"{encode_basestring(key)}:{encode(value)}"
-        # a one-member object gives any other key as json spells it
-        return encode({key: value})[1:-1]
+    def member(key: str, value: Any) -> str:
+        return f"{encode_basestring(key)}:{encode(value)}"
 
     separator = "{"
     for key, value in doc.items():

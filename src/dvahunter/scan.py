@@ -93,21 +93,26 @@ class ScanContext:
     nonhosted: list[Fqdn] = field(default_factory=list)
 
 
-def _load(label: str, path: Path, load: Callable[..., Any]) -> tuple[Any, str]:
-    """``load(path, on_bytes)``, and the SHA1 of the bytes it hands to
-    ``on_bytes``: the file is read once, so the SHA1 names the bytes
-    parsed. An input that cannot be read or parsed (any OSError or
-    ValueError) is a ConfigError that names it."""
-    digest = hashlib.sha1()
+def _load(label: str, path: Path, load: Callable[[Path], Any]) -> Any:
+    """``load(path)``; an input that cannot be read or parsed (any OSError
+    or ValueError) is a ConfigError that names it."""
     try:
-        return load(Path(path), digest.update), digest.hexdigest()
+        return load(Path(path))
     except (OSError, ValueError) as err:
         raise ConfigError(f"{label}: {err}") from None
 
 
-def _load_geo(path: Path, on_bytes: Callable[[bytes], Any]) -> Callable[[str], Optional[str]]:
+def _load_hashed(label: str, path: Path, load: Callable[..., Any]) -> tuple[Any, str]:
+    """``_load`` of ``load(path, on_bytes)``, and the SHA1 of the bytes it
+    hands to ``on_bytes``: the file is read once, so the SHA1 names the
+    bytes parsed."""
+    digest = hashlib.sha1()
+    return _load(label, path, lambda p: load(p, digest.update)), digest.hexdigest()
+
+
+def _load_geo(path: Path) -> Callable[[str], Optional[str]]:
     table = {}
-    for line in read_text(path, on_bytes).splitlines():
+    for line in read_text(path).splitlines():
         line = line.split("#", 1)[0].strip()
         if not line:
             continue
@@ -138,10 +143,10 @@ def prepare(config: ScanConfig) -> ScanContext:
         raise ConfigError(f"qps must be a finite positive number, got {config.qps}")
     if config.out is not None:
         check_output_path("out", config.out)
-    targets, _ = _load("targets", config.targets, read_text)
-    db, db_sha1 = _load("providers", config.providers, load_provider_db)
-    psl, suffix_sha1 = _load("suffixes", config.suffixes, PublicSuffixList.load)
-    dictionary, dictionary_sha1 = _load("dictionary", config.dictionary, PrefixDictionary.load)
+    targets = _load("targets", config.targets, read_text)
+    db, db_sha1 = _load_hashed("providers", config.providers, load_provider_db)
+    psl, suffix_sha1 = _load_hashed("suffixes", config.suffixes, PublicSuffixList.load)
+    dictionary, dictionary_sha1 = _load_hashed("dictionary", config.dictionary, PrefixDictionary.load)
     mock = config.backend is Backend.MOCK
     # only the mock reads the scenario, as only a live scan reads --geoip
     scenario = scenario_sha1 = None
@@ -149,7 +154,7 @@ def prepare(config: ScanConfig) -> ScanContext:
         if config.scenario is None:
             raise ConfigError("mock backend needs --scenario")
         # its bytes and text are gone before the world is built
-        scenario, scenario_sha1 = _load("scenario", config.scenario, load_scenario)
+        scenario, scenario_sha1 = _load_hashed("scenario", config.scenario, load_scenario)
     report = ScanReport()
     report.meta = {
         # the mock world has no wall clock, so its reports are reproducible
@@ -175,7 +180,7 @@ def prepare(config: ScanConfig) -> ScanContext:
         if config.record_probes:
             raise ConfigError("record_probes needs the mock backend")
         simnet = None
-        geo = _load("geoip", config.geoip, _load_geo)[0] if config.geoip is not None else lambda ip: None
+        geo = _load("geoip", config.geoip, _load_geo) if config.geoip is not None else lambda ip: None
         try:
             transport = LiveTransport(TransportConfig(
                 qps_limit=config.qps, resolver=config.resolver, verify_tls=config.verify_tls,
@@ -348,6 +353,7 @@ def _phase_fronting(ctx: ScanContext) -> None:
 
 
 def _phase_borrowing(ctx: ScanContext) -> None:
+    ref = ctx.report.response_ref
     for profile in ctx.db.providers:
         name = profile.name
         section = _provider_section(ctx, name)
@@ -359,17 +365,17 @@ def _phase_borrowing(ctx: ScanContext) -> None:
         else:
             skipped = None
         if skipped:
-            section["borrowing"] = Verdict.inconclusive((Evidence("borrowing", skipped),)).to_json()
+            section["borrowing"] = Verdict.inconclusive((Evidence("borrowing", skipped),)).to_json(ref)
             continue
         try:
             baseline = borrowing_mod.probe_baseline(profile, rep, ctx.transport, seed=ctx.config.seed)
         except borrowing_mod.BaselineMismatch as err:
-            section["borrowing"] = Verdict.inconclusive((Evidence("baseline-mismatch", str(err)),)).to_json()
+            section["borrowing"] = Verdict.inconclusive((Evidence("baseline-mismatch", str(err)),)).to_json(ref)
             section.setdefault("notes", []).append(f"BASELINE MISMATCH, provider excluded: {err}")
             continue
         verdict = borrowing_mod.find_borrowing(ctx.nonhosted, profile, rep, ctx.transport)
-        section["borrowing"] = verdict.to_json(ctx.report.response_ref)
-        section["borrowing_baseline"] = ctx.report.response_ref(baseline)
+        section["borrowing"] = verdict.to_json(ref)
+        section["borrowing_baseline"] = ref(baseline)
         if verdict.kind is not VerdictKind.VULNERABLE:
             continue
         hits = section["borrowing_hits"] = []
