@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 from typing import Callable, Optional
 
-from .core import DnsObservation, Evidence, Fqdn, HttpProbe, Scheme, derive_rng
+from .core import DnsObservation, Evidence, Fqdn, HttpProbe, Scheme, derive_rng, record
 from .providers import CdnMatch, ProviderDb, identify_cdn, match_fingerprint
 from .transport import RRType
 
@@ -31,7 +31,7 @@ class Liveness(Enum):
     DEGRADED = "degraded"
 
 
-@dataclass(frozen=True)
+@record
 class HostedDomainRecord:
     fqdn: Fqdn
     provider: str

@@ -57,6 +57,8 @@ def build_parser() -> argparse.ArgumentParser:
                       help="re-enable certificate validation on the live backend")
     scan.add_argument("--out", type=Path, help="write the JSON report here")
     scan.add_argument("--csv", type=Path, help="also export the per-domain table as CSV")
+    scan.add_argument("--stats", type=Path,
+                      help="write each phase's wall seconds, DNS queries and HTTP probes here as JSON")
     scan.add_argument("--text", action="store_true", help="print the human-readable rendering")
 
     diff = sub.add_parser("diff", help="compare two reports from the same provider DB")
@@ -87,6 +89,7 @@ def _cmd_scan(args: argparse.Namespace) -> int:
         seed=args.seed,
         geoip=args.geoip,
         out=args.out,
+        stats=args.stats,
         verify_tls=args.verify_tls,
     )
     try:

@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Callable, Optional
 
-from .core import MAX_NAME_LENGTH, DnsObservation, Fqdn, derive_rng, parse_fqdn, read_text
+from .core import MAX_NAME_LENGTH, DnsObservation, Fqdn, derive_rng, parse_fqdn, read_text, record
 from .transport import RRType
 
 logger = logging.getLogger(__name__)
@@ -39,7 +39,7 @@ class WildcardInconclusive(Exception):
     """Random-prefix answers disagreed; the zone cannot be classified."""
 
 
-@dataclass(frozen=True)
+@record
 class PrefixDictionary:
     """Ordered, deduplicated, lowercase label prefixes. A prefix may span
     several labels (e.g. "dev.api"). ``positions`` maps each prefix to its
@@ -88,7 +88,7 @@ class PrefixDictionary:
         return bisect_right(self._lengths, MAX_NAME_LENGTH - len(parent) - 1)
 
 
-@dataclass(frozen=True)
+@record
 class WildcardSignature:
     """The common answer a wildcard zone returns for random prefixes."""
 

@@ -35,7 +35,7 @@ from __future__ import annotations
 import logging
 import re
 from collections import Counter
-from dataclasses import dataclass, replace
+from dataclasses import replace
 from enum import Enum
 from html import unescape
 from typing import Optional
@@ -50,6 +50,7 @@ from .core import (
     Verdict,
     VerdictKind,
     derive_rng,
+    record,
     sha1_body,
 )
 
@@ -85,7 +86,7 @@ class InsufficientDomains(Exception):
     """Fewer than two usable hosted domains; the provider cannot be paired."""
 
 
-@dataclass(frozen=True)
+@record
 class HarvestedUrl:
     domain: Fqdn
     path: str
@@ -93,7 +94,7 @@ class HarvestedUrl:
     stability_hash: bytes  # set only when two fetches matched
 
 
-@dataclass(frozen=True)
+@record
 class FrontingTuple:
     fd: Fqdn  # front domain (SNI)
     td: Fqdn  # target domain (Host)

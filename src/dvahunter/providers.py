@@ -17,7 +17,7 @@ from enum import Enum
 from pathlib import Path
 from typing import Any, Callable, Optional
 
-from .core import DnsObservation, HttpResponseSummary, Rcode, read_text
+from .core import DnsObservation, HttpResponseSummary, Rcode, read_text, record
 
 
 class ProviderDbError(ValueError):
@@ -52,13 +52,13 @@ class DnsSignalKind(Enum):
     SINGLE_A_RECORD = "single_a_record"
 
 
-@dataclass(frozen=True)
+@record
 class DnsSignal:
     kind: DnsSignalKind
     ip: Optional[str] = None  # RESOLVES_TO only
 
 
-@dataclass(frozen=True)
+@record
 class Fingerprint:
     """A matchable signature over HTTP status/header/body and/or DNS
     response signals. All present fields must match (conjunction).
@@ -91,7 +91,7 @@ class Fingerprint:
         object.__setattr__(self, "needs_dns", self.dns_signal is not None)
 
 
-@dataclass(frozen=True)
+@record
 class ShareEdge:
     """Infrastructure-sharing edge: this provider fulfils service over
     ``provider``'s network. ``template`` regenerates the assigned
@@ -168,7 +168,7 @@ class ProviderDb:
         return self._edges_into.get(provider, ())
 
 
-@dataclass(frozen=True)
+@record
 class CdnMatch:
     provider: str
     matched_suffix: str

@@ -24,6 +24,12 @@ class PublicSuffixList:
         self._wildcards = wildcards
         self._exceptions = exceptions
         self.snapshot_date = snapshot_date
+        # labels in the longest suffix any rule can match; a wildcard's
+        # suffixes are one label longer than the rule
+        self._depth = max(
+            [entry.count(".") + 1 for entry in rules | exceptions]
+            + [entry.count(".") + 2 for entry in wildcards]
+        )
 
     @classmethod
     def load(cls, path: str | Path, on_bytes: Optional[Callable[[bytes], Any]] = None) -> "PublicSuffixList":
@@ -57,22 +63,24 @@ class PublicSuffixList:
         """Longest matching public suffix of ``name`` (lowercase, no
         trailing dot). Unlisted TLDs fall back to the default "*" rule:
         the last label is the suffix."""
-        labels = name.lower().rstrip(".").split(".")
-        best = labels[-1]  # implicit default rule "*"
-        best_len = 1
-        for i in range(len(labels)):
-            candidate = ".".join(labels[i:])
-            size = len(labels) - i
+        name = name.lower().rstrip(".")
+        best = name[name.rfind(".") + 1:]  # the implicit default rule "*"
+        exception = None
+        parent, end = "", len(name)
+        # shortest candidate first, so a later match is a longer one
+        for _ in range(self._depth):
+            dot = name.rfind(".", 0, end)
+            candidate = name[dot + 1:]
             if candidate in self._exceptions:
                 # exception rule: the suffix is the candidate minus its
-                # first label, and it beats any wildcard match
-                return ".".join(labels[i + 1:])
-            if candidate in self._rules and size > best_len:
-                best, best_len = candidate, size
-            parent = ".".join(labels[i + 1:])
-            if parent and parent in self._wildcards and size > best_len:
-                best, best_len = candidate, size
-        return best
+                # first label, and the longest exception beats any rule
+                exception = parent
+            elif candidate in self._rules or (parent and parent in self._wildcards):
+                best = candidate
+            if dot < 0:
+                break
+            parent, end = candidate, dot
+        return best if exception is None else exception
 
     def registrable_domain(self, name: str) -> Optional[str]:
         """Public suffix plus one label; None when the name is itself a
@@ -82,4 +90,4 @@ class PublicSuffixList:
         if name == suffix:
             return None
         prefix = name[: -(len(suffix) + 1)]
-        return prefix.split(".")[-1] + "." + suffix
+        return prefix[prefix.rfind(".") + 1:] + "." + suffix

@@ -20,6 +20,7 @@ registration scope, so the simulated world ends the scan as it began.
 from __future__ import annotations
 
 import hashlib
+import json
 import logging
 import math
 import time
@@ -72,6 +73,7 @@ class ScanConfig:
     seed: int = 0
     geoip: Optional[Path] = None
     out: Optional[Path] = None
+    stats: Optional[Path] = None  # the wall-time sidecar, see run_scan_with_context
     verify_tls: bool = False
     record_probes: bool = False
 
@@ -143,6 +145,8 @@ def prepare(config: ScanConfig) -> ScanContext:
         raise ConfigError(f"qps must be a finite positive number, got {config.qps}")
     if config.out is not None:
         check_output_path("out", config.out)
+    if config.stats is not None:
+        check_output_path("stats", config.stats)
     targets = _load("targets", config.targets, read_text)
     db, db_sha1 = _load_hashed("providers", config.providers, load_provider_db)
     psl, suffix_sha1 = _load_hashed("suffixes", config.suffixes, PublicSuffixList.load)
@@ -459,15 +463,25 @@ def _phase_takeover(ctx: ScanContext) -> None:
 
 def run_scan_with_context(config: ScanConfig) -> ScanContext:
     """run_scan, but hands back the full context (the probe/query logs on a
-    recording transport feed the call-audit tests)."""
+    recording transport feed the call-audit tests).
+
+    With ``config.stats`` set, the wall seconds of ``prepare``, of each
+    phase (with its queries and probes, as in the report's
+    ``meta.stats``) and of the report write go to that file as JSON, in
+    the order they ran; the report itself holds no wall time, so it stays
+    reproducible."""
+    clock = time.perf_counter
+    started = clock()
     ctx = prepare(config)
+    wall = {"prepare": clock() - started}
     counts = ctx.transport.stats
     stats: dict[str, dict[str, int]] = {}
 
     def run(name: str, phase: Callable[..., Any], *args: Any) -> Any:
-        # a phase's queries and probes, never its wall time: the report stays reproducible
         queries, probes = counts.dns_queries, counts.http_probes
+        started = clock()
         result = phase(ctx, *args)
+        wall[name] = clock() - started
         stats[name] = {"dns_queries": counts.dns_queries - queries, "http_probes": counts.http_probes - probes}
         return result
 
@@ -483,10 +497,15 @@ def run_scan_with_context(config: ScanConfig) -> ScanContext:
         run("exposure", _phase_exposure)
     if mode in ("all", "takeover"):
         run("takeover", _phase_takeover)
+    started = clock()
     ctx.report.meta["stats"] = stats
     ctx.report.finalize()
     if config.out is not None:
         ctx.report.dump(config.out)
+    wall["report"] = clock() - started
+    if config.stats is not None:
+        sidecar = {name: {"wall_s": seconds, **stats.get(name, {})} for name, seconds in wall.items()}
+        Path(config.stats).write_text(json.dumps(sidecar, indent=2) + "\n", encoding="utf-8")
     return ctx
 
 

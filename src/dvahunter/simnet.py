@@ -74,6 +74,7 @@ from .core import (
     TransportFailure,
     parse_fqdn,
     read_text,
+    record,
 )
 from .providers import DnsSignalKind, Fingerprint, ProviderDb
 
@@ -119,7 +120,7 @@ class VerificationMode(Enum):
     FLAWED_SHARED_RANDOM = "flawed_shared_random"  # W2: assigned name is a pure function of the domain
 
 
-@dataclass(frozen=True)
+@record
 class HostEntry:
     host: str
     origin_ip: str
@@ -155,7 +156,7 @@ class ScenarioProvider:
         return tuple(ip for ip, _ in self.ingress_ips)
 
 
-@dataclass(frozen=True)
+@record
 class ZoneRecord:
     cname: Optional[str] = None
     a: tuple[str, ...] = ()
@@ -164,7 +165,7 @@ class ZoneRecord:
     external: bool = False  # cname target intentionally outside the scenario
 
 
-@dataclass(frozen=True)
+@record
 class Origin:
     """A static content server. ``per_host`` makes it virtual-host bound:
     unknown Host values get a 404 instead of the default body. ``dynamic``
@@ -176,7 +177,7 @@ class Origin:
     content_type: str = "text/html"
 
 
-@dataclass(frozen=True)
+@record
 class DiscontinuedService:
     provider: str
     origin_ip: Optional[str] = None  # residual-resolution target, where applicable

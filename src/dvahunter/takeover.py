@@ -19,7 +19,6 @@ resolved again.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass
 from enum import Enum
 from typing import Optional
 
@@ -35,6 +34,7 @@ from .core import (
     TransportFailure,
     Verdict,
     parse_fqdn,
+    record,
 )
 from .providers import Fingerprint, ProviderDb, ProviderProfile, match_dns, match_http
 from .simnet import ScenarioError, SimulatedInternet, VerificationFailed
@@ -66,7 +66,7 @@ class DanglingProbeFailure(Exception):
     record stays Inconclusive."""
 
 
-@dataclass(frozen=True)
+@record
 class TakeoverPath:
     """A takeover route. ``validated``: the simulated world's registration
     outcome; None in live mode, or when the world cannot attempt it (no
@@ -86,7 +86,7 @@ class TakeoverPath:
         }
 
 
-@dataclass(frozen=True)
+@record
 class DanglingFinding:
     fqdn: Fqdn
     provider: str

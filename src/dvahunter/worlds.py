@@ -15,6 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+from .core import record
 from .providers import EFFECTIVE_VERIFICATIONS, ProviderDb
 from .simnet import (
     BorrowingPolicy,
@@ -71,7 +72,7 @@ _VERIFICATION_FOR = dict(zip(EFFECTIVE_VERIFICATIONS, (
 ), strict=True))
 
 
-@dataclass(frozen=True)
+@record
 class ProviderFlags:
     fronting: bool
     borrowing: bool

@@ -244,6 +244,34 @@ class TestCli:
         assert code == 2
         assert "config error" in capsys.readouterr().err
 
+    def test_stats_sidecar_holds_the_phase_counts_and_leaves_the_report_alone(self, small_paths, tmp_path):
+        scenario, targets = small_paths
+        args = ["scan", "--targets", str(targets), "--scenario", str(scenario), "--seed", "7"]
+        assert main([*args, "--out", str(tmp_path / "plain.json")]) == 1
+        sidecar = tmp_path / "stats.json"
+        assert main([*args, "--out", str(tmp_path / "r.json"), "--stats", str(sidecar)]) == 1
+        report = tmp_path / "r.json"
+        assert report.read_bytes() == (tmp_path / "plain.json").read_bytes()
+        stats = json.loads(report.read_text())["meta"]["stats"]
+        phases = json.loads(sidecar.read_text())
+        assert list(phases) == ["prepare", *stats, "report"]
+        assert all(isinstance(p.pop("wall_s"), float) for p in phases.values())
+        assert phases.pop("prepare") == phases.pop("report") == {}
+        assert phases == stats
+
+    def test_stats_in_missing_directory_fails_before_the_scan(self, small_paths, tmp_path, capsys, monkeypatch):
+        import dvahunter.scan as scan_mod
+
+        def no_scan(ctx):
+            raise AssertionError("the scan started")
+
+        monkeypatch.setattr(scan_mod, "_phase_enumerate", no_scan)
+        scenario, targets = small_paths
+        for stats in (tmp_path / "missing" / "stats.json", tmp_path):
+            code = main(["scan", "--targets", str(targets), "--scenario", str(scenario), "--stats", str(stats)])
+            assert code == 2
+            assert "config error: stats" in capsys.readouterr().err
+
     def test_csv_in_missing_directory_fails_before_the_scan(self, small_paths, tmp_path, capsys, monkeypatch):
         import dvahunter.cli as cli_mod
 
