@@ -5,6 +5,12 @@ use, execute the three-request protocol, and fold tuple verdicts into a
 provider verdict; a provider with no pairing of its own takes its
 verdict from the providers whose infrastructure it shares.
 
+Each kept URL holds the first of its two matching fetches. That is the
+tuple's ``rt``, the answer to SNI = Host = target for the same path at
+the same ingress, so ``run_tuple`` does not send it a third time; nor
+``rf`` when the front's own URL of that path was verified the same way.
+``rv``, the fronting attempt, is always sent.
+
 Budgets, all kept by ``generate_tuples``: at most 10 domains touched per
 provider, at most 10 tuples executed per provider, at most 10 URLs
 harvested per domain.
@@ -92,6 +98,9 @@ class HarvestedUrl:
     path: str
     kind: UrlKind
     stability_hash: bytes  # set only when two fetches matched
+    # the first of the two matching fetches (SNI = Host = domain), which a
+    # tuple takes as its rt; None on a URL built by hand
+    response: Optional[HttpResponseSummary] = None
 
 
 @record
@@ -282,7 +291,9 @@ def harvest_urls(
                 continue
             if not first.ok or first.body_hash != second.body_hash:
                 continue
-            stable.append(HarvestedUrl(domain=domain, path=path, kind=kind, stability_hash=first.body_hash))
+            stable.append(
+                HarvestedUrl(domain=domain, path=path, kind=kind, stability_hash=first.body_hash, response=first)
+            )
     return sorted(stable, key=lambda u: u.path) if shuffled else stable
 
 
@@ -304,7 +315,13 @@ def generate_tuples(
     for as many URLs as the first MAX_TUPLES_PER_PROVIDER pairs draw of
     it (at least one). A pair whose target yields no URL is skipped for
     the next one; a target drawn more often than it has URLs reuses them
-    in turn. A domain that is only ever a front gets no harvest fetch."""
+    in turn. A domain that is only ever a front gets no harvest fetch.
+
+    Each tuple holds its URL's verified answer as ``rt``, and as ``rf``
+    the verified answer of the front's own URL of the same path when the
+    front was harvested too and kept that path: the harvest asked both
+    questions at the same ingress, twice each with matching answers, so
+    ``run_tuple`` sends neither again."""
     if len(domains) < 2:
         raise InsufficientDomains(f"{provider}: {len(domains)} usable domain(s)")
     ordered = sorted(domains, key=str)
@@ -316,9 +333,9 @@ def generate_tuples(
     wanted = Counter(td for _fd, td in pairs[:MAX_TUPLES_PER_PROVIDER])
     urls: dict[Fqdn, list[HarvestedUrl]] = {}
     drawn: Counter[Fqdn] = Counter()
-    out = []
+    chosen: list[tuple[Fqdn, Fqdn, HarvestedUrl]] = []
     for fd, td in pairs:
-        if len(out) == MAX_TUPLES_PER_PROVIDER:
+        if len(chosen) == MAX_TUPLES_PER_PROVIDER:
             break
         if td not in urls:
             try:
@@ -330,10 +347,15 @@ def generate_tuples(
             continue
         ut = urls[td][drawn[td] % len(urls[td])]
         drawn[td] += 1
-        out.append(FrontingTuple(fd=fd, td=td, ut=ut, ingress_ip=ingress_ip))
-    if not out:
+        chosen.append((fd, td, ut))
+    if not chosen:
         raise InsufficientDomains(f"{provider}: no pair with a harvested URL")
-    return out
+    # every harvest has run, so this holds each answer the tuples can reuse
+    verified = {(u.domain, u.path): u.response for kept in urls.values() for u in kept}
+    return [
+        FrontingTuple(fd, td, ut, ingress_ip, rt=ut.response, rf=verified.get((fd, ut.path)))
+        for fd, td, ut in chosen
+    ]
 
 
 def run_tuple(item: FrontingTuple, transport) -> FrontingTuple:
@@ -341,15 +363,21 @@ def run_tuple(item: FrontingTuple, transport) -> FrontingTuple:
     1. SNI=target, Host=target  -> rt (the reference object)
     2. SNI=front,  Host=target  -> rv (the fronting attempt)
     3. SNI=front,  Host=front   -> rf (validity control)
+
+    A step whose answer the tuple already holds is not sent again: a
+    tuple from ``generate_tuples`` holds rt, the harvest's verified answer
+    for its URL, and often rf. rv is always sent.
     """
-    def step(sni: Fqdn, host: Fqdn) -> HttpResponseSummary:
+    def step(held: Optional[HttpResponseSummary], sni: Fqdn, host: Fqdn) -> HttpResponseSummary:
+        if held is not None:
+            return held
         return transport.probe(
             HttpProbe(target_ip=item.ingress_ip, scheme=Scheme.HTTPS, host_header=host, sni=sni, path=item.ut.path)
         )
 
-    rt = step(item.td, item.td)
-    rv = step(item.fd, item.td)
-    rf = step(item.fd, item.fd)
+    rt = step(item.rt, item.td, item.td)
+    rv = step(None, item.fd, item.td)
+    rf = step(item.rf, item.fd, item.fd)
     return replace(item, rt=rt, rv=rv, rf=rf)
 
 

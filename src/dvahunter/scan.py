@@ -449,10 +449,14 @@ def _phase_takeover(ctx: ScanContext) -> None:
         # dns_signal needs HTTP only through no_response, which a served
         # answer never matches, and detect_dangling raises on a failed one.
         # So match_dns held on the terminal: no chain and exactly one A
-        # record, which is check_origin_exposure's precondition.
+        # record, which is check_origin_exposure's precondition. Every
+        # registration scope has closed, so the crawl recheck's answer
+        # still stands for the same probe.
         signal = finding.fingerprint.dns_signal
         if signal is not None and signal.kind is DnsSignalKind.SINGLE_A_RECORD:
-            verdict = takeover_mod.check_origin_exposure(finding.fqdn, finding.terminal, ctx.transport)
+            verdict = takeover_mod.check_origin_exposure(
+                finding.fqdn, finding.terminal, ctx.transport, known=record.evidence
+            )
             entry["exposure"] = verdict.to_json(ctx.report.response_ref)
 
     for profile in ctx.db.providers:

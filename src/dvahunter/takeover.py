@@ -311,17 +311,24 @@ def _validate_path(
         return response.failure is None and response.ok
 
 
-def check_origin_exposure(fqdn: Fqdn, observation: DnsObservation, transport) -> Verdict:
+def check_origin_exposure(
+    fqdn: Fqdn, observation: DnsObservation, transport, known: tuple[Evidence, ...] = ()
+) -> Verdict:
     """Residual-resolution check: probe the single A record once with the
     domain as Host and once with the bare IP literal. Equal bodies mean
-    the address serves the site without its name: the origin is exposed."""
+    the address serves the site without its name: the origin is exposed.
+    A probe that ``known`` (such as a hosted record's crawl recheck)
+    already asked in the same world keeps that answer instead."""
     if len(observation.a_records) != 1 or observation.cname_chain:
         raise ExposurePrecondition(
             f"{fqdn}: needs exactly one A record and no CNAME chain "
             f"(has {len(observation.a_records)} records, chain of {len(observation.cname_chain)})"
         )
     ip = observation.a_records[0]
-    named = transport.probe(HttpProbe(target_ip=ip, scheme=Scheme.HTTP, host_header=fqdn))
+    probe = HttpProbe(target_ip=ip, scheme=Scheme.HTTP, host_header=fqdn)
+    named = next((ev.response for ev in known if ev.probe == probe), None)
+    if named is None:
+        named = transport.probe(probe)
     literal = transport.probe(HttpProbe(target_ip=ip, scheme=Scheme.HTTP, host_header=parse_fqdn(ip)))
     named_ev = Evidence("host-named", f"host={fqdn} at {ip}", response=named)
     literal_ev = Evidence("host-literal", f"host={ip} at {ip}", response=literal)

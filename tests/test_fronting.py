@@ -1,8 +1,14 @@
+import json
+from collections import Counter
+from dataclasses import replace
+
 import pytest
 
 from dvahunter.core import (
     Evidence,
+    HttpProbe,
     HttpResponseSummary,
+    Scheme,
     TransportFailure,
     Verdict,
     VerdictKind,
@@ -34,6 +40,7 @@ from dvahunter.simnet import (
     SimulatedInternet,
     VerificationMode,
     ZoneRecord,
+    scenario_to_json,
 )
 from dvahunter.scan import run_scan_with_context
 from dvahunter.transport import MockTransport
@@ -88,6 +95,8 @@ class TestHarvest:
         assert len(urls) == 3
         assert {u.kind for u in urls} == {UrlKind.IMAGE, UrlKind.SCRIPT, UrlKind.STYLESHEET}
         assert all(u.stability_hash for u in urls)
+        # each keeps the first of its two matching answers
+        assert all(u.response.ok and u.response.body_hash == u.stability_hash for u in urls)
 
     def test_dynamic_origin_assets_excluded(self, db):
         # the dynamic origin churns every body per fetch, so no asset
@@ -322,8 +331,111 @@ def response(status=200, body=b"A", failure=None):
 def executed_tuple(rt, rv, rf):
     item = FrontingTuple(fd=parse_fqdn("front.com"), td=parse_fqdn("target.com"),
                          ut=make_url("target.com"), ingress_ip="1.2.3.4")
-    from dataclasses import replace
     return replace(item, rt=rt, rv=rv, rf=rf)
+
+
+def verified_pairs(log):
+    """The first answer of each request the harvest verified, by probe:
+    two fetches in a row, equal body hashes, a clean 2xx."""
+    return {
+        a.probe: a.response for a, b in zip(log, log[1:])
+        if a.probe == b.probe and a.response.failure is None and a.response.ok
+        and a.response.body_hash == b.response.body_hash
+    }
+
+
+def steps(probe_log):
+    return [(str(e.probe.sni), str(e.probe.host_header)) for e in probe_log]
+
+
+class TestHeldAnswers:
+    """A tuple that holds an answer does not ask for it again. A tuple
+    from generate_tuples holds rt, and rf when the harvest verified the
+    front's own URL of the same path."""
+
+    @pytest.mark.parametrize("held", [(), ("rt",), ("rt", "rf")], ids=["nothing", "rt", "rt-and-rf"])
+    def test_run_tuple_sends_only_the_missing_steps_in_order(self, db, held):
+        net, ip, hosts = fastly_world(db)
+        fd, td = parse_fqdn(hosts[0]), parse_fqdn(hosts[1])
+        item = FrontingTuple(fd=fd, td=td, ut=make_url(hosts[1]), ingress_ip=ip)
+        full = run_tuple(item, MockTransport(net))
+        # an answer the world would not give shows that the held one is kept
+        sentinel = HttpResponseSummary.from_body(200, b"held")
+        transport = MockTransport(net, record=True)
+        ran = run_tuple(replace(item, **dict.fromkeys(held, sentinel)), transport)
+        order = {"rt": (hosts[1], hosts[1]), "rv": (hosts[0], hosts[1]), "rf": (hosts[0], hosts[0])}
+        assert steps(transport.probe_log) == [order[name] for name in ("rt", "rv", "rf") if name not in held]
+        assert {(e.probe.target_ip, e.probe.path) for e in transport.probe_log} == {(ip, "/img/logo.png")}
+        for name in ("rt", "rv", "rf"):
+            assert getattr(ran, name) == (sentinel if name in held else getattr(full, name))
+
+    def test_rv_is_sent_even_when_held(self, db):
+        net, ip, hosts = fastly_world(db)
+        held = HttpResponseSummary.from_body(200, b"held")
+        item = FrontingTuple(parse_fqdn(hosts[0]), parse_fqdn(hosts[1]), make_url(hosts[1]), ip, held, held, held)
+        transport = MockTransport(net, record=True)
+        ran = run_tuple(item, transport)
+        assert steps(transport.probe_log) == [(hosts[0], hosts[1])]
+        assert ran.rv == transport.probe_log[0].response != held
+
+    def test_generate_tuples_holds_rt_and_rf_exactly_where_the_harvest_verified_them(self, db):
+        # the two one-asset sites share "/img/logo.png", so a tuple whose
+        # front is one of them finds the front's URL verified; the
+        # three-asset site has no such path
+        net, ip, hosts = fastly_world(db, n_assets_a=3, n_domains=3)
+        transport = MockTransport(net, record=True)
+        tuples = generate_tuples("Fastly", [parse_fqdn(h) for h in hosts], ip, transport, seed=1)
+        verified = verified_pairs(transport.probe_log)
+        assert len(tuples) == 6
+        for t in tuples:
+            rt_probe = HttpProbe.request(ip, Scheme.HTTPS, t.td, t.ut.path)
+            rf_probe = HttpProbe.request(ip, Scheme.HTTPS, t.fd, t.ut.path)
+            assert t.rt is not None and t.rt == t.ut.response == verified[rt_probe]
+            assert t.rf == verified.get(rf_probe)
+            assert t.rv is None
+        assert {t.rf is not None for t in tuples} == {True, False}
+        # a held answer is the one the step would get
+        for t in tuples:
+            ran, unheld = run_tuple(t, MockTransport(net)), run_tuple(replace(t, rt=None, rf=None), MockTransport(net))
+            assert (ran.rt, ran.rv, ran.rf) == (unheld.rt, unheld.rv, unheld.rf)
+
+    def test_a_dynamic_origin_lends_nothing(self, db):
+        # the dynamic first site references the path the others serve, so
+        # it is harvested for it, but its two fetches never match
+        page = b'<html><body><img src="/img/logo.png"></body></html>'
+        net, ip, hosts = fastly_world(db, n_domains=3, page=page, dynamic_asset=True)
+        transport = MockTransport(net, record=True)
+        tuples = generate_tuples("Fastly", [parse_fqdn(h) for h in hosts], ip, transport, seed=1)
+        dynamic = parse_fqdn(hosts[0])
+        harvested = [e for e in transport.probe_log if e.probe.host_header == dynamic and e.probe.path != "/"]
+        assert len(harvested) == 2 and harvested[0].response != harvested[1].response
+        assert all(t.td != dynamic for t in tuples)
+        fronted = [t for t in tuples if t.fd == dynamic]
+        assert fronted and all(t.rf is None for t in fronted)
+        for t in fronted:
+            rf = run_tuple(t, transport).rf
+            assert rf.body_hash not in {e.response.body_hash for e in harvested}
+
+    @pytest.mark.parametrize("answer", [
+        HttpResponseSummary.from_body(404, b"gone"),
+        HttpResponseSummary.failed(TransportFailure.TIMEOUT),
+    ], ids=["404", "timeout"])
+    def test_a_failed_or_non_2xx_harvest_answer_is_never_held(self, db, answer):
+        # the second site's asset answers the same both times, but not
+        # with a clean 2xx: it is no URL, so no tuple holds that answer
+        net, ip, hosts = fastly_world(db, n_assets_a=3, n_domains=3)
+        broken = parse_fqdn(hosts[1])
+
+        class BrokenAsset(MockTransport):
+            def probe_batch(self, target_ip, scheme, requests):
+                answers = super().probe_batch(target_ip, scheme, requests)
+                return [answer if host == broken else got for (host, _path), got in zip(requests, answers)]
+
+        tuples = generate_tuples("Fastly", [parse_fqdn(h) for h in hosts], ip, BrokenAsset(net), seed=1)
+        assert all(t.td != broken for t in tuples)
+        assert any(t.fd == broken and t.ut.path == "/img/logo.png" for t in tuples)
+        assert all(answer not in (t.rt, t.rf) for t in tuples)
+        assert all(t.rf is None for t in tuples if t.fd == broken)
 
 
 class TestJudgeTuple:
@@ -453,3 +565,47 @@ class TestEndToEnd:
         rv = HttpResponseSummary(status=200, body_hash=sha1_body(b"A"), body_excerpt=b"different bytes")
         rf = HttpResponseSummary(status=404, body_hash=sha1_body(b"nf"), body_excerpt=b"nf")
         assert judge_tuple(executed_tuple(rt, rv, rf)).kind is VerdictKind.VULNERABLE
+
+
+# In a seed-3 scan, the fronting requests sent more than once that are no
+# harvest stability pair: each is the control rf of one front and one path
+# in two tuples (the front is paired with two targets that share the
+# path), where no harvest verified the front's URL of that path. An
+# answer that no pair verified is one fetch, so it is not reused.
+RF_REPEATS = {"enum-reference": 1, "detect-wide": 3}
+
+
+class TestProbeAudit:
+    @pytest.mark.parametrize("workload", sorted(RF_REPEATS))
+    def test_no_verified_request_is_sent_again(self, tmp_path, db, worldgen, workload):
+        if workload == "enum-reference":
+            config = scan_config(DATA["reference_world_targets.txt"], DATA["reference_world.json"], seed=3,
+                                 record_probes=True)
+        else:
+            world = worldgen.BUILDERS[workload](db, 3)
+            scenario, targets = tmp_path / "scenario.json", tmp_path / "targets.txt"
+            scenario.write_text(json.dumps(scenario_to_json(world.scenario)), encoding="utf-8")
+            targets.write_text("\n".join(world.targets) + "\n", encoding="utf-8")
+            config = scan_config(targets, scenario, mode=world.mode, seed=3, record_probes=True)
+        ctx = run_scan_with_context(config)
+        stats = ctx.report.meta["stats"]
+        phases = list(stats)
+        start = sum(stats[phase]["http_probes"] for phase in phases[:phases.index("fronting")])
+        log = ctx.transport.probe_log[start:start + stats["fronting"]["http_probes"]]
+        sent = Counter(e.probe for e in log)
+        verified = verified_pairs(log)
+        assert verified
+        # the pair itself, and never a third time: not as rt, not as rf
+        assert {sent[probe] for probe in verified} == {2}
+        repeats = [probe for probe, count in sent.items() if count > 1 and probe not in verified]
+        # an rf comes right after its tuple's rv: SNI = front, Host = target
+        rf_at = {
+            i for i, (rv, rf) in enumerate(zip(log, log[1:]), 1)
+            if rv.probe.sni == rf.probe.sni == rf.probe.host_header != rv.probe.host_header
+            and (rv.probe.target_ip, rv.probe.path) == (rf.probe.target_ip, rf.probe.path)
+        }
+        for probe in repeats:
+            at = [i for i, e in enumerate(log) if e.probe == probe]
+            assert len(at) == 2 and set(at) <= rf_at
+            assert log[at[0]].response == log[at[1]].response
+        assert len(repeats) == RF_REPEATS[workload]

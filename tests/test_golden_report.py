@@ -34,11 +34,11 @@ from dvahunter.scan import run_scan
 from dvahunter.simnet import scenario_to_json
 from tests.conftest import DATA, scan_config
 
-REFERENCE_REPORT_SHA1 = "363e9a88b84564c3f62d933d16148a695ce678dc"
+REFERENCE_REPORT_SHA1 = "575b81a3ee38f0edd566edaecd3940fd226e3221"
 
 GENERATED_REPORT_SHA1 = {
-    "detect-wide": "8c1f358159e13ac2f84a6ca9ddc2a2e4c8b83f30",
-    "takeover-churn": "482591f7e2a3754099b20ea07ea457f393720a51",
+    "detect-wide": "2da9e35455f1663041d31dded6caa0719b4987e0",
+    "takeover-churn": "ac29418dec81ad7f0e252e494e41adf0e0889e20",
 }
 
 SCHEMA_1_REPORT_SHA1 = {

@@ -341,6 +341,21 @@ class TestJudgeProvider:
 
 
 class TestTakeoverScan:
+    def test_residual_single_a_exposure_asks_nothing_the_recheck_asked(self):
+        ctx = run_scan_with_context(scan_config(
+            DATA["reference_world_targets.txt"], DATA["reference_world.json"], mode="takeover", record_probes=True
+        ))
+        sent = [entry.probe for entry in ctx.transport.probe_log]
+        exposed = [name for name, entry in ctx.report.domains.items() if "exposure" in entry]
+        assert exposed
+        for name in exposed:
+            record = next(r for r in ctx.hosted if str(r.fqdn) == name)
+            recheck = record.evidence[0].probe
+            # the named exposure probe is the recheck's, sent once in all
+            named = ctx.report.domains[name]["exposure"]["evidence"][0]["detail"]
+            assert named == f"host={name} at {recheck.target_ip}" and recheck.scheme.value == "http"
+            assert sent.count(recheck) == 1
+
     def test_scan_leaves_the_world_as_it_found_it(self, db, reference_takeover_scan):
         ctx = reference_takeover_scan
         fresh = SimulatedInternet(load_scenario(DATA["reference_world.json"]), db)
@@ -479,6 +494,31 @@ class TestTakeoverScanVerdicts:
 
 
 class TestOriginExposure:
+    def test_a_known_answer_to_the_named_probe_is_not_asked_again(self):
+        from dvahunter.core import DnsObservation, Evidence, HttpProbe, HttpResponseSummary, Scheme
+        fqdn, ip = parse_fqdn("www.example.net"), "192.0.2.9"
+        asked = []
+
+        def probe(sent):
+            asked.append(sent)
+            return HttpResponseSummary.from_body(200, f"answer for {sent.host_header}".encode())
+
+        edge = SimpleNamespace(probe=probe)
+        obs = DnsObservation(fqdn=fqdn, a_records=(ip,))
+        named = HttpProbe(target_ip=ip, scheme=Scheme.HTTP, host_header=fqdn)
+        kept = HttpResponseSummary.from_body(200, b"the recheck's answer")
+        others = (
+            Evidence("recheck", "other address", probe=HttpProbe("192.0.2.8", Scheme.HTTP, fqdn), response=kept),
+            Evidence("recheck", "https", probe=HttpProbe.request(ip, Scheme.HTTPS, fqdn), response=kept),
+        )
+        check_origin_exposure(fqdn, obs, edge, known=others)
+        assert [p.host_header for p in asked] == [fqdn, parse_fqdn(ip)]
+        asked.clear()
+        recheck = Evidence("recheck", "d", probe=named, response=kept)
+        verdict = check_origin_exposure(fqdn, obs, edge, known=others + (recheck,))
+        assert [p.host_header for p in asked] == [parse_fqdn(ip)]
+        assert verdict.evidence[0].response == kept
+
     def test_exposed_origin_flagged(self, db, transport):
         obs = transport.resolve(parse_fqdn("static.plain-directsite.net"))
         verdict = check_origin_exposure(obs.fqdn, obs, transport)
