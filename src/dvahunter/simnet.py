@@ -24,15 +24,12 @@ Design notes:
     exits, so a scan's takeover validation leaves the world as it found it.
     The scope journals each write it sees and replays its own journal
     backwards on exit, so it costs O(writes), not O(world).
-  * DNS answers come from one name table, built with the session: each
-    dangling target (the CNAME of a discontinued host) holds the record
-    its terminated service left, built once from the provider DB, and
-    the scenario's zones are laid over them. A lookup reads the zone
-    overrides (attacker registrations), then the table. A name neither
-    holds, but with held names below it, is an empty non-terminal: it
-    answers NOERROR with no records. A name that does not exist is
-    answered only by the wildcard ``*.<closest encloser>`` (RFC 4592
-    §3.3.1), else NXDOMAIN.
+  * Which names exist has one rule, ``NameTable``, built with the
+    session: ``serve_dns`` answers from it and ``validate_scenario``
+    builds the same table to check CNAME targets against. It lays the
+    scenario's zones over the records that terminated services left at
+    their dangling targets, and answers empty non-terminals and wildcards
+    as RFC 4592 defines them.
   * What every call would build alike is built once per session: each
     provider's edge record ``ZoneRecord(a=ips)``, which attacker
     registrations and HTTP-typed dangling targets share; each fingerprint
@@ -40,9 +37,10 @@ Design notes:
     static origin, per (origin IP, edge IP, certificate). Answers that
     depend on the Host (``per_host``) or on the fetch count (``dynamic``),
     and a legitimate host's, which a scan mostly asks for once, are not.
-  * DNS answers carry the zone's CNAME and NS text, normalized once at
-    load as a resolver's answer is (lowercase, no trailing dot) and never
-    parsed: a CNAME target need not be a host name.
+  * A scenario's names (zones, discontinued hosts, host-table hosts) and
+    its CNAME and NS text are normalized once at load as a resolver's
+    answer is (lowercase, no trailing dot). DNS answers carry that text,
+    never parsed: a CNAME target need not be a host name.
   * Enumeration asks a whole prefix dictionary under one parent at once
     (``serve_dns_existing``). Without a wildcard zone only a name the
     world holds can exist with records, so the session intersects the
@@ -162,7 +160,9 @@ class ZoneRecord:
     a: tuple[str, ...] = ()
     ns: tuple[str, ...] = ()
     servfail: bool = False
-    external: bool = False  # cname target intentionally outside the scenario
+    # the cname target is meant to lie outside the world: validation then
+    # does not ask the name table for it, and DNS answers it NXDOMAIN
+    external: bool = False
 
 
 @record
@@ -245,6 +245,116 @@ _ABSENT = object()  # a journaled key that had no value before the write
 _NO_RECORDS = ZoneRecord()  # an empty non-terminal's answer: NOERROR, nothing held
 
 
+class NameTable:
+    """Which names a scenario's world holds and what each answers: the one
+    rule that ``serve_dns`` answers by and ``validate_scenario`` checks CNAME
+    targets against. Each dangling target (the CNAME of a discontinued host;
+    the last host sharing one wins) holds the record its terminated service
+    left, built once per service from the provider DB, and the scenario's
+    zones lie over them. Attacker registrations write ``overrides``, which a
+    lookup reads first. A name neither holds, but with held names below it,
+    is an empty non-terminal: it answers NOERROR with no records. A name
+    that does not exist is answered only by the wildcard ``*.<closest
+    encloser>`` (RFC 4592 §3.3.1), else NXDOMAIN."""
+
+    def __init__(self, scenario: Scenario, db: ProviderDb):
+        # provider -> its edge as a DNS record: where an attacker registration
+        # points its names, and what an HTTP-typed terminated service left
+        self.edge_records = {prov.name: ZoneRecord(a=prov.ips) for prov in scenario.providers}
+        zones = scenario.zones
+        # dangling target -> the discontinued service that left it
+        self.dangling = {zones[host].cname: service for host, service in scenario.discontinued.items() if host in zones}
+        left = {service: self._left_behind(service, db) for service in set(self.dangling.values())}
+        # name -> record
+        self.names = {target: left[svc] for target, svc in self.dangling.items() if target and left[svc] is not None}
+        self.names.update(zones)
+        # every proper ancestor of a held name: those holding nothing
+        # themselves are empty non-terminals (RFC 4592 §2.2.2)
+        self.ancestors: set[str] = set()
+        for name in self.names:
+            parent = name.partition(".")[2]
+            while parent and parent not in self.ancestors:  # its own ancestors are in already
+                self.ancestors.add(parent)
+                parent = parent.partition(".")[2]
+        # only the scenario's zones hold wildcards, and none are added later
+        self.has_wildcards = any(name.startswith("*.") for name in zones)
+        self.overrides: dict[str, ZoneRecord] = {}
+        # parent -> the prefixes of the held names under it, built by the
+        # first held_under call
+        self._held_under: Optional[dict[str, list[str]]] = None
+
+    def _left_behind(self, service: DiscontinuedService, db: ProviderDb) -> Optional[ZoneRecord]:
+        """What the assigned subdomain of a terminated service resolves to,
+        synthesized from the behavior provider's discontinued fingerprint;
+        None when it holds nothing, or when the provider is missing from the
+        DB or the world (a world ``validate_scenario`` refuses)."""
+        profile = db.by_name.get(service.provider)
+        fp = profile.discontinued_fp if profile is not None else None
+        if fp is not None and fp.dns_signal is not None:
+            kind = fp.dns_signal.kind.value
+            if kind == "nxdomain":
+                return None
+            if kind == "servfail":
+                return ZoneRecord(servfail=True)
+            if kind == "resolves_to":
+                return ZoneRecord(a=(fp.dns_signal.ip,))
+            if kind == "single_a_record":
+                return ZoneRecord(a=(service.origin_ip,))
+        # HTTP-typed fingerprint (or none): DNS keeps pointing at the edge
+        return self.edge_records.get(service.provider)
+
+    def exists(self, name: str) -> bool:
+        """Whether ``name`` is held or is an empty non-terminal. Overrides
+        come and go with registrations, so they are read on every call."""
+        if name in self.names or name in self.ancestors or name in self.overrides:
+            return True
+        suffix = "." + name
+        return any(held.endswith(suffix) for held in self.overrides)
+
+    def lookup(self, name: str) -> Optional[ZoneRecord]:
+        """The record ``name`` answers with, None for NXDOMAIN: an override,
+        else the table's record, else no records for an empty non-terminal.
+        A name that does not exist gets the wildcard ``*.<closest
+        encloser>``, if held (RFC 4592 §3.3.1)."""
+        record = self.overrides.get(name)
+        if record is None:
+            record = self.names.get(name)
+        if record is not None:
+            return record
+        if self.exists(name):
+            return _NO_RECORDS
+        if self.has_wildcards:
+            encloser = name.partition(".")[2]
+            while encloser:
+                if self.exists(encloser):
+                    return self.names.get("*." + encloser)
+                encloser = encloser.partition(".")[2]
+        return None
+
+    def held_under(self, parent: str, dictionary: PrefixDictionary) -> list[str]:
+        """The names ``prefix.parent`` of ``dictionary`` that fit in 253
+        characters and that the table or an override holds, in dictionary
+        order. Without wildcard zones no other name exists with records.
+        Overrides come and go with registrations, so they are read on every
+        call."""
+        if self._held_under is None:
+            self._held_under = held = {}
+            for name in self.names:
+                dot = name.find(".")
+                while dot != -1:
+                    held.setdefault(name[dot + 1:], []).append(name[:dot])
+                    dot = name.find(".", dot + 1)
+        suffix = "." + parent
+        prefixes = itertools.chain(
+            self._held_under.get(parent, ()),
+            (name[: -len(suffix)] for name in self.overrides if name.endswith(suffix)),
+        )
+        positions = dictionary.positions
+        room = MAX_NAME_LENGTH - len(suffix)
+        hits = {positions[prefix]: prefix for prefix in prefixes if prefix in positions and len(prefix) <= room}
+        return [hits[position] + suffix for position in sorted(hits)]
+
+
 class SimulatedInternet:
     """One session over a scenario: answers DNS and HTTP, accepts attacker
     registrations, and keeps the per-fetch counters for dynamic origins.
@@ -261,9 +371,6 @@ class SimulatedInternet:
         self._providers = {prov.name: prov for prov in scenario.providers}
         self._ip_owner = {ip: prov for prov in scenario.providers for ip in prov.ips}
         self._cities = {ip: city for prov in scenario.providers for ip, city in prov.ingress_ips}
-        # provider -> its edge as a DNS record: where an attacker registration
-        # points its names, and what an HTTP-typed terminated service left
-        self._edge_records = {prov.name: ZoneRecord(a=prov.ips) for prov in scenario.providers}
         # provider -> host -> entry, the hosts each edge serves: with a duplicated
         # host the first entry wins; attacker registrations are journaled writes
         self._host_index: dict[str, dict[str, HostEntry]] = {}
@@ -277,85 +384,19 @@ class SimulatedInternet:
         # attacker-registered host with a static origin; every registration
         # binds the one attacker origin, so one answer serves them all
         self._attacker_answers: dict[tuple[str, str, Optional[str]], HttpResponseSummary] = {}
-        self._zone_overrides: dict[str, ZoneRecord] = {}
         # one journal per open registration_scope, innermost last:
         # (table, key, value before the write or _ABSENT)
         self._journals: list[list[tuple[dict, str, Any]]] = []
         self._fetch_counts: dict[tuple[str, str, str], int] = {}
-        # name -> record: each dangling target, the CNAME of a discontinued
-        # host (the last host sharing one wins), with what its terminated
-        # service left there, built once per service; the zones lie over them
-        zones = scenario.zones
-        dangling = {zones[host].cname: service for host, service in scenario.discontinued.items() if host in zones}
-        left = {service: self._dangling_behavior(service) for service in set(dangling.values())}
-        self._names = {target: left[svc] for target, svc in dangling.items() if target and left[svc] is not None}
-        self._names.update(zones)
-        # every proper ancestor of a held name: those holding nothing
-        # themselves are empty non-terminals (RFC 4592 §2.2.2)
-        self._ancestors: set[str] = set()
-        for name in self._names:
-            parent = name.partition(".")[2]
-            while parent and parent not in self._ancestors:  # its own ancestors are in already
-                self._ancestors.add(parent)
-                parent = parent.partition(".")[2]
-        # only the scenario's zones hold wildcards, and none are added later
-        self._has_wildcards = any(name.startswith("*.") for name in zones)
-        # parent -> the prefixes of the held names under it, built by the
-        # first serve_dns_existing call
-        self._held_under: Optional[dict[str, list[str]]] = None
+        self._table = NameTable(scenario, db)
 
     # -- DNS ----------------------------------------------------------------
-
-    def _dangling_behavior(self, service: DiscontinuedService) -> Optional[ZoneRecord]:
-        """What the assigned subdomain of a terminated service resolves to,
-        synthesized from the behavior provider's discontinued fingerprint;
-        None when it holds nothing."""
-        fp = self.db.by_name[service.provider].discontinued_fp
-        if fp is not None and fp.dns_signal is not None:
-            kind = fp.dns_signal.kind.value
-            if kind == "nxdomain":
-                return None
-            if kind == "servfail":
-                return ZoneRecord(servfail=True)
-            if kind == "resolves_to":
-                return ZoneRecord(a=(fp.dns_signal.ip,))
-            if kind == "single_a_record":
-                return ZoneRecord(a=(service.origin_ip,))
-        # HTTP-typed fingerprint (or none): DNS keeps pointing at the edge
-        return self._edge_records[service.provider]
-
-    def _exists(self, name: str) -> bool:
-        """Whether ``name`` is held or is an empty non-terminal. Overrides
-        come and go with registrations, so they are read on every call."""
-        if name in self._names or name in self._ancestors or name in self._zone_overrides:
-            return True
-        suffix = "." + name
-        return any(held.endswith(suffix) for held in self._zone_overrides)
-
-    def _lookup(self, name: str) -> Optional[ZoneRecord]:
-        """The record ``name`` answers with, None for NXDOMAIN: an override,
-        else the table's record, else no records for an empty non-terminal.
-        A name that does not exist gets the wildcard ``*.<closest
-        encloser>``, if held (RFC 4592 §3.3.1)."""
-        record = self._zone_overrides.get(name)
-        if record is None:
-            record = self._names.get(name)
-        if record is not None:
-            return record
-        if self._exists(name):
-            return _NO_RECORDS
-        if self._has_wildcards:
-            encloser = name.partition(".")[2]
-            while encloser:
-                if self._exists(encloser):
-                    return self._names.get("*." + encloser)
-                encloser = encloser.partition(".")[2]
-        return None
 
     def serve_dns(self, name: Union[Fqdn, str]) -> DnsObservation:
         fqdn = name if isinstance(name, Fqdn) else parse_fqdn(str(name))
         text = fqdn.name
-        record = self._lookup(text)
+        lookup = self._table.lookup
+        record = lookup(text)
         if record is None:
             return DnsObservation(fqdn=fqdn, rcode=Rcode.NXDOMAIN)
         if record.servfail:
@@ -373,7 +414,7 @@ class SimulatedInternet:
                 break
             chain.append(target)
             seen.add(target)
-            nxt = self._lookup(target)
+            nxt = lookup(target)
             if nxt is None or nxt.servfail:
                 a_records = ()
                 end = Rcode.NXDOMAIN if nxt is None else Rcode.SERVFAIL
@@ -400,11 +441,12 @@ class SimulatedInternet:
         text, in dictionary order: what a ``serve_dns`` call per name would
         say of them. A name the zone lookup finds nothing for is NXDOMAIN,
         so it is skipped without building its answer."""
-        if self._has_wildcards:
+        table = self._table
+        if table.has_wildcards:
             names = dictionary.names_under(parent)
         else:
-            names = self._held_names_under(parent, dictionary)
-        lookup = self._lookup
+            names = table.held_under(parent, dictionary)
+        lookup = table.lookup
         found: dict[str, DnsObservation] = {}
         for name in names:
             if lookup(name) is None:
@@ -413,29 +455,6 @@ class SimulatedInternet:
             if obs.exists_with_records:
                 found[name] = obs
         return found
-
-    def _held_names_under(self, parent: str, dictionary: PrefixDictionary) -> list[str]:
-        """The names ``prefix.parent`` of ``dictionary`` that fit in 253
-        characters and that the name table or a zone override holds, in
-        dictionary order. Without wildcard zones no other name exists with
-        records. Overrides come and go with registrations, so they are read
-        on every call."""
-        if self._held_under is None:
-            self._held_under = held = {}
-            for name in self._names:
-                dot = name.find(".")
-                while dot != -1:
-                    held.setdefault(name[dot + 1:], []).append(name[:dot])
-                    dot = name.find(".", dot + 1)
-        suffix = "." + parent
-        prefixes = itertools.chain(
-            self._held_under.get(parent, ()),
-            (name[: -len(suffix)] for name in self._zone_overrides if name.endswith(suffix)),
-        )
-        positions = dictionary.positions
-        room = MAX_NAME_LENGTH - len(suffix)
-        hits = {positions[prefix]: prefix for prefix in prefixes if prefix in positions and len(prefix) <= room}
-        return [hits[position] + suffix for position in sorted(hits)]
 
     def city_of(self, ip: str) -> Optional[str]:
         return self._cities.get(ip)
@@ -671,14 +690,15 @@ class SimulatedInternet:
             dns_points_here=True,
         ))
         # the assigned name now serves traffic again
-        edge = self._edge_records[provider_name]
-        self._write(self._zone_overrides, assigned, edge)
+        table = self._table
+        edge = table.edge_records[provider_name]
+        self._write(table.overrides, assigned, edge)
         old = self.scenario.zones.get(custom_domain)
         if custom_domain in self.scenario.discontinued and old is not None and old.cname:
             # W1 misconnection: the victim's old assigned name routes to
             # the edge via the fixed subdomain even though the attacker
             # was handed a different name
-            self._write(self._zone_overrides, old.cname, edge)
+            self._write(table.overrides, old.cname, edge)
         return assigned
 
 
@@ -768,7 +788,7 @@ def scenario_from_json(data: dict[str, Any]) -> Scenario:
                     verification_mode=VerificationMode(raw.get("verification_mode", "dns_token_checked")),
                     host_table=tuple(
                         HostEntry(
-                            host=h["host"],
+                            host=_answer_name(h["host"]),
                             origin_ip=h["origin_ip"],
                             registered_by=RegisteredBy(h.get("registered_by", "legit")),
                             dns_points_here=bool(h.get("dns_points_here", True)),
@@ -788,7 +808,7 @@ def scenario_from_json(data: dict[str, Any]) -> Scenario:
                 )
             )
         zones = {
-            name: ZoneRecord(
+            _answer_name(name): ZoneRecord(
                 cname=None if rec.get("cname") is None else _answer_name(rec["cname"]),
                 a=tuple(rec.get("a", [])),
                 ns=tuple(map(_answer_name, rec.get("ns", ()))),
@@ -814,7 +834,7 @@ def scenario_from_json(data: dict[str, Any]) -> Scenario:
             for ip, raw in _entries(data, "origins", "origin")
         }
         discontinued = {
-            host: DiscontinuedService(provider=raw["provider"], origin_ip=raw.get("origin_ip"))
+            _answer_name(host): DiscontinuedService(provider=raw["provider"], origin_ip=raw.get("origin_ip"))
             for host, raw in _entries(data, "discontinued_hosts", "discontinued host")
         }
         seed = int(data.get("seed", 0))
@@ -861,9 +881,11 @@ def _utf8(value: Any, label: str, *args: Any) -> bytes:
 
 
 def _answer_name(value: Any) -> str:
-    """A zone's CNAME or NS name as an answer gives it: lowercase, no trailing dot."""
+    """A name as an answer gives it: lowercase, no trailing dot. It is read
+    this way from a zone's name, CNAME and NS values, a discontinued host
+    and a host-table host."""
     if not isinstance(value, str):
-        raise TypeError(f"a cname or ns value must be a string, not {type(value).__name__}")
+        raise TypeError(f"a name must be a string, not {type(value).__name__}")
     return value.strip().rstrip(".").lower()
 
 
@@ -907,7 +929,6 @@ def validate_scenario(scenario: Scenario, db: ProviderDb) -> list[str]:
         if profile.discontinued_fp is not None and profile.discontinued_fp.dns_signal is not None
         and profile.discontinued_fp.dns_signal.kind is DnsSignalKind.SINGLE_A_RECORD
     }
-    dangling_targets = set()
     for host, svc in scenario.discontinued.items():
         if svc.provider not in seen_names:
             problems.append(f"discontinued host {host}: unknown provider {svc.provider}")
@@ -915,17 +936,12 @@ def validate_scenario(scenario: Scenario, db: ProviderDb) -> list[str]:
             problems.append(
                 f"discontinued host {host}: {svc.provider}'s single_a_record fingerprint needs an origin_ip"
             )
-        record = scenario.zones.get(host)
-        if record is not None and record.cname:
-            dangling_targets.add(record.cname)
-    suffixes = list(db.suffix_index)
+    # a target resolves when the table that answers DNS holds it; a dangling
+    # target counts even where its terminated service left nothing
+    table = NameTable(scenario, db)
     for name, record in scenario.zones.items():
-        if record.cname is None or record.external:
-            continue
         target = record.cname
-        if target in scenario.zones or target in dangling_targets:
-            continue
-        if any(target.endswith(suffix) for suffix in suffixes):
+        if target is None or record.external or target in table.dangling or table.lookup(target) is not None:
             continue
         problems.append(f"zone {name}: cname target {target} is unresolvable and not marked external")
     if scenario.attacker_origin_ip is not None and scenario.attacker_origin_ip not in scenario.origins:

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import dataclasses
 import importlib.util
 import json
 import sys
@@ -11,7 +12,7 @@ from dvahunter.cli import default_data, main
 from dvahunter.providers import ProviderDb, load_provider_db
 from dvahunter.psl import PublicSuffixList
 from dvahunter.scan import ScanConfig
-from dvahunter.simnet import scenario_to_json
+from dvahunter.simnet import Scenario, scenario_to_json
 from dvahunter.transport import Backend
 from dvahunter.worlds import BuiltWorld
 
@@ -51,6 +52,19 @@ def write_world(tmp_path: Path, world: BuiltWorld, tag: str = "world") -> tuple[
     targets_path = tmp_path / f"{tag}_targets.txt"
     targets_path.write_text("\n".join(world.targets) + "\n", encoding="utf-8")
     return scenario_path, targets_path
+
+
+def keep_providers(scenario: Scenario, keep: set[str]) -> Scenario:
+    """``scenario`` cut down to the providers named in ``keep``: the others'
+    discontinued hosts go, and so do those hosts' zones, whose dangling
+    targets the world no longer holds."""
+    gone = {host for host, svc in scenario.discontinued.items() if svc.provider not in keep}
+    return dataclasses.replace(
+        scenario,
+        providers=[prov for prov in scenario.providers if prov.name in keep],
+        zones={name: rec for name, rec in scenario.zones.items() if name not in gone},
+        discontinued={host: svc for host, svc in scenario.discontinued.items() if host not in gone},
+    )
 
 
 def scan_config(targets: Path, scenario: Path, mode: str = "all", seed: int = 7, **kw) -> ScanConfig:

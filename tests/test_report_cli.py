@@ -14,7 +14,7 @@ from dvahunter.report import CounterMismatch, IncompatibleRuns, ScanReport, diff
 from dvahunter.scan import run_scan
 from dvahunter.simnet import scenario_to_json
 from dvahunter.worlds import build_reference_world
-from tests.conftest import DATA, scan_config, set_zone, write_world
+from tests.conftest import DATA, keep_providers, scan_config, set_zone, write_world
 from tests.test_golden_report import REFERENCE_REPORT_SHA1
 
 
@@ -23,12 +23,8 @@ def small_world(db):
     # reference world trimmed to a handful of providers for cheap CLI runs
     world = build_reference_world(db)
     keep = {"Fastly", "Baidu", "Tencent", "KuaikuaiCloud", "Bunny"}
-    world.scenario.providers = [p for p in world.scenario.providers if p.name in keep]
+    world.scenario = keep_providers(world.scenario, keep)
     kept_hosts = {h.host for p in world.scenario.providers for h in p.host_table}
-    world.scenario.discontinued = {
-        host: svc for host, svc in world.scenario.discontinued.items()
-        if svc.provider in keep
-    }
     world.targets = [
         t for t in world.targets
         if any(t in h for h in kept_hosts)
@@ -205,13 +201,28 @@ class TestCli:
 
     def test_scan_clean_world_exit_zero(self, db, tmp_path, capsys):
         world = build_reference_world(db)
-        keep = {"Tencent"}  # fronting-secure, nothing borrowed, nothing dangling
-        world.scenario.providers = [p for p in world.scenario.providers if p.name in keep]
-        world.scenario.discontinued = {}
+        # fronting-secure, nothing borrowed, nothing dangling
+        world.scenario = keep_providers(world.scenario, {"Tencent"})
         world.targets = [t for t in world.targets if t.startswith("tencent-site")]
         scenario, targets = write_world(tmp_path, world, "clean")
         code = main(["scan", "--targets", str(targets), "--scenario", str(scenario), "--seed", "7"])
         assert code == 0
+
+    def test_a_targets_file_with_every_line_repeated_gives_the_same_report(self, tmp_path):
+        # a metamorphic relation: each target is scanned once, in an order
+        # of its own, however often and wherever the file lists it
+        given = DATA["reference_world_targets.txt"]
+        lines = given.read_text(encoding="utf-8").splitlines()
+        doubled = tmp_path / "doubled.txt"
+        doubled.write_text("".join(f"{line}\n{line}\n" for line in reversed(lines)), encoding="utf-8")
+        reports = []
+        for targets in (given, doubled):
+            out = tmp_path / f"{targets.stem}.json"
+            code = main(["scan", "--targets", str(targets), "--scenario", str(DATA["reference_world.json"]),
+                         "--seed", "3", "--out", str(out)])
+            assert code == 1
+            reports.append(out.read_bytes())
+        assert reports[0] == reports[1]
 
     def test_scan_config_error_exit_two(self, tmp_path, capsys):
         code = main(["scan", "--targets", str(tmp_path / "missing.txt")])
@@ -509,11 +520,23 @@ class TestCli:
          "Akamai: host www.no-origin.org origin 10.250.0.2 not in origins"),
         (lambda doc: doc["discontinued_hosts"].update({"gone.example.org": {"provider": "NoSuchCDN"}}),
          "discontinued host gone.example.org: unknown provider NoSuchCDN"),
+        # the name table is built before the world is known to be valid:
+        # a dangling target's provider may be missing from the DB or the world
+        (lambda doc: doc["discontinued_hosts"]["legacy.fastly-retired.net"].update(provider="NoSuchCDN"),
+         "discontinued host legacy.fastly-retired.net: unknown provider NoSuchCDN"),
+        (lambda doc: doc["providers"].remove(next(prov for prov in doc["providers"] if prov["name"] == "Fastly")),
+         "discontinued host legacy.fastly-retired.net: unknown provider Fastly"),
         (set_zone("www.lost.example.org", cname="nowhere.lost.example.org"),
          "zone www.lost.example.org: cname target nowhere.lost.example.org is unresolvable and not marked external"),
+        # a provider's suffix makes no name exist: DNS would answer NXDOMAIN,
+        # a dangling read of a host the world does not list as discontinued
+        (set_zone("orphan.example.com", cname="cdn-unheld.fastly.net"),
+         "zone orphan.example.com: cname target cdn-unheld.fastly.net is unresolvable and not marked external"),
         (lambda doc: doc.update(attacker_origin_ip="10.250.0.3"), "attacker origin 10.250.0.3 not in origins"),
     ], ids=["residual-origin-missing", "ingress-held-twice", "ingress-is-origin", "provider-twice",
-            "host-origin-missing", "discontinued-provider-unknown", "cname-unresolvable", "attacker-origin-missing"])
+            "host-origin-missing", "discontinued-provider-unknown", "dangling-provider-unknown",
+            "dangling-provider-not-in-world", "cname-unresolvable",
+            "cname-unheld-under-provider-suffix", "attacker-origin-missing"])
     def test_scenario_that_would_abort_the_scan_is_config_error(self, tmp_path, capsys, edit, message):
         # each edit gives one problem, which both commands name. The first
         # three once passed validate-scenario ("ok") and then aborted the

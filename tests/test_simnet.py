@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import json
 
 import pytest
@@ -646,16 +647,79 @@ class TestScenarioIo:
     def test_a_cname_that_is_no_host_name_is_answered_as_text(self, db):
         # RFC 2181 §11: a CNAME target may be any name
         scenario = scenario_from_json({"providers": [], "zones": {
-            "shop.example.com": {"cname": "cdn_x.fastly.net"},
+            "shop.example.com": {"cname": "cdn_x.fastly.net", "external": True},
         }})
         obs = SimulatedInternet(scenario, db).serve_dns(parse_fqdn("shop.example.com"))
         assert obs.rcode is Rcode.NOERROR and obs.cname_chain == ("cdn_x.fastly.net",)
         assert identify_cdn(obs, db).provider == "Fastly"
 
     @pytest.mark.parametrize("zone, message", [
-        ({"cname": 5}, "a cname or ns value must be a string, not int"),
-        ({"ns": [None]}, "a cname or ns value must be a string, not NoneType"),
+        ({"cname": 5}, "a name must be a string, not int"),
+        ({"ns": [None]}, "a name must be a string, not NoneType"),
     ])
     def test_a_cname_or_ns_that_is_no_string_is_a_scenario_error(self, zone, message):
         with pytest.raises(ScenarioError, match=message):
             scenario_from_json({"providers": [], "zones": {"a.example.com": zone}})
+
+
+class TestOneNameRule:
+    """``validate_scenario`` asks the name table that ``serve_dns`` answers
+    from whether a CNAME target exists."""
+
+    def test_a_world_written_in_capitals_answers_as_its_lowercase_twin(self, db):
+        def doc(name):
+            return {
+                "providers": [{"name": "Fastly", "ingress_ips": [["198.18.0.1", "x"]],
+                               "host_table": [{"host": name("www.shop.com"), "origin_ip": "198.18.0.9"}]}],
+                "zones": {
+                    name("www.shop.com"): {"cname": "www.shop.com.global.ssl.fastly.net"},
+                    "www.shop.com.global.ssl.fastly.net": {"a": ["198.18.0.1"]},
+                    name("old.shop.com"): {"cname": "old-shop.global.ssl.fastly.net"},
+                },
+                "origins": {"198.18.0.9": {"body": "shop"}},
+                "discontinued_hosts": {name("old.shop.com"): {"provider": "Fastly"}},
+            }
+
+        lower = SimulatedInternet(scenario_from_json(doc(str)), db)
+        upper = SimulatedInternet(scenario_from_json(doc(lambda name: name.title() + ".")), db)
+        for host in ("www.shop.com", "old.shop.com", "old-shop.global.ssl.fastly.net"):
+            assert upper.serve_dns(host) == lower.serve_dns(host)
+            request = probe("198.18.0.1", host, scheme=Scheme.HTTP)
+            assert upper.serve_http(request) == lower.serve_http(request)
+        assert lower.serve_dns("www.shop.com").a_records == ("198.18.0.1",)
+        assert lower.serve_http(probe("198.18.0.1", "www.shop.com", scheme=Scheme.HTTP)).status == 200
+
+    @pytest.mark.parametrize("workload, seed", [("reference", None)] + [
+        (workload, seed) for workload in ("detect-wide", "takeover-churn") for seed in (1, 3, 5)
+    ])
+    def test_validation_refuses_exactly_the_targets_dns_denies(self, db, world, worldgen, workload, seed):
+        scenario = world.scenario if seed is None else worldgen.BUILDERS[workload](db, seed).scenario
+        zones = scenario.zones
+        net = SimulatedInternet(scenario, db)
+        dangling = {zones[host].cname for host in scenario.discontinued if host in zones}
+        # each target the world names, each name above a held name, and a
+        # name beside and below each target, each pointed at by a zone of
+        # its own under agreement.test
+        targets = {rec.cname for rec in zones.values() if rec.cname is not None and not rec.external}
+        candidates = set(targets)
+        for name in itertools.chain(zones, targets):
+            labels = name.split(".")
+            candidates.update(".".join(labels[start:]) for start in range(1, len(labels) - 1))
+        for target in targets:
+            candidates.update((f"absent-{target}", f"absent.{target}"))
+        probes = {f"c{index}.agreement.test": name for index, name in enumerate(sorted(candidates))}
+        probed = dataclasses.replace(scenario, zones={**zones, **{
+            name: ZoneRecord(cname=target) for name, target in probes.items()
+        }})
+        problems = set(validate_scenario(probed, db))
+        refused = {
+            target for name, target in probes.items()
+            if f"zone {name}: cname target {target} is unresolvable and not marked external" in problems
+        }
+        denied = {
+            target for target in candidates
+            if target not in zones and target not in dangling and net.serve_dns(target).rcode is Rcode.NXDOMAIN
+        }
+        assert refused == denied
+        assert len(problems) == len(refused)  # the world itself is valid
+        assert refused and candidates - refused - set(zones) - dangling  # both sides are reached

@@ -18,6 +18,8 @@ from dvahunter.simnet import (
     VerificationMode,
     ZoneRecord,
     load_scenario,
+    scenario_from_json,
+    scenario_to_json,
 )
 from dvahunter.takeover import (
     DanglingStage,
@@ -31,7 +33,7 @@ from dvahunter.takeover import (
 )
 from dvahunter.transport import MockTransport, RRType
 from dvahunter.worlds import build_reference_world
-from tests.conftest import DATA, edited_reference_scan, scan_config, set_provider, set_zone
+from tests.conftest import DATA, edited_reference_scan, keep_providers, scan_config, set_provider, set_zone
 
 
 @pytest.fixture()
@@ -157,15 +159,15 @@ class TestTerminalAnswer:
         long = {f"h{hop}.long.net": ZoneRecord(cname=f"h{hop + 1}.long.net") for hop in range(MAX_CHAIN)}
         exact = {f"h{hop}.exact.net": ZoneRecord(cname=f"h{hop + 1}.exact.net") for hop in range(MAX_CHAIN - 1)}
         zones = {
-            # external: the scenario check looks for the target among held names alone
+            # external: the target is meant to lie outside the world
             "nx.site.com": ZoneRecord(cname="gone.cdn.net", external=True),
             "sf.site.com": ZoneRecord(cname="broken.cdn.net"),
             "broken.cdn.net": ZoneRecord(servfail=True),
             "nodata.site.com": ZoneRecord(cname="v6only.cdn.net"),
             "v6only.cdn.net": ZoneRecord(),
-            "ent.site.com": ZoneRecord(cname="ent.cdn.net", external=True),
+            "ent.site.com": ZoneRecord(cname="ent.cdn.net"),
             "www.ent.cdn.net": ZoneRecord(a=("10.0.0.5",)),
-            "wild.site.com": ZoneRecord(cname="any.wild.cdn.net", external=True),
+            "wild.site.com": ZoneRecord(cname="any.wild.cdn.net"),
             "*.wild.cdn.net": ZoneRecord(a=("10.0.0.5",)),
             "deep.site.com": ZoneRecord(cname="mid.cdn.net"),
             "mid.cdn.net": ZoneRecord(cname="edge.cdn.net"),
@@ -300,7 +302,7 @@ class TestFailedValidation:
         # a wildcard CNAME: the registration revives the attacker's new
         # name, but the host still resolves to the dead one
         paths = one_path(world, db, "shop.wild-retired.net", "Azure",
-                         zones={"*.wild-retired.net": ZoneRecord(cname="cdn-0123456789.azureedge.net")})
+                         zones={"*.wild-retired.net": ZoneRecord(cname="cdn-0123456789.azureedge.net", external=True)})
         assert [(p.kind, p.validated) for p in paths] == [(TakeoverKind.NO_VERIFICATION, False)]
 
 
@@ -409,8 +411,8 @@ class TestScansOfValidatedWorlds:
 
     def test_cname_that_is_no_host_name_is_attributed(self, tmp_path):
         code, report = edited_reference_scan(
-            tmp_path, "shop.badname-store.com\n", set_zone("shop.badname-store.com", cname="cdn_x.fastly.net"),
-            mode="all",
+            tmp_path, "shop.badname-store.com\n",
+            set_zone("shop.badname-store.com", cname="cdn_x.fastly.net", external=True), mode="all",
         )
         assert code in (0, 1)
         entry = report["domains"]["shop.badname-store.com"]
@@ -420,7 +422,8 @@ class TestScansOfValidatedWorlds:
         # Azure's discontinued fingerprint is a DNS signal: the DNS stage
         # would query the chain's last name, which is no host name
         code, report = edited_reference_scan(
-            tmp_path, "shop.badname-store.com\n", set_zone("shop.badname-store.com", cname="cdn_x.azureedge.net")
+            tmp_path, "shop.badname-store.com\n",
+            set_zone("shop.badname-store.com", cname="cdn_x.azureedge.net", external=True),
         )
         assert code in (0, 1)
         check = report["domains"]["shop.badname-store.com"]["dangling_check"]
@@ -437,13 +440,11 @@ class TestScansOfValidatedWorlds:
 
     def test_provider_missing_from_the_world_leaves_paths_unvalidated(self, tmp_path):
         def no_azure(doc):
-            doc["providers"] = [p for p in doc["providers"] if p["name"] != "Azure"]
-            doc["discontinued_hosts"] = {
-                host: svc for host, svc in doc["discontinued_hosts"].items() if svc["provider"] != "Azure"
-            }
+            others = {prov["name"] for prov in doc["providers"]} - {"Azure"}
+            doc.update(scenario_to_json(keep_providers(scenario_from_json(doc), others)))
         code, report = edited_reference_scan(
             tmp_path, "gone.orphan-shop.com\n", no_azure,
-            set_zone("gone.orphan-shop.com", cname="cdn-deadbeef.azureedge.net"),
+            set_zone("gone.orphan-shop.com", cname="cdn-deadbeef.azureedge.net", external=True),
         )
         assert code in (0, 1)
         entry = report["domains"]["gone.orphan-shop.com"]
@@ -483,7 +484,8 @@ class TestTakeoverScanVerdicts:
         # CNAME: no edge to probe, so the record once read healthy and
         # Fastly not vulnerable
         code, report = edited_reference_scan(
-            tmp_path, "www.shop.com\n", set_zone("www.shop.com", cname="gone-shop.global.ssl.fastly.net")
+            tmp_path, "www.shop.com\n",
+            set_zone("www.shop.com", cname="gone-shop.global.ssl.fastly.net", external=True),
         )
         assert code in (0, 1)
         assert report["domains"]["www.shop.com"]["provider"] == "Fastly"

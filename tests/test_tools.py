@@ -42,3 +42,11 @@ def test_linecov_reports_every_function_of_a_bare_module():
     assert "simnet.parse_fqdn" not in codes  # imported, not defined there
     lines = [code.co_firstlineno for code in codes.values()]
     assert lines == sorted(lines)
+
+
+def test_linecov_reports_every_method_of_a_class():
+    codes = load_linecov().module_codes("simnet.NameTable")
+    assert codes["simnet.NameTable.lookup"] is simnet.NameTable.lookup.__code__
+    assert set(codes) == {f"simnet.NameTable.{name}" for name, obj in vars(simnet.NameTable).items()
+                          if callable(obj)}
+    assert load_linecov().function_code("simnet.NameTable") is None

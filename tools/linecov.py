@@ -5,15 +5,16 @@ that no test runs.
 
     PYTHONPATH=src python tools/linecov.py takeover._validate_path scan._phase_takeover -- -q tests/
     PYTHONPATH=src python tools/linecov.py simnet -- -q tests/
+    PYTHONPATH=src python tools/linecov.py simnet.NameTable -- -q tests/
 
 Run it from the repository root, as Tier-1 runs pytest. Each function is
 named ``module.qualname`` under ``dvahunter``; a bare module name stands
-for every function and method defined in that module. A property is
-reported by its getter, a cached property by its function, and a
-decorated function by the function it wraps. For each one the tool
-prints how many of its code lines (nested functions and comprehensions
-included) ran, and the numbers of those that never ran.
-Everything after ``--`` goes to pytest. The trace slows the suite about
+for every function and method defined in that module, and a class for
+every method defined in it. A property is reported by its getter, a
+cached property by its function, and a decorated function by the
+function it wraps. For each one the tool prints how many of its code
+lines (nested functions and comprehensions included) ran, and the
+numbers of those that never ran. Everything after ``--`` goes to pytest. The trace slows the suite about
 threefold, so this is a tool to run by hand, not a CI step. Exits with
 pytest's exit code.
 """
@@ -26,7 +27,7 @@ import sys
 import threading
 from functools import cached_property
 from pathlib import Path
-from types import CodeType
+from types import CodeType, ModuleType
 
 PACKAGE = str(Path(__file__).resolve().parents[1] / "src" / "dvahunter")
 
@@ -52,19 +53,26 @@ def _code_of(obj: object) -> CodeType | None:
     return getattr(inspect.unwrap(obj), "__code__", None)  # type: ignore[arg-type]
 
 
-def function_code(spec: str) -> CodeType:
-    """The code object of ``module.qualname`` under dvahunter."""
+def _named(spec: str) -> tuple[ModuleType, object]:
+    """The module of ``module.qualname`` under dvahunter, and what it names."""
     module_name, _, qualname = spec.partition(".")
-    obj = importlib.import_module(f"dvahunter.{module_name}")
-    for part in qualname.split("."):
-        obj = getattr(obj, part)
-    return _code_of(obj)
-
-
-def module_codes(module_name: str) -> dict[str, CodeType]:
-    """``module.qualname`` -> code of every function and method defined
-    in ``dvahunter.<module_name>``, in source order."""
     module = importlib.import_module(f"dvahunter.{module_name}")
+    obj: object = module
+    for part in filter(None, qualname.split(".")):
+        obj = getattr(obj, part)
+    return module, obj
+
+
+def function_code(spec: str) -> CodeType | None:
+    """The code object of ``module.qualname`` under dvahunter; None when
+    it names a module or a class."""
+    return _code_of(_named(spec)[1])
+
+
+def module_codes(spec: str) -> dict[str, CodeType]:
+    """``module.qualname`` -> code of every function and method defined
+    in the module or class ``spec`` names, in source order."""
+    module, scope = _named(spec)
     found: dict[str, CodeType] = {}
 
     def visit(prefix: str, namespace: dict) -> None:
@@ -75,7 +83,7 @@ def module_codes(module_name: str) -> dict[str, CodeType]:
             if code is not None and code.co_filename == module.__file__:
                 found[prefix + name] = code
 
-    visit(f"{module_name}.", vars(module))
+    visit(f"{spec}.", vars(scope))
     return dict(sorted(found.items(), key=lambda item: item[1].co_firstlineno))
 
 
@@ -120,7 +128,8 @@ def main(argv: list[str]) -> int:
     sys.path.insert(0, str(Path.cwd()))
     codes = {}
     for spec in specs:
-        codes.update(module_codes(spec) if "." not in spec else {spec: function_code(spec)})
+        code = function_code(spec)
+        codes.update(module_codes(spec) if code is None else {spec: code})
     status, ran = run_traced(pytest_args)
     for spec, code in codes.items():
         lines = code_lines(code)
