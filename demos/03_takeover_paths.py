@@ -37,7 +37,7 @@ for record in records:
     finding = detect_dangling(record, transport, db)
     print(f"{record.fqdn}  (hosted by {record.provider})")
     print(f"  dangling: {finding.matched_fp} at {finding.stage.value}")
-    paths = enumerate_takeover_paths(finding, db, simnet=net, transport=transport)
+    paths = enumerate_takeover_paths(finding, db, simnet=net)
     for path in paths:
         print(f"  path: {path.kind.value} via {path.via_provider} validated={path.validated}")
         print(f"        {path.rationale}")

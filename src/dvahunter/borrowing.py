@@ -8,7 +8,6 @@ NOT reproduce it is being served, i.e. borrowed.
 
 from __future__ import annotations
 
-import string
 from enum import Enum
 
 from .core import (
@@ -20,6 +19,7 @@ from .core import (
     Verdict,
     derive_rng,
     parse_fqdn,
+    random_label,
 )
 from .providers import ProviderProfile, match_fingerprint
 
@@ -41,9 +41,7 @@ def random_baseline_host(seed: int, provider: str) -> Fqdn:
     """32 random characters under the reserved .invalid TLD, so a
     live-mode accident can never land on a real domain."""
     rng = derive_rng(seed, "baseline", provider)
-    alphabet = string.ascii_lowercase + string.digits
-    label = "".join(rng.choice(alphabet) for _ in range(BASELINE_HOST_LENGTH))
-    return parse_fqdn(f"{label}.invalid")
+    return parse_fqdn(f"{random_label(rng, BASELINE_HOST_LENGTH)}.invalid")
 
 
 def probe_baseline(profile: ProviderProfile, ingress_ip: str, transport, seed: int = 0) -> HttpResponseSummary:
@@ -133,5 +131,5 @@ def classify_borrowing_tls(hit: Evidence, transport) -> BorrowingTls:
 
 
 def _wildcard_covers(pattern: str, name: str) -> bool:
-    base = pattern[1:]  # "*.x.y" -> ".x.y"
+    base = pattern[1:].lower()  # "*.X.y" -> ".x.y": names compare without case (RFC 4343 §3)
     return name.endswith(base) and "." not in name[: -len(base)]

@@ -407,3 +407,19 @@ def derive_rng(seed: int, *scope: object) -> random.Random:
     material = "|".join([str(seed)] + [str(part) for part in scope])
     digest = hashlib.sha1(material.encode("utf-8")).digest()
     return random.Random(int.from_bytes(digest[:8], "big"))
+
+
+LABEL_ALPHABET = "abcdefghijklmnopqrstuvwxyz0123456789"
+
+
+def random_label(rng: random.Random, length: int) -> str:
+    """``length`` characters of LABEL_ALPHABET, each drawn as
+    ``rng.choice(LABEL_ALPHABET)`` draws it on CPython 3.11-3.13: six
+    random bits, drawn again while they read 36 or more."""
+    getrandbits = rng.getrandbits
+    label = []
+    while len(label) < length:
+        index = getrandbits(6)
+        if index < len(LABEL_ALPHABET):
+            label.append(LABEL_ALPHABET[index])
+    return "".join(label)

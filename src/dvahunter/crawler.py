@@ -20,13 +20,12 @@ the record crawl does not resolve the name a second time.
 from __future__ import annotations
 
 import logging
-import string
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Callable, Optional
 
-from .core import MAX_NAME_LENGTH, DnsObservation, Fqdn, derive_rng, parse_fqdn, read_text, record
+from .core import MAX_NAME_LENGTH, DnsObservation, Fqdn, derive_rng, parse_fqdn, random_label, read_text, record
 from .transport import RRType
 
 logger = logging.getLogger(__name__)
@@ -132,22 +131,6 @@ class EnumerationResult:
         return [name for prefix in self.dictionary.prefixes if (name := prefix + suffix) not in found]
 
 
-LABEL_ALPHABET = string.ascii_lowercase + string.digits
-
-
-def _random_label(rng) -> str:
-    """RANDOM_PREFIX_LENGTH characters of LABEL_ALPHABET, each drawn as
-    ``rng.choice(LABEL_ALPHABET)`` draws it on CPython 3.11-3.13: six
-    random bits, drawn again while they read 36 or more."""
-    getrandbits = rng.getrandbits
-    label = []
-    while len(label) < RANDOM_PREFIX_LENGTH:
-        index = getrandbits(6)
-        if index < len(LABEL_ALPHABET):
-            label.append(LABEL_ALPHABET[index])
-    return "".join(label)
-
-
 def detect_wildcard(sld: Fqdn, transport, seed: int = 0) -> Optional[WildcardSignature]:
     """Probe WILDCARD_PROBES random prefixes under the SLD. All resolving
     with one common answer means wildcard (returns the signature); none
@@ -156,7 +139,7 @@ def detect_wildcard(sld: Fqdn, transport, seed: int = 0) -> Optional[WildcardSig
     rng = derive_rng(seed, "wildcard", str(sld))
     signatures = []
     for _ in range(WILDCARD_PROBES):
-        name = parse_fqdn(f"{_random_label(rng)}.{sld}")
+        name = parse_fqdn(f"{random_label(rng, RANDOM_PREFIX_LENGTH)}.{sld}")
         obs = transport.resolve(name, RRType.ALL)
         if obs.exists_with_records:
             signatures.append(WildcardSignature.of(obs))

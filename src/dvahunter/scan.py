@@ -14,7 +14,9 @@ budgets and dangling checks live in ``fronting``, ``borrowing`` and
 Mode phases run in the order fronting, borrowing, exposure, takeover,
 which is also the order of their keys in the report. Mock-mode takeover
 validation registers attacker services, each inside its own
-registration scope, so the simulated world ends the scan as it began.
+registration scope, and reads them from the simulated world directly: the
+scan's transport never sees a registration, and the world ends the scan
+as it began.
 """
 
 from __future__ import annotations
@@ -430,9 +432,7 @@ def _phase_takeover(ctx: ScanContext) -> None:
         if finding is None:
             entry["dangling_check"] = "healthy"
             continue
-        paths = takeover_mod.enumerate_takeover_paths(
-            finding, ctx.db, simnet=ctx.simnet, transport=ctx.transport
-        )
+        paths = takeover_mod.enumerate_takeover_paths(finding, ctx.db, simnet=ctx.simnet)
         entry["dangling"] = {
             "matched_fp": finding.matched_fp,
             "stage": finding.stage.value,
@@ -449,9 +449,9 @@ def _phase_takeover(ctx: ScanContext) -> None:
         # dns_signal needs HTTP only through no_response, which a served
         # answer never matches, and detect_dangling raises on a failed one.
         # So match_dns held on the terminal: no chain and exactly one A
-        # record, which is check_origin_exposure's precondition. Every
-        # registration scope has closed, so the crawl recheck's answer
-        # still stands for the same probe.
+        # record, which is check_origin_exposure's precondition. The
+        # scan's transport never sees a registration, so the crawl
+        # recheck's answer still stands for the same probe.
         signal = finding.fingerprint.dns_signal
         if signal is not None and signal.kind is DnsSignalKind.SINGLE_A_RECORD:
             verdict = takeover_mod.check_origin_exposure(

@@ -797,7 +797,7 @@ def scenario_from_json(data: dict[str, Any]) -> Scenario:
                     ),
                     assigned_subdomain_rule=raw.get("assigned_subdomain_rule", "random"),
                     shared_cert_name=raw.get("shared_cert_name"),
-                    wildcard_certs=tuple(raw.get("wildcard_certs", [])),
+                    wildcard_certs=tuple(map(_answer_name, raw.get("wildcard_certs", ()))),
                     server_header=raw.get("server_header"),
                     degraded_ips=frozenset(raw.get("degraded_ips", [])),
                     nonhosted_override=(
@@ -822,7 +822,7 @@ def scenario_from_json(data: dict[str, Any]) -> Scenario:
                 body=_utf8(raw["body"], "origin {!r} body", ip),
                 per_host=(
                     {
-                        host: _utf8(body, "origin {!r} per_host {!r}", ip, host)
+                        _answer_name(host): _utf8(body, "origin {!r} per_host {!r}", ip, host)
                         for host, body in _object(raw["per_host"], "origin {!r} per_host", ip).items()
                     }
                     if raw.get("per_host") is not None
@@ -882,8 +882,9 @@ def _utf8(value: Any, label: str, *args: Any) -> bytes:
 
 def _answer_name(value: Any) -> str:
     """A name as an answer gives it: lowercase, no trailing dot. It is read
-    this way from a zone's name, CNAME and NS values, a discontinued host
-    and a host-table host."""
+    this way from a zone's name, CNAME and NS values, a discontinued host,
+    a host-table host, an origin's ``per_host`` key and a wildcard
+    certificate."""
     if not isinstance(value, str):
         raise TypeError(f"a name must be a string, not {type(value).__name__}")
     return value.strip().rstrip(".").lower()

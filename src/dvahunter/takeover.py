@@ -253,22 +253,20 @@ _OWN_PATHS = {
 
 
 def enumerate_takeover_paths(
-    finding: DanglingFinding,
-    db: ProviderDb,
-    simnet: Optional[SimulatedInternet] = None,
-    transport=None,
+    finding: DanglingFinding, db: ProviderDb, simnet: Optional[SimulatedInternet] = None
 ) -> list[TakeoverPath]:
     """Assemble takeover paths from provider knowledge. Given the
-    simulated world (and a transport over it), each path is additionally
-    validated end to end: register the domain as an attacker and confirm
-    the edge serves it. Each validation runs in its own
-    ``registration_scope``, so the world is left as it was found.
+    simulated world, each path is additionally validated end to end:
+    register the domain as an attacker and confirm the edge serves it.
+    Each validation runs in its own ``registration_scope`` and asks the
+    world directly, never the scan's transport, so the world is left as
+    it was found and the scan's counts hold only what a live scan sends.
     An empty list means dangling-only: the fingerprint matched but no
     automated path is known."""
     hosting = db.by_name[finding.provider]
 
     def path(kind: TakeoverKind, via_provider: str, rationale: str) -> TakeoverPath:
-        validated = None if simnet is None else _validate_path(kind, via_provider, finding, simnet, transport)
+        validated = None if simnet is None else _validate_path(kind, via_provider, finding, simnet)
         return TakeoverPath(kind, via_provider, rationale, validated)
 
     paths: list[TakeoverPath] = []
@@ -286,7 +284,7 @@ def enumerate_takeover_paths(
 
 
 def _validate_path(
-    kind: TakeoverKind, via_provider: str, finding: DanglingFinding, simnet: SimulatedInternet, transport
+    kind: TakeoverKind, via_provider: str, finding: DanglingFinding, simnet: SimulatedInternet
 ) -> Optional[bool]:
     domain = str(finding.fqdn)
     with simnet.registration_scope():
@@ -304,10 +302,10 @@ def _validate_path(
                 return False
         if kind is TakeoverKind.MULTI_CDN_SHARED_CNAME and assigned != finding.matched_cname:
             return False
-        obs = transport.resolve(finding.fqdn, RRType.A)
+        obs = simnet.serve_dns(finding.fqdn)
         if not obs.a_records:
             return False
-        response = transport.probe(HttpProbe.request(obs.a_records[0], Scheme.HTTP, finding.fqdn))
+        response = simnet.serve_http(HttpProbe.request(obs.a_records[0], Scheme.HTTP, finding.fqdn))
         return response.failure is None and response.ok
 
 

@@ -206,6 +206,9 @@ class TestClassifyTls:
         ("*.other.org", "pages.press.org", BorrowingTls.SHARED_CERTIFICATE),
         # RFC 6125 §6.4.3: the wildcard stands for one label only
         ("*.press.org", "a.pages.press.org", BorrowingTls.SHARED_CERTIFICATE),
+        # a live certificate's name comes back as written, and DNS names
+        # compare without case (RFC 4343 §3, RFC 6125 §6.4.1)
+        ("*.Press.ORG", "pages.press.org", BorrowingTls.WILDCARD_CERTIFICATE),
     ])
     def test_a_wildcard_counts_only_where_it_covers_the_name(self, cert, domain, kind):
         probe = HttpProbe(target_ip="192.0.2.1", scheme=Scheme.HTTP, host_header=parse_fqdn(domain))

@@ -2,14 +2,15 @@ import dataclasses
 
 import pytest
 
-from dvahunter.core import DnsObservation, DomainSyntaxError, Fqdn, Rcode, derive_rng, parse_fqdn
+from dvahunter.borrowing import BASELINE_HOST_LENGTH
+from dvahunter.core import (
+    LABEL_ALPHABET, DnsObservation, DomainSyntaxError, Fqdn, Rcode, derive_rng, parse_fqdn, random_label,
+)
 from dvahunter.crawler import (
-    LABEL_ALPHABET,
     RANDOM_PREFIX_LENGTH,
     WILDCARD_PROBES,
     PrefixDictionary,
     WildcardInconclusive,
-    _random_label,
     detect_wildcard,
     enumerate_subdomains,
 )
@@ -66,13 +67,15 @@ def wildcard_zone(db):
 class TestRandomLabel:
     def test_labels_equal_the_choice_loop(self):
         # rng.choice as CPython 3.11-3.13 implement it; the CI matrix runs
-        # this on each, so a version that draws otherwise shows here
-        for seed in range(200):
-            drawn, chosen = derive_rng(seed, "wildcard", "example.com"), derive_rng(seed, "wildcard", "example.com")
-            for _ in range(WILDCARD_PROBES):
-                expected = "".join(chosen.choice(LABEL_ALPHABET) for _ in range(RANDOM_PREFIX_LENGTH))
-                assert _random_label(drawn) == expected, seed
-            assert drawn.getstate() == chosen.getstate(), seed
+        # this on each, so a version that draws otherwise shows here. The
+        # lengths are the wildcard probe's and the borrowing baseline's.
+        for length in (RANDOM_PREFIX_LENGTH, BASELINE_HOST_LENGTH):
+            for seed in range(200):
+                drawn, chosen = derive_rng(seed, "wildcard", "example.com"), derive_rng(seed, "wildcard", "example.com")
+                for _ in range(WILDCARD_PROBES):
+                    expected = "".join(chosen.choice(LABEL_ALPHABET) for _ in range(length))
+                    assert random_label(drawn, length) == expected, (length, seed)
+                assert drawn.getstate() == chosen.getstate(), (length, seed)
 
 
 class TestDetectWildcard:

@@ -34,11 +34,11 @@ from dvahunter.scan import run_scan
 from dvahunter.simnet import scenario_to_json
 from tests.conftest import DATA, scan_config
 
-REFERENCE_REPORT_SHA1 = "575b81a3ee38f0edd566edaecd3940fd226e3221"
+REFERENCE_REPORT_SHA1 = "a2543b28744436d253f51dde6a3d3d3e04440382"
 
 GENERATED_REPORT_SHA1 = {
-    "detect-wide": "2da9e35455f1663041d31dded6caa0719b4987e0",
-    "takeover-churn": "ac29418dec81ad7f0e252e494e41adf0e0889e20",
+    "detect-wide": "1b3b52506bc10b36511f31098e202944a8237f37",
+    "takeover-churn": "34a7785a954984baa97af078b6945ace5a0c84c1",
 }
 
 SCHEMA_1_REPORT_SHA1 = {

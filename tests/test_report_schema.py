@@ -131,21 +131,20 @@ class TestLoad:
             ScanReport.from_json(doc)
 
 
-# seed-3 DNS queries and HTTP probes per phase. ROADMAP's baseline table
-# lists more probes for fronting and takeover: fronting now takes rt, and
-# rf where it can, from the harvest's verified answers, and the takeover
-# phase's single-A exposure check reuses the crawl recheck's answer.
+# seed-3 DNS queries and HTTP probes per phase: what a live scan of the
+# world sends. The takeover phase's path validation asks the simulated
+# world directly, so it is not counted.
 PHASE_COUNTS = {
     "enum-reference": {
         "enumerate": (110_330, 0), "crawl": (0, 57), "ingress": (0, 66), "fronting": (0, 447),
-        "borrowing": (0, 120), "exposure": (0, 6), "takeover": (19, 48),
+        "borrowing": (0, 120), "exposure": (0, 6), "takeover": (0, 29),
     },
     "detect-wide": {
         "enumerate": (0, 0), "crawl": (3_927, 1_044), "ingress": (0, 66), "fronting": (0, 2_029),
-        "borrowing": (0, 48_168), "exposure": (0, 4_006), "takeover": (76, 498),
+        "borrowing": (0, 48_168), "exposure": (0, 4_006), "takeover": (0, 422),
     },
     "takeover-churn": {
-        "enumerate": (0, 0), "crawl": (3_400, 1_647), "ingress": (0, 66), "takeover": (2_869, 4_638),
+        "enumerate": (0, 0), "crawl": (3_400, 1_647), "ingress": (0, 66), "takeover": (0, 1_769),
     },
 }
 

@@ -670,24 +670,38 @@ class TestOneNameRule:
         def doc(name):
             return {
                 "providers": [{"name": "Fastly", "ingress_ips": [["198.18.0.1", "x"]],
-                               "host_table": [{"host": name("www.shop.com"), "origin_ip": "198.18.0.9"}]}],
+                               "host_table": [{"host": name("www.shop.com"), "origin_ip": "198.18.0.9"}],
+                               "wildcard_certs": [name("*.press.org")]}],
                 "zones": {
                     name("www.shop.com"): {"cname": "www.shop.com.global.ssl.fastly.net"},
                     "www.shop.com.global.ssl.fastly.net": {"a": ["198.18.0.1"]},
                     name("old.shop.com"): {"cname": "old-shop.global.ssl.fastly.net"},
                 },
-                "origins": {"198.18.0.9": {"body": "shop"}},
+                "origins": {
+                    "198.18.0.9": {"body": "shop"},
+                    "198.18.0.10": {"body": "", "per_host": {name("vhost.shop.com"): "virtual shop"}},
+                },
                 "discontinued_hosts": {name("old.shop.com"): {"provider": "Fastly"}},
             }
 
         lower = SimulatedInternet(scenario_from_json(doc(str)), db)
         upper = SimulatedInternet(scenario_from_json(doc(lambda name: name.title() + ".")), db)
-        for host in ("www.shop.com", "old.shop.com", "old-shop.global.ssl.fastly.net"):
-            assert upper.serve_dns(host) == lower.serve_dns(host)
-            request = probe("198.18.0.1", host, scheme=Scheme.HTTP)
-            assert upper.serve_http(request) == lower.serve_http(request)
+        requests = [
+            HttpProbe.request(ip, scheme, parse_fqdn(host)) for ip, host, scheme in (
+                ("198.18.0.1", "www.shop.com", Scheme.HTTP),
+                ("198.18.0.1", "old.shop.com", Scheme.HTTP),
+                ("198.18.0.1", "old-shop.global.ssl.fastly.net", Scheme.HTTP),
+                ("198.18.0.1", "pages.press.org", Scheme.HTTPS),
+                ("198.18.0.10", "vhost.shop.com", Scheme.HTTP),
+            )
+        ]
+        for request in requests:
+            assert upper.serve_dns(request.host_header) == lower.serve_dns(request.host_header)
+            assert upper.serve_http(request) == lower.serve_http(request), request
         assert lower.serve_dns("www.shop.com").a_records == ("198.18.0.1",)
-        assert lower.serve_http(probe("198.18.0.1", "www.shop.com", scheme=Scheme.HTTP)).status == 200
+        assert lower.serve_http(requests[0]).status == 200
+        assert lower.serve_http(requests[3]).tls_cert_name == "*.press.org"
+        assert lower.serve_http(requests[4]).status == 200
 
     @pytest.mark.parametrize("workload, seed", [("reference", None)] + [
         (workload, seed) for workload in ("detect-wide", "takeover-churn") for seed in (1, 3, 5)

@@ -33,7 +33,9 @@ from dvahunter.takeover import (
 )
 from dvahunter.transport import MockTransport, RRType
 from dvahunter.worlds import build_reference_world
-from tests.conftest import DATA, edited_reference_scan, keep_providers, scan_config, set_provider, set_zone
+from tests.conftest import (
+    DATA, edited_reference_scan, keep_providers, scan_config, set_provider, set_zone, write_world,
+)
 
 
 @pytest.fixture()
@@ -203,15 +205,17 @@ class TestTerminalAnswer:
         ))
         reached = {record.observation.cname_chain[-1] for record in ctx.hosted if record.observation.end_rcode}
         asked = [name for name, rrtype in ctx.transport.query_log if rrtype == RRType.A.value]
-        assert len(reached) > 40 and asked  # the takeover stage still asks, to validate its paths
-        assert reached.isdisjoint(asked)
+        # the crawl reached every chain end of this world, and path
+        # validation asks the simulated world directly
+        assert len(reached) > 40
+        assert asked == []
 
 
 class TestTakeoverPaths:
     def test_shared_cname_path(self, db, net, transport):
         record = hosted_record(db, transport, "promo.kkshift-shop.com")
         finding = detect_dangling(record, transport, db)
-        paths = enumerate_takeover_paths(finding, db, simnet=net, transport=transport)
+        paths = enumerate_takeover_paths(finding, db, simnet=net)
         assert [p.kind for p in paths] == [TakeoverKind.MULTI_CDN_SHARED_CNAME]
         assert paths[0].via_provider == "KuaikuaiCloud"
         assert paths[0].validated is True
@@ -224,7 +228,7 @@ class TestTakeoverPaths:
         for host, expected in cases.items():
             record = hosted_record(db, transport, host)
             finding = detect_dangling(record, transport, db)
-            paths = enumerate_takeover_paths(finding, db, simnet=net, transport=transport)
+            paths = enumerate_takeover_paths(finding, db, simnet=net)
             assert [p.kind for p in paths] == [expected], host
             assert paths[0].validated is True, host
 
@@ -251,9 +255,7 @@ class TestTakeoverPaths:
         record = hosted_record(checked_db, guarded_transport, "legacy.fastly-retired.net")
         finding = detect_dangling(record, guarded_transport, checked_db)
         assert finding is not None  # dangling-only: fingerprint matched
-        paths = enumerate_takeover_paths(finding, checked_db,
-                                         simnet=guarded_net,
-                                         transport=guarded_transport)
+        paths = enumerate_takeover_paths(finding, checked_db, simnet=guarded_net)
         assert paths == []
 
     def test_validation_blocked_by_token_check(self, db, net, transport):
@@ -272,7 +274,7 @@ def one_path(world, db, host, provider, zones=(), **changes):
     net = SimulatedInternet(scenario, db)
     transport = MockTransport(net)
     finding = detect_dangling(hosted_record(db, transport, host), transport, db)
-    return enumerate_takeover_paths(finding, db, simnet=net, transport=transport)
+    return enumerate_takeover_paths(finding, db, simnet=net)
 
 
 class TestFailedValidation:
@@ -357,6 +359,28 @@ class TestTakeoverScan:
             named = ctx.report.domains[name]["exposure"]["evidence"][0]["detail"]
             assert named == f"host={name} at {recheck.target_ip}" and recheck.scheme.value == "http"
             assert sent.count(recheck) == 1
+
+    @pytest.mark.parametrize("workload", ["reference", "takeover-churn"])
+    def test_the_scans_transport_is_never_called_inside_a_registration_scope(
+        self, monkeypatch, tmp_path, db, worldgen, workload
+    ):
+        # a live scan never validates, so the scan's transport, whose
+        # counts are the report's meta.stats, must carry no validation
+        inside = []
+        for name in ("resolve", "resolve_existing", "probe", "probe_batch"):
+            def guarded(transport, *args, _call=getattr(MockTransport, name), _name=name, **kwargs):
+                if transport.simnet._journals:
+                    inside.append(_name)
+                return _call(transport, *args, **kwargs)
+            monkeypatch.setattr(MockTransport, name, guarded)
+        if workload == "reference":
+            targets, scenario = DATA["reference_world_targets.txt"], DATA["reference_world.json"]
+        else:
+            scenario, targets = write_world(tmp_path, worldgen.BUILDERS[workload](db, 3))
+        report = run_scan_with_context(scan_config(targets, scenario, mode="takeover", seed=3)).report
+        validated = [path["validated"] for entry in report.domains.values() for path in entry.get("takeover_paths", ())]
+        assert True in validated  # paths were validated by registering them
+        assert inside == []
 
     def test_scan_leaves_the_world_as_it_found_it(self, db, reference_takeover_scan):
         ctx = reference_takeover_scan
