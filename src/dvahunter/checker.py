@@ -62,7 +62,8 @@ def discover_hosted(
 ) -> list[HostedDomainRecord]:
     """Match observations against assigned-subdomain suffixes, then
     recheck each hit over HTTP: a response matching the provider's
-    non-hosted fingerprint refutes the record."""
+    non-hosted fingerprint refutes the record. The transport holds each
+    recheck's answer."""
     records = []
     for obs in observations:
         match = identify_cdn(obs, db)
@@ -82,6 +83,7 @@ def _recheck(obs: DnsObservation, match: CdnMatch, db: ProviderDb, transport) ->
     else:
         probe = HttpProbe(target_ip=obs.a_records[0], scheme=Scheme.HTTP, host_header=obs.fqdn)
         response = transport.probe(probe)
+        transport.hold(probe, response)
         if response.failure is not None:
             detail = f"recheck probe failed: {response.failure.value}"
         elif fp.no_response:
@@ -113,10 +115,9 @@ def collect_ingress(
     liveness probe (which must carry the provider-identifying header when
     the DB knows one), group by city, and pick one seeded-random
     representative per city. A provider with no live, placeable node
-    keeps its probed nodes and gets no representatives. A node whose
-    liveness question the crawl recheck already asked (same IP, same
-    Host) keeps that answer instead of a second probe."""
-    rechecked = {e.probe: e.response for record in hosted for e in record.evidence if e.probe is not None}
+    keeps its probed nodes and gets no representatives. A liveness
+    question the crawl recheck asked (same IP, same Host) gets the
+    transport's held answer, unsent."""
     by_provider: dict[str, dict[str, Fqdn]] = {}
     for record in hosted:
         if record.recheck is Recheck.REFUTED_BY_FINGERPRINT:
@@ -131,10 +132,7 @@ def collect_ingress(
         nodes = IngressNodeSet(provider=provider, liveness_is_weak=profile.liveness_header is None)
         for ip in sorted(by_provider[provider]):
             contributor = by_provider[provider][ip]
-            probe = HttpProbe(target_ip=ip, scheme=Scheme.HTTP, host_header=contributor)
-            response = rechecked.get(probe)
-            if response is None:
-                response = transport.probe(probe)
+            response = transport.probe(HttpProbe(target_ip=ip, scheme=Scheme.HTTP, host_header=contributor))
             if response.failure is not None:
                 state = Liveness.DEAD
             elif profile.liveness_header is not None:

@@ -20,6 +20,8 @@ from typing import Any, Callable, Iterable, Optional
 
 MAX_NAME_LENGTH = 253
 BODY_EXCERPT_CAP = 4096
+# the CNAME names one resolution follows, in the simulated world and in the live fold
+MAX_CNAME_CHAIN = 16
 
 _LABEL = r"[a-z0-9](?:[a-z0-9-]{0,61}[a-z0-9])?"
 _LABEL_RE = re.compile(_LABEL)

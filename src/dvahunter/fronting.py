@@ -5,11 +5,11 @@ use, execute the three-request protocol, and fold tuple verdicts into a
 provider verdict; a provider with no pairing of its own takes its
 verdict from the providers whose infrastructure it shares.
 
-Each kept URL holds the first of its two matching fetches. That is the
-tuple's ``rt``, the answer to SNI = Host = target for the same path at
-the same ingress, so ``run_tuple`` does not send it a third time; nor
-``rf`` when the front's own URL of that path was verified the same way.
-``rv``, the fronting attempt, is always sent.
+The harvest has the transport hold the first of each kept URL's two
+matching fetches: a tuple's ``rt`` (SNI = Host = target, same path, same
+ingress), and its ``rf`` when the front's own URL of that path was kept,
+so ``run_tuple`` gets them unsent. ``rv``, the fronting attempt, is
+always sent: no held answer has an SNI other than its Host.
 
 Budgets, all kept by ``generate_tuples``: at most 10 domains touched per
 provider, at most 10 tuples executed per provider, at most 10 URLs
@@ -98,9 +98,6 @@ class HarvestedUrl:
     path: str
     kind: UrlKind
     stability_hash: bytes  # set only when two fetches matched
-    # the first of the two matching fetches (SNI = Host = domain), which a
-    # tuple takes as its rt; None on a URL built by hand
-    response: Optional[HttpResponseSummary] = None
 
 
 @record
@@ -260,7 +257,8 @@ def harvest_urls(
     every one fetched twice in one https ``probe_batch`` and keeps them in
     page order. A larger page is shuffled (seeded) and verified in batches
     of the URLs still missing, stopping once ``limit`` are kept; those are
-    returned sorted by path."""
+    returned sorted by path. The transport holds the first of each kept
+    URL's two fetches as the answer to that request."""
     root = transport.probe(HttpProbe.request(ingress_ip, Scheme.HTTPS, domain))
     if root.failure is not None or not root.ok:
         raise RootFetchFailed(f"{domain}: / answered {root.failure.value if root.failure else root.status}")
@@ -291,9 +289,8 @@ def harvest_urls(
                 continue
             if not first.ok or first.body_hash != second.body_hash:
                 continue
-            stable.append(
-                HarvestedUrl(domain=domain, path=path, kind=kind, stability_hash=first.body_hash, response=first)
-            )
+            transport.hold(HttpProbe.request(ingress_ip, Scheme.HTTPS, domain, path), first)
+            stable.append(HarvestedUrl(domain=domain, path=path, kind=kind, stability_hash=first.body_hash))
     return sorted(stable, key=lambda u: u.path) if shuffled else stable
 
 
@@ -316,12 +313,7 @@ def generate_tuples(
     it (at least one). A pair whose target yields no URL is skipped for
     the next one; a target drawn more often than it has URLs reuses them
     in turn. A domain that is only ever a front gets no harvest fetch.
-
-    Each tuple holds its URL's verified answer as ``rt``, and as ``rf``
-    the verified answer of the front's own URL of the same path when the
-    front was harvested too and kept that path: the harvest asked both
-    questions at the same ingress, twice each with matching answers, so
-    ``run_tuple`` sends neither again."""
+    The tuples are not yet run: ``rt``, ``rv`` and ``rf`` are None."""
     if len(domains) < 2:
         raise InsufficientDomains(f"{provider}: {len(domains)} usable domain(s)")
     ordered = sorted(domains, key=str)
@@ -350,12 +342,7 @@ def generate_tuples(
         chosen.append((fd, td, ut))
     if not chosen:
         raise InsufficientDomains(f"{provider}: no pair with a harvested URL")
-    # every harvest has run, so this holds each answer the tuples can reuse
-    verified = {(u.domain, u.path): u.response for kept in urls.values() for u in kept}
-    return [
-        FrontingTuple(fd, td, ut, ingress_ip, rt=ut.response, rf=verified.get((fd, ut.path)))
-        for fd, td, ut in chosen
-    ]
+    return [FrontingTuple(fd, td, ut, ingress_ip) for fd, td, ut in chosen]
 
 
 def run_tuple(item: FrontingTuple, transport) -> FrontingTuple:
@@ -364,21 +351,16 @@ def run_tuple(item: FrontingTuple, transport) -> FrontingTuple:
     2. SNI=front,  Host=target  -> rv (the fronting attempt)
     3. SNI=front,  Host=front   -> rf (validity control)
 
-    A step whose answer the tuple already holds is not sent again: a
-    tuple from ``generate_tuples`` holds rt, the harvest's verified answer
-    for its URL, and often rf. rv is always sent.
+    Each is a ``transport.probe``: after ``generate_tuples`` the transport
+    holds rt's answer, and rf's when the harvest kept the front's URL of
+    the same path, and returns them unsent.
     """
-    def step(held: Optional[HttpResponseSummary], sni: Fqdn, host: Fqdn) -> HttpResponseSummary:
-        if held is not None:
-            return held
+    def step(sni: Fqdn, host: Fqdn) -> HttpResponseSummary:
         return transport.probe(
             HttpProbe(target_ip=item.ingress_ip, scheme=Scheme.HTTPS, host_header=host, sni=sni, path=item.ut.path)
         )
 
-    rt = step(item.rt, item.td, item.td)
-    rv = step(None, item.fd, item.td)
-    rf = step(item.rf, item.fd, item.fd)
-    return replace(item, rt=rt, rv=rv, rf=rf)
+    return replace(item, rt=step(item.td, item.td), rv=step(item.fd, item.td), rf=step(item.fd, item.fd))
 
 
 def judge_tuple(item: FrontingTuple) -> Verdict:

@@ -449,14 +449,10 @@ def _phase_takeover(ctx: ScanContext) -> None:
         # dns_signal needs HTTP only through no_response, which a served
         # answer never matches, and detect_dangling raises on a failed one.
         # So match_dns held on the terminal: no chain and exactly one A
-        # record, which is check_origin_exposure's precondition. The
-        # scan's transport never sees a registration, so the crawl
-        # recheck's answer still stands for the same probe.
+        # record, which is check_origin_exposure's precondition.
         signal = finding.fingerprint.dns_signal
         if signal is not None and signal.kind is DnsSignalKind.SINGLE_A_RECORD:
-            verdict = takeover_mod.check_origin_exposure(
-                finding.fqdn, finding.terminal, ctx.transport, known=record.evidence
-            )
+            verdict = takeover_mod.check_origin_exposure(finding.fqdn, finding.terminal, ctx.transport)
             entry["exposure"] = verdict.to_json(ctx.report.response_ref)
 
     for profile in ctx.db.providers:

@@ -54,6 +54,7 @@ from __future__ import annotations
 import hashlib
 import itertools
 import json
+import re
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from enum import Enum
@@ -62,6 +63,7 @@ from pathlib import Path
 from typing import TYPE_CHECKING, Any, Callable, Iterator, Optional, Sequence, Union
 
 from .core import (
+    MAX_CNAME_CHAIN,
     MAX_NAME_LENGTH,
     DnsObservation,
     Fqdn,
@@ -79,8 +81,9 @@ from .providers import DnsSignalKind, Fingerprint, ProviderDb
 if TYPE_CHECKING:
     from .crawler import PrefixDictionary
 
-MAX_CHAIN = 16
 MISMATCH_STATUS = 421  # Misdirected Request: the standards-defined SNI/Host mismatch answer
+_OCTET = r"(?:25[0-5]|2[0-4][0-9]|1[0-9][0-9]|[1-9]?[0-9])"
+_DOTTED_QUAD = re.compile(rf"(?:{_OCTET}\.){{3}}{_OCTET}")  # use fullmatch
 
 
 class ScenarioError(ValueError):
@@ -407,7 +410,7 @@ class SimulatedInternet:
         a_records: tuple[str, ...] = record.a
         end: Optional[Rcode] = None  # the chain's last name's rcode, when known
         cursor = record
-        while cursor.cname is not None and len(chain) < MAX_CHAIN:
+        while cursor.cname is not None and len(chain) < MAX_CNAME_CHAIN:
             target = cursor.cname
             if target in seen:
                 loop = True
@@ -423,7 +426,7 @@ class SimulatedInternet:
             cursor = nxt
         if chain and cursor.cname is None:
             # the chain ended normally (NODATA and empty non-terminals too),
-            # not at a loop or a cut at MAX_CHAIN
+            # not at a loop or a cut at MAX_CNAME_CHAIN
             end = Rcode.NOERROR
         return DnsObservation(
             fqdn=fqdn,
@@ -779,10 +782,12 @@ def scenario_from_json(data: dict[str, Any]) -> Scenario:
         providers = []
         for raw in data["providers"]:
             name = _object(raw, "a provider")["name"]
+            ingress_ips = tuple((ip, city) for ip, city in raw["ingress_ips"])
+            _addresses([ip for ip, _city in ingress_ips], "provider {!r} ingress IP", name)
             providers.append(
                 ScenarioProvider(
                     name=name,
-                    ingress_ips=tuple((ip, city) for ip, city in raw["ingress_ips"]),
+                    ingress_ips=ingress_ips,
                     fronting_policy=FrontingPolicy(raw.get("fronting_policy", "reject_on_mismatch")),
                     borrowing_policy=BorrowingPolicy(raw.get("borrowing_policy", "require_dns_proof")),
                     verification_mode=VerificationMode(raw.get("verification_mode", "dns_token_checked")),
@@ -810,7 +815,7 @@ def scenario_from_json(data: dict[str, Any]) -> Scenario:
         zones = {
             _answer_name(name): ZoneRecord(
                 cname=None if rec.get("cname") is None else _answer_name(rec["cname"]),
-                a=tuple(rec.get("a", [])),
+                a=_addresses(rec.get("a", ()), "zone {!r} a record", name),
                 ns=tuple(map(_answer_name, rec.get("ns", ()))),
                 servfail=bool(rec.get("servfail", False)),
                 external=bool(rec.get("external", False)),
@@ -834,7 +839,11 @@ def scenario_from_json(data: dict[str, Any]) -> Scenario:
             for ip, raw in _entries(data, "origins", "origin")
         }
         discontinued = {
-            _answer_name(host): DiscontinuedService(provider=raw["provider"], origin_ip=raw.get("origin_ip"))
+            _answer_name(host): DiscontinuedService(
+                provider=raw["provider"],
+                origin_ip=None if raw.get("origin_ip") is None
+                else _addresses((raw["origin_ip"],), "discontinued host {!r} origin_ip", host)[0],
+            )
             for host, raw in _entries(data, "discontinued_hosts", "discontinued host")
         }
         seed = int(data.get("seed", 0))
@@ -872,6 +881,18 @@ def _entries(data: dict[str, Any], section: str, label: str) -> Any:
         if not isinstance(entry, dict):
             _object(entry, "{} {!r}", label, key)
     return entries.items()
+
+
+def _addresses(values: Any, label: str, *args: Any) -> tuple[str, ...]:
+    """``values`` as a tuple, when each is an IPv4 dotted quad: a zone's A
+    records, a discontinued host's residual origin and an edge's ingress
+    IPs are what the world answers in A records, and the scan reads each
+    as an address."""
+    addresses = tuple(values)
+    for value in addresses:
+        if not (isinstance(value, str) and _DOTTED_QUAD.fullmatch(value)):
+            raise ScenarioError(f"{label.format(*args)} {value!r} is not an IPv4 address")
+    return addresses
 
 
 def _utf8(value: Any, label: str, *args: Any) -> bytes:

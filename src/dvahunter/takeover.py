@@ -106,7 +106,7 @@ class DanglingFinding:
 def _http_stage_probe(record: HostedDomainRecord, transport):
     """HTTPS with SNI = Host = fqdn, falling back to plain HTTP when the
     edge has no certificate to offer for the dead name. The fallback is
-    the crawl recheck's question, so the recheck's answer is reused. A
+    the crawl recheck's question, whose answer the transport holds. A
     record whose chain ends without an address has no edge to ask."""
     ips = record.observation.a_records
     if not ips:
@@ -115,9 +115,7 @@ def _http_stage_probe(record: HostedDomainRecord, transport):
     response = transport.probe(probe)
     if response.failure is TransportFailure.TLS_ERROR:
         probe = HttpProbe.request(ips[0], Scheme.HTTP, record.fqdn)
-        response = next((ev.response for ev in record.evidence if ev.probe == probe), None)
-        if response is None:
-            response = transport.probe(probe)
+        response = transport.probe(probe)
     return probe, response
 
 
@@ -309,24 +307,19 @@ def _validate_path(
         return response.failure is None and response.ok
 
 
-def check_origin_exposure(
-    fqdn: Fqdn, observation: DnsObservation, transport, known: tuple[Evidence, ...] = ()
-) -> Verdict:
+def check_origin_exposure(fqdn: Fqdn, observation: DnsObservation, transport) -> Verdict:
     """Residual-resolution check: probe the single A record once with the
     domain as Host and once with the bare IP literal. Equal bodies mean
     the address serves the site without its name: the origin is exposed.
-    A probe that ``known`` (such as a hosted record's crawl recheck)
-    already asked in the same world keeps that answer instead."""
+    For a dangling record the takeover stage routes here, the transport
+    holds the crawl recheck's answer to the named probe."""
     if len(observation.a_records) != 1 or observation.cname_chain:
         raise ExposurePrecondition(
             f"{fqdn}: needs exactly one A record and no CNAME chain "
             f"(has {len(observation.a_records)} records, chain of {len(observation.cname_chain)})"
         )
     ip = observation.a_records[0]
-    probe = HttpProbe(target_ip=ip, scheme=Scheme.HTTP, host_header=fqdn)
-    named = next((ev.response for ev in known if ev.probe == probe), None)
-    if named is None:
-        named = transport.probe(probe)
+    named = transport.probe(HttpProbe(target_ip=ip, scheme=Scheme.HTTP, host_header=fqdn))
     literal = transport.probe(HttpProbe(target_ip=ip, scheme=Scheme.HTTP, host_header=parse_fqdn(ip)))
     named_ev = Evidence("host-named", f"host={fqdn} at {ip}", response=named)
     literal_ev = Evidence("host-literal", f"host={ip} at {ip}", response=literal)

@@ -29,6 +29,15 @@ fallback, stdlib sockets) and HTTP/1.1 over TCP/TLS; certificate
 validation is off by default because borrowing detection must accept
 shared and default certificates.
 
+Each backend also holds answers, in ``held``: ``hold(probe, response)``
+keeps the first answer given for a probe, and ``probe`` returns it
+unsent, with no count, no ``probe_log`` entry and, on live, no socket
+and no limiter slot. The scan holds the crawl recheck's answers and the
+first fetch of each URL the fronting harvest keeps. Its transport never
+sees a registration, so a held answer stands for the whole scan.
+``probe_batch`` neither reads nor writes ``held``: the harvest's two
+fetches of a URL must both go out.
+
 The live backend paces every send through a sliding-window rate
 limiter. The mock backend has no limiter: it never sleeps (determinism),
 and its stats count every query and probe.
@@ -52,6 +61,7 @@ from enum import Enum
 from typing import TYPE_CHECKING, Callable, Optional, Sequence
 
 from .core import (
+    MAX_CNAME_CHAIN,
     DnsObservation,
     Fqdn,
     HttpProbe,
@@ -72,7 +82,6 @@ if TYPE_CHECKING:
 
 logger = logging.getLogger(__name__)
 
-MAX_CNAME_CHAIN = 16
 CHUNK_SIZE = re.compile(rb"[0-9A-Fa-f]+")
 
 
@@ -149,7 +158,7 @@ class TransportStats:
 class MockTransport:
     """Transport over a SimulatedInternet session.
 
-    ``record=True`` also keeps every probe in ``probe_log`` and every
+    ``record=True`` also keeps every probe sent in ``probe_log`` and every
     query in ``query_log`` as ``(name, rrtype)`` pairs, for call audits
     (budget and mode-isolation tests read them).
     """
@@ -160,6 +169,7 @@ class MockTransport:
         self.record = record
         self.probe_log: list[ProbeLogEntry] = []
         self.query_log: list[tuple[str, str]] = []
+        self.held: dict[HttpProbe, HttpResponseSummary] = {}
 
     def resolve(self, name: Fqdn, rrtype: RRType = RRType.ALL) -> DnsObservation:
         self.stats.dns_queries += 1
@@ -186,7 +196,14 @@ class MockTransport:
             self.query_log.extend((name, RRType.ALL.value) for name in dictionary.names_under(parent))
         return self.simnet.serve_dns_existing(parent, dictionary)
 
+    def hold(self, probe: HttpProbe, response: HttpResponseSummary) -> None:
+        """Keep ``response`` as ``probe``'s answer, unless one is held already."""
+        self.held.setdefault(probe, response)
+
     def probe(self, probe: HttpProbe) -> HttpResponseSummary:
+        held = self.held.get(probe)
+        if held is not None:
+            return held
         self.stats.http_probes += 1
         response = self.simnet.serve_http(probe)
         if self.record:
@@ -196,8 +213,8 @@ class MockTransport:
     def probe_batch(
         self, target_ip: str, scheme: Scheme, requests: Sequence[tuple[Fqdn, str]]
     ) -> list[HttpResponseSummary]:
-        """``probe`` of each (Host, path) request at ``target_ip`` (SNI =
-        Host over https), answered in the order given."""
+        """One request of each (Host, path) at ``target_ip`` (SNI = Host
+        over https), answered in the order given."""
         self.stats.http_probes += len(requests)
         responses = self.simnet.serve_http_batch(target_ip, scheme, requests)
         if self.record:
@@ -257,7 +274,9 @@ def _read_name(data: bytes, offset: int) -> tuple[str, int]:
 
 
 def parse_dns_response(data: bytes) -> tuple[int, list[tuple[str, int, str]]]:
-    """Return (rcode, [(owner, type, rdata-as-text)]) from the answer section."""
+    """Return (rcode, [(owner, type, rdata-as-text)]) from the answer
+    section. ValueError on a truncated packet, and on an A record whose
+    RDATA is not 4 bytes."""
     if len(data) < 12:
         raise ValueError("short DNS response")
     _qid, flags, qd, an, _ns, _ar = struct.unpack(">HHHHHH", data[:12])
@@ -278,7 +297,9 @@ def parse_dns_response(data: bytes) -> tuple[int, list[tuple[str, int, str]]]:
         if pos + rdlength > len(data):
             raise ValueError("truncated rdata")
         rdata = data[pos:pos + rdlength]
-        if rtype == 1 and rdlength == 4:
+        if rtype == 1:
+            if rdlength != 4:
+                raise ValueError(f"A record of {rdlength} bytes")
             text = ".".join(str(b) for b in rdata)
         elif rtype in (2, 5):
             text, _ = _read_name(data, pos)
@@ -304,6 +325,7 @@ class LiveTransport:
         self.config = config
         self.limiter = RateLimiter(config.qps_limit)
         self.stats = TransportStats()
+        self.held: dict[HttpProbe, HttpResponseSummary] = {}
         self._tls: Optional[ssl.SSLContext] = None  # the https probes' client context, made by the first
 
     # -- DNS ---------------------------------------------------------------
@@ -444,7 +466,17 @@ class LiveTransport:
 
     # -- HTTP --------------------------------------------------------------
 
+    def hold(self, probe: HttpProbe, response: HttpResponseSummary) -> None:
+        """Keep ``response`` as ``probe``'s answer, unless one is held already."""
+        self.held.setdefault(probe, response)
+
     def probe(self, probe: HttpProbe) -> HttpResponseSummary:
+        held = self.held.get(probe)
+        if held is not None:
+            return held
+        return self._send(probe)
+
+    def _send(self, probe: HttpProbe) -> HttpResponseSummary:
         """One request with one deadline, ``timeout`` s after the start:
         the connect, the TLS handshake, the send and the response read
         each get only what is left of it."""
@@ -497,9 +529,9 @@ class LiveTransport:
     def probe_batch(
         self, target_ip: str, scheme: Scheme, requests: Sequence[tuple[Fqdn, str]]
     ) -> list[HttpResponseSummary]:
-        """``probe`` of each (Host, path) request at ``target_ip`` (SNI =
-        Host over https), one after the other, in the order given."""
-        return [self.probe(HttpProbe.request(target_ip, scheme, host, path)) for host, path in requests]
+        """One request of each (Host, path) at ``target_ip`` (SNI = Host
+        over https), one after the other, in the order given."""
+        return [self._send(HttpProbe.request(target_ip, scheme, host, path)) for host, path in requests]
 
 
 def _peer_cert_name(sock: ssl.SSLSocket) -> Optional[str]:

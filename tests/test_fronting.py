@@ -91,12 +91,16 @@ def fastly_world(db, n_assets_a=3, dynamic_asset=False, n_domains=2, page=None):
 class TestHarvest:
     def test_three_stable_assets_harvested(self, db):
         net, ip, hosts = fastly_world(db, n_assets_a=3)
-        urls = harvest_urls(parse_fqdn(hosts[0]), ip, MockTransport(net))
+        transport = MockTransport(net, record=True)
+        urls = harvest_urls(parse_fqdn(hosts[0]), ip, transport)
         assert len(urls) == 3
         assert {u.kind for u in urls} == {UrlKind.IMAGE, UrlKind.SCRIPT, UrlKind.STYLESHEET}
         assert all(u.stability_hash for u in urls)
-        # each keeps the first of its two matching answers
-        assert all(u.response.ok and u.response.body_hash == u.stability_hash for u in urls)
+        # the transport holds the first of each URL's two matching answers
+        held = {HttpProbe.request(ip, Scheme.HTTPS, u.domain, u.path): u.stability_hash for u in urls}
+        assert {probe: answer.body_hash for probe, answer in transport.held.items()} == held
+        assert all(answer.ok for answer in transport.held.values())
+        assert transport.held == verified_pairs(transport.probe_log)
 
     def test_dynamic_origin_assets_excluded(self, db):
         # the dynamic origin churns every body per fetch, so no asset
@@ -348,10 +352,18 @@ def steps(probe_log):
     return [(str(e.probe.sni), str(e.probe.host_header)) for e in probe_log]
 
 
+def rt_rv_rf_probes(item):
+    """The probes of a tuple's three steps, in the order they are sent."""
+    def step(sni, host):
+        return HttpProbe(target_ip=item.ingress_ip, scheme=Scheme.HTTPS, host_header=host, sni=sni, path=item.ut.path)
+
+    return {"rt": step(item.td, item.td), "rv": step(item.fd, item.td), "rf": step(item.fd, item.fd)}
+
+
 class TestHeldAnswers:
-    """A tuple that holds an answer does not ask for it again. A tuple
-    from generate_tuples holds rt, and rf when the harvest verified the
-    front's own URL of the same path."""
+    """A step whose answer the transport holds is not asked again. After
+    generate_tuples the transport holds each tuple's rt, and its rf when
+    the harvest verified the front's own URL of the same path."""
 
     @pytest.mark.parametrize("held", [(), ("rt",), ("rt", "rf")], ids=["nothing", "rt", "rt-and-rf"])
     def test_run_tuple_sends_only_the_missing_steps_in_order(self, db, held):
@@ -362,7 +374,10 @@ class TestHeldAnswers:
         # an answer the world would not give shows that the held one is kept
         sentinel = HttpResponseSummary.from_body(200, b"held")
         transport = MockTransport(net, record=True)
-        ran = run_tuple(replace(item, **dict.fromkeys(held, sentinel)), transport)
+        probes = rt_rv_rf_probes(item)
+        for name in held:
+            transport.hold(probes[name], sentinel)
+        ran = run_tuple(item, transport)
         order = {"rt": (hosts[1], hosts[1]), "rv": (hosts[0], hosts[1]), "rf": (hosts[0], hosts[0])}
         assert steps(transport.probe_log) == [order[name] for name in ("rt", "rv", "rf") if name not in held]
         assert {(e.probe.target_ip, e.probe.path) for e in transport.probe_log} == {(ip, "/img/logo.png")}
@@ -370,13 +385,19 @@ class TestHeldAnswers:
             assert getattr(ran, name) == (sentinel if name in held else getattr(full, name))
 
     def test_rv_is_sent_even_when_held(self, db):
-        net, ip, hosts = fastly_world(db)
-        held = HttpResponseSummary.from_body(200, b"held")
-        item = FrontingTuple(parse_fqdn(hosts[0]), parse_fqdn(hosts[1]), make_url(hosts[1]), ip, held, held, held)
+        # rt and rf held, as generate_tuples leaves them: the fronting
+        # attempt still goes out, since no held answer has SNI != Host
+        net, ip, hosts = fastly_world(db, n_assets_a=3, n_domains=3)
         transport = MockTransport(net, record=True)
-        ran = run_tuple(item, transport)
-        assert steps(transport.probe_log) == [(hosts[0], hosts[1])]
-        assert ran.rv == transport.probe_log[0].response != held
+        tuples = generate_tuples("Fastly", [parse_fqdn(h) for h in hosts], ip, transport, seed=1)
+        assert transport.held and all(probe.sni == probe.host_header for probe in transport.held)
+        for t in tuples:
+            probes = rt_rv_rf_probes(t)
+            sent = len(transport.probe_log)
+            ran = run_tuple(t, transport)
+            log = transport.probe_log[sent:]
+            assert log[0].probe == probes["rv"] and ran.rv == log[0].response
+            assert [e.probe for e in log[1:]] == ([] if probes["rf"] in transport.held else [probes["rf"]])
 
     def test_generate_tuples_holds_rt_and_rf_exactly_where_the_harvest_verified_them(self, db):
         # the two one-asset sites share "/img/logo.png", so a tuple whose
@@ -386,18 +407,18 @@ class TestHeldAnswers:
         transport = MockTransport(net, record=True)
         tuples = generate_tuples("Fastly", [parse_fqdn(h) for h in hosts], ip, transport, seed=1)
         verified = verified_pairs(transport.probe_log)
+        assert transport.held == verified
         assert len(tuples) == 6
         for t in tuples:
-            rt_probe = HttpProbe.request(ip, Scheme.HTTPS, t.td, t.ut.path)
-            rf_probe = HttpProbe.request(ip, Scheme.HTTPS, t.fd, t.ut.path)
-            assert t.rt is not None and t.rt == t.ut.response == verified[rt_probe]
-            assert t.rf == verified.get(rf_probe)
-            assert t.rv is None
-        assert {t.rf is not None for t in tuples} == {True, False}
+            probes = rt_rv_rf_probes(t)
+            assert probes["rt"] in verified
+            assert (t.rt, t.rv, t.rf) == (None, None, None)
+        assert {rt_rv_rf_probes(t)["rf"] in verified for t in tuples} == {True, False}
         # a held answer is the one the step would get
         for t in tuples:
-            ran, unheld = run_tuple(t, MockTransport(net)), run_tuple(replace(t, rt=None, rf=None), MockTransport(net))
+            ran, unheld = run_tuple(t, transport), run_tuple(t, MockTransport(net))
             assert (ran.rt, ran.rv, ran.rf) == (unheld.rt, unheld.rv, unheld.rf)
+            assert ran.rt is verified[rt_rv_rf_probes(t)["rt"]]
 
     def test_a_dynamic_origin_lends_nothing(self, db):
         # the dynamic first site references the path the others serve, so
@@ -411,7 +432,7 @@ class TestHeldAnswers:
         assert len(harvested) == 2 and harvested[0].response != harvested[1].response
         assert all(t.td != dynamic for t in tuples)
         fronted = [t for t in tuples if t.fd == dynamic]
-        assert fronted and all(t.rf is None for t in fronted)
+        assert fronted and all(rt_rv_rf_probes(t)["rf"] not in transport.held for t in fronted)
         for t in fronted:
             rf = run_tuple(t, transport).rf
             assert rf.body_hash not in {e.response.body_hash for e in harvested}
@@ -431,11 +452,12 @@ class TestHeldAnswers:
                 answers = super().probe_batch(target_ip, scheme, requests)
                 return [answer if host == broken else got for (host, _path), got in zip(requests, answers)]
 
-        tuples = generate_tuples("Fastly", [parse_fqdn(h) for h in hosts], ip, BrokenAsset(net), seed=1)
+        transport = BrokenAsset(net)
+        tuples = generate_tuples("Fastly", [parse_fqdn(h) for h in hosts], ip, transport, seed=1)
         assert all(t.td != broken for t in tuples)
         assert any(t.fd == broken and t.ut.path == "/img/logo.png" for t in tuples)
-        assert all(answer not in (t.rt, t.rf) for t in tuples)
-        assert all(t.rf is None for t in tuples if t.fd == broken)
+        assert transport.held and answer not in transport.held.values()
+        assert all(probe.host_header != broken for probe in transport.held)
 
 
 class TestJudgeTuple:

@@ -91,8 +91,7 @@ EXAMPLES = {
     ],
     HarvestedUrl: [
         {"domain": A, "path": "/a.js", "kind": UrlKind.SCRIPT, "stability_hash": b"\x00" * 20},
-        {"domain": B, "path": "/logo.png", "kind": UrlKind.IMAGE, "stability_hash": b"\x01" * 20,
-         "response": HttpResponseSummary(status=200)},
+        {"domain": B, "path": "/logo.png", "kind": UrlKind.IMAGE, "stability_hash": b"\x01" * 20},
     ],
     FrontingTuple: [
         {"fd": A, "td": B, "ut": URL, "ingress_ip": "192.0.2.1"},

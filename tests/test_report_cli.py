@@ -533,10 +533,19 @@ class TestCli:
         (set_zone("orphan.example.com", cname="cdn-unheld.fastly.net"),
          "zone orphan.example.com: cname target cdn-unheld.fastly.net is unresolvable and not marked external"),
         (lambda doc: doc.update(attacker_origin_ip="10.250.0.3"), "attacker origin 10.250.0.3 not in origins"),
+        # an address that is no dotted quad reached the origin-exposure
+        # check's parse_fqdn(ip): a DomainSyntaxError traceback, exit 1
+        (set_zone("app.vhosted-directsite.net", a=["not-an-address!"]),
+         "zone 'app.vhosted-directsite.net' a record 'not-an-address!' is not an IPv4 address"),
+        (lambda doc: doc["discontinued_hosts"]["legacy.edgenext-retired.net"].update(origin_ip="not-an-address!"),
+         "discontinued host 'legacy.edgenext-retired.net' origin_ip 'not-an-address!' is not an IPv4 address"),
+        (lambda doc: doc["providers"][0]["ingress_ips"].append(["10.1.0.256", "paris"]),
+         "provider 'Akamai' ingress IP '10.1.0.256' is not an IPv4 address"),
     ], ids=["residual-origin-missing", "ingress-held-twice", "ingress-is-origin", "provider-twice",
             "host-origin-missing", "discontinued-provider-unknown", "dangling-provider-unknown",
             "dangling-provider-not-in-world", "cname-unresolvable",
-            "cname-unheld-under-provider-suffix", "attacker-origin-missing"])
+            "cname-unheld-under-provider-suffix", "attacker-origin-missing",
+            "zone-a-not-an-address", "residual-origin-not-an-address", "ingress-not-an-address"])
     def test_scenario_that_would_abort_the_scan_is_config_error(self, tmp_path, capsys, edit, message):
         # each edit gives one problem, which both commands name. The first
         # three once passed validate-scenario ("ok") and then aborted the

@@ -6,11 +6,10 @@ import pytest
 
 from dvahunter.checker import crawl_records, discover_hosted
 from dvahunter.cli import main
-from dvahunter.core import Rcode, VerdictKind, parse_fqdn
+from dvahunter.core import MAX_CNAME_CHAIN, Rcode, VerdictKind, parse_fqdn
 from dvahunter.providers import Fingerprint, ProviderProfile
 from dvahunter.scan import run_scan_with_context
 from dvahunter.simnet import (
-    MAX_CHAIN,
     Origin,
     Scenario,
     SimulatedInternet,
@@ -158,8 +157,8 @@ class TestTerminalAnswer:
         assert len(ends) > 2000 and None not in ends.values()
 
     def test_hand_built_chains(self, db):
-        long = {f"h{hop}.long.net": ZoneRecord(cname=f"h{hop + 1}.long.net") for hop in range(MAX_CHAIN)}
-        exact = {f"h{hop}.exact.net": ZoneRecord(cname=f"h{hop + 1}.exact.net") for hop in range(MAX_CHAIN - 1)}
+        long = {f"h{hop}.long.net": ZoneRecord(cname=f"h{hop + 1}.long.net") for hop in range(MAX_CNAME_CHAIN)}
+        exact = {f"h{hop}.exact.net": ZoneRecord(cname=f"h{hop + 1}.exact.net") for hop in range(MAX_CNAME_CHAIN - 1)}
         zones = {
             # external: the target is meant to lie outside the world
             "nx.site.com": ZoneRecord(cname="gone.cdn.net", external=True),
@@ -179,10 +178,10 @@ class TestTerminalAnswer:
             "l2.cdn.net": ZoneRecord(cname="l1.cdn.net"),
             "long.site.com": ZoneRecord(cname="h0.long.net"),
             **long,
-            f"h{MAX_CHAIN}.long.net": ZoneRecord(a=("10.0.0.5",)),
+            f"h{MAX_CNAME_CHAIN}.long.net": ZoneRecord(a=("10.0.0.5",)),
             "exact.site.com": ZoneRecord(cname="h0.exact.net"),
             **exact,
-            f"h{MAX_CHAIN - 1}.exact.net": ZoneRecord(a=("10.0.0.5",)),
+            f"h{MAX_CNAME_CHAIN - 1}.exact.net": ZoneRecord(a=("10.0.0.5",)),
         }
         net = SimulatedInternet(Scenario(providers=[], zones=zones, origins={"10.0.0.5": Origin(body=b"hi")}), db)
         ends = chain_ends(net)
@@ -195,8 +194,8 @@ class TestTerminalAnswer:
             "wild.site.com": Rcode.NOERROR,  # synthesized by the wildcard
             "deep.site.com": Rcode.NOERROR,
             "loop.site.com": None,
-            "long.site.com": None,  # cut at MAX_CHAIN
-            "exact.site.com": Rcode.NOERROR,  # MAX_CHAIN names, the last one reached
+            "long.site.com": None,  # cut at MAX_CNAME_CHAIN
+            "exact.site.com": Rcode.NOERROR,  # MAX_CNAME_CHAIN names, the last one reached
         }
 
     def test_scan_asks_for_no_chain_end_the_crawl_reached(self):
@@ -520,29 +519,21 @@ class TestTakeoverScanVerdicts:
 
 
 class TestOriginExposure:
-    def test_a_known_answer_to_the_named_probe_is_not_asked_again(self):
-        from dvahunter.core import DnsObservation, Evidence, HttpProbe, HttpResponseSummary, Scheme
-        fqdn, ip = parse_fqdn("www.example.net"), "192.0.2.9"
-        asked = []
-
-        def probe(sent):
-            asked.append(sent)
-            return HttpResponseSummary.from_body(200, f"answer for {sent.host_header}".encode())
-
-        edge = SimpleNamespace(probe=probe)
-        obs = DnsObservation(fqdn=fqdn, a_records=(ip,))
-        named = HttpProbe(target_ip=ip, scheme=Scheme.HTTP, host_header=fqdn)
+    def test_a_known_answer_to_the_named_probe_is_not_asked_again(self, transport):
+        # the transport holds answers to other questions (another address,
+        # https), then to the named probe itself, as the crawl recheck does
+        from dvahunter.core import HttpProbe, HttpResponseSummary, Scheme
+        obs = transport.resolve(parse_fqdn("app.vhosted-directsite.net"))
+        fqdn, ip = obs.fqdn, obs.a_records[0]
         kept = HttpResponseSummary.from_body(200, b"the recheck's answer")
-        others = (
-            Evidence("recheck", "other address", probe=HttpProbe("192.0.2.8", Scheme.HTTP, fqdn), response=kept),
-            Evidence("recheck", "https", probe=HttpProbe.request(ip, Scheme.HTTPS, fqdn), response=kept),
-        )
-        check_origin_exposure(fqdn, obs, edge, known=others)
-        assert [p.host_header for p in asked] == [fqdn, parse_fqdn(ip)]
-        asked.clear()
-        recheck = Evidence("recheck", "d", probe=named, response=kept)
-        verdict = check_origin_exposure(fqdn, obs, edge, known=others + (recheck,))
-        assert [p.host_header for p in asked] == [parse_fqdn(ip)]
+        transport.hold(HttpProbe("192.0.2.8", Scheme.HTTP, fqdn), kept)
+        transport.hold(HttpProbe.request(ip, Scheme.HTTPS, fqdn), kept)
+        check_origin_exposure(fqdn, obs, transport)
+        assert [e.probe.host_header for e in transport.probe_log] == [fqdn, parse_fqdn(ip)]
+        transport.probe_log.clear()
+        transport.hold(HttpProbe(target_ip=ip, scheme=Scheme.HTTP, host_header=fqdn), kept)
+        verdict = check_origin_exposure(fqdn, obs, transport)
+        assert [e.probe.host_header for e in transport.probe_log] == [parse_fqdn(ip)]
         assert verdict.evidence[0].response == kept
 
     def test_exposed_origin_flagged(self, db, transport):

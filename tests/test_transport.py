@@ -11,7 +11,9 @@ import pytest
 
 from dvahunter import transport as transport_mod
 from dvahunter.checker import crawl_records, discover_hosted
-from dvahunter.core import HttpProbe, Rcode, Scheme, TransportFailure, parse_fqdn
+from dvahunter.core import (
+    MAX_CNAME_CHAIN, HttpProbe, HttpResponseSummary, Rcode, Scheme, TransportFailure, parse_fqdn, sha1_body,
+)
 from dvahunter.crawler import PrefixDictionary
 from dvahunter.providers import DnsSignalKind
 from dvahunter.scan import ConfigError, prepare, run_scan
@@ -210,6 +212,25 @@ class TestDnsWire:
     )
     def test_truncated_packet_rejected(self, packet):
         with pytest.raises(ValueError):
+            parse_dns_response(packet)
+
+    def test_other_record_types_keep_their_rdata_as_hex(self):
+        # an AAAA record (type 28) beside the A record: resolve reads
+        # neither its type nor its text
+        aaaa = bytes.fromhex("20010db8000000000000000000000001")
+        packet = (b"\x00\x01\x81\x80\x00\x00\x00\x02\x00\x00\x00\x00"
+                  + b"\x00" + b"\x00\x1c\x00\x01\x00\x00\x00\x3c\x00\x10" + aaaa
+                  + b"\x00" + b"\x00\x01\x00\x01\x00\x00\x00\x3c\x00\x04" + bytes([10, 0, 0, 5]))
+        assert parse_dns_response(packet) == (0, [("", 28, aaaa.hex()), ("", 1, "10.0.0.5")])
+
+    @pytest.mark.parametrize("rdata", [b"", bytes([10, 0, 0, 5, 1])], ids=["0-bytes", "5-bytes"])
+    def test_a_record_that_is_not_four_bytes_rejected(self, rdata):
+        # an A record's RDATA is one 32-bit address (RFC 1035 section
+        # 3.4.1); any other length was once kept as its hex text, and a
+        # 0-byte one as the address ""
+        packet = (b"\x00\x01\x81\x80\x00\x00\x00\x01\x00\x00\x00\x00"
+                  + b"\x00" + b"\x00\x01\x00\x01\x00\x00\x00\x3c" + len(rdata).to_bytes(2, "big") + rdata)
+        with pytest.raises(ValueError, match="A record"):
             parse_dns_response(packet)
 
 
@@ -421,7 +442,7 @@ class TestLiveQueries:
         pytest.param({"a": (0, [("www.example.com", 5, "a.example.net"), ("a.example.net", 5, "www.example.com")])},
                      None, id="loop"),
         pytest.param({"a": (0, [(f"c{hop}.example.net" if hop else "www.example.com", 5, f"c{hop + 1}.example.net")
-                                for hop in range(transport_mod.MAX_CNAME_CHAIN + 1)])}, None, id="cut-short"),
+                                for hop in range(MAX_CNAME_CHAIN + 1)])}, None, id="cut-short"),
         pytest.param({"a": (0, CHAIN[:1]), "cname": (0, CHAIN[:2])}, None, id="a-later-reply-goes-further"),
         pytest.param({"a": (0, GONE), "ns": (0, GONE + [("gone.cdn.example.net", 2, "ns1.example.net")])},
                      Rcode.NOERROR, id="ns-records-beside-the-chain"),
@@ -429,6 +450,19 @@ class TestLiveQueries:
     def test_end_rcode_only_from_an_a_reply_that_shows_the_whole_chain(self, monkeypatch, replies, end):
         monkeypatch.setattr(LiveTransport, "_query", lambda self, name, kind: replies.get(kind, (0, [])))
         assert live_transport().resolve(parse_fqdn("www.example.com"), RRType.ALL).end_rcode is end
+
+    def test_a_record_that_is_not_four_bytes_is_no_address(self, monkeypatch):
+        # every reply holds a 0-byte A record, which resolve once kept as
+        # the address "": the origin-exposure check then raised out of the
+        # scan on it. A reply that cannot be parsed is no reply.
+        def fake_exchange(self, query):
+            header = query[:2] + b"\x81\x80\x00\x01\x00\x01\x00\x00\x00\x00"
+            return header + query[12:] + b"\xc0\x0c\x00\x01\x00\x01\x00\x00\x00\x3c\x00\x00"
+
+        monkeypatch.setattr(LiveTransport, "_exchange", fake_exchange)
+        obs = live_transport().resolve(parse_fqdn("www.example.com"), RRType.ALL)
+        assert obs.a_records == ()
+        assert obs.rcode is Rcode.TIMEOUT
 
     def test_cname_target_that_is_no_host_name_is_kept_as_text(self, monkeypatch):
         # RFC 2181 §11: a CNAME target may be any name; this answer once
@@ -680,6 +714,86 @@ class TestLiveProbe:
         assert [answer.status for answer in answers] == [200, 200, 404, 404]
         assert [answer.tls_cert_name for answer in answers] == [f"cert.{host}" if https else None for host, _ in requests]
         assert batch.stats.http_probes == single.stats.http_probes == 4
+
+
+WWW = parse_fqdn("www.example.com")
+HELD_PROBE = HttpProbe.request("192.0.2.10", Scheme.HTTPS, WWW, "/logo.png")
+
+
+class TestHeldAnswers:
+    """One rule on both backends for answers the scan already holds:
+    ``probe`` returns a held answer unsent, ``probe_batch`` sends every
+    request whatever is held, and the first answer held for a probe
+    stands."""
+
+    @pytest.fixture(params=["mock", "live"])
+    def wire(self, request, monkeypatch, db):
+        """A transport, and the list of what it puts on the wire: each
+        ``serve_http`` call and batch request of the mock; each socket and
+        limiter slot of live."""
+        sent: list = []
+        if request.param == "mock":
+            net = SimulatedInternet(Scenario(providers=[], origins={"192.0.2.10": Origin(body=b"page")}), db)
+            serve, serve_batch = net.serve_http, net.serve_http_batch
+            monkeypatch.setattr(net, "serve_http", lambda probe: sent.append(probe) or serve(probe))
+            monkeypatch.setattr(net, "serve_http_batch", lambda *args: sent.extend(args[2]) or serve_batch(*args))
+            return MockTransport(net, record=True), sent
+
+        class FakeSocket:
+            def settimeout(self, timeout):
+                pass
+
+            def sendall(self, data):
+                pass
+
+            def close(self):
+                pass
+
+        class FakeContext:
+            check_hostname = True
+            verify_mode = None
+
+            def wrap_socket(self, sock, server_hostname):
+                return sock
+
+        monkeypatch.setattr(socket, "create_connection", lambda address, **kw: sent.append(address) or FakeSocket())
+        monkeypatch.setattr(ssl, "create_default_context", FakeContext)
+        monkeypatch.setattr(transport_mod, "_peer_cert_name", lambda sock: None)
+        monkeypatch.setattr(transport_mod, "_read_http_response", lambda sock, timeout: (200, [], b"page"))
+        transport = live_transport()
+        acquire = transport.limiter.acquire
+        monkeypatch.setattr(transport.limiter, "acquire", lambda: sent.append("slot") or acquire())
+        return transport, sent
+
+    def test_a_held_answer_is_returned_unsent(self, wire):
+        transport, sent = wire
+        held = HttpResponseSummary.from_body(200, b"held")
+        transport.hold(HELD_PROBE, held)
+        assert transport.probe(HELD_PROBE) is held
+        assert sent == []
+        assert transport.stats.http_probes == 0
+        assert getattr(transport, "probe_log", []) == []
+        # any other question still goes out
+        other = replace(HELD_PROBE, path="/other.png")
+        assert transport.probe(other).body_hash == sha1_body(b"page")
+        assert sent and transport.stats.http_probes == 1
+
+    def test_probe_batch_sends_a_held_request_and_holds_nothing(self, wire):
+        transport, sent = wire
+        held = HttpResponseSummary.from_body(200, b"held")
+        transport.hold(HELD_PROBE, held)
+        answers = transport.probe_batch(HELD_PROBE.target_ip, Scheme.HTTPS, [(WWW, "/logo.png"), (WWW, "/a.js")])
+        assert [answer.body_hash for answer in answers] == [sha1_body(b"page")] * 2
+        assert sent and transport.stats.http_probes == 2
+        assert transport.held == {HELD_PROBE: held}
+
+    def test_the_first_held_answer_stands(self, wire):
+        transport, sent = wire
+        first, second = HttpResponseSummary.from_body(200, b"first"), HttpResponseSummary.from_body(404, b"second")
+        transport.hold(HELD_PROBE, first)
+        transport.hold(HELD_PROBE, second)
+        assert transport.probe(HELD_PROBE) is first
+        assert sent == []
 
 
 def a_reply(qid: int, ip: str, flags: bytes = b"\x81\x80") -> bytes:
